@@ -54,7 +54,6 @@ from .search import (
     CandidateSpace,
     QuantPlan,
     SearchError,
-    decompose_search,
     pareto_frontier,
     search,
 )

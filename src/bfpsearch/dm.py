@@ -348,7 +348,6 @@ class DmBreakdown:
     bits: dict
     tile_elems: dict
     tile_bits: dict
-    slide_elems: dict
     reuse: dict
     level_elems: dict
     cold_elems: dict
@@ -483,17 +482,6 @@ def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool =
         role: {d: classify_reuse(role, d, layer, mapping) for d in LOOP_DIMS}
         for role in OPERANDS
     }
-    slide = {
-        role: {
-            d: (
-                new_data_per_iteration(role, d, layer, mapping)
-                if reuse[role][d] is ReuseClass.PARTIAL_REUSE
-                else None
-            )
-            for d in LOOP_DIMS
-        }
-        for role in OPERANDS
-    }
     level_elems = {}
     cold_elems = {}
     for role in OPERANDS:
@@ -505,7 +493,6 @@ def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool =
         bits=bits,
         tile_elems=tile_elems,
         tile_bits={r: tile_elems[r] * bits[r] for r in OPERANDS},
-        slide_elems=slide,
         reuse=reuse,
         level_elems=level_elems,
         cold_elems=cold_elems,

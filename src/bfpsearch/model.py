@@ -90,6 +90,8 @@ class ModelDesc:
     diagnostics: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.layers:
+            raise ModelFormatError(f"model {self.name!r} has no conv layers")
         for want, layer in enumerate(self.layers, start=1):
             if layer.index != want:
                 raise ModelFormatError(

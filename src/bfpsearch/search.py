@@ -7,6 +7,10 @@ maximum), and returns the plan minimizing
 
     objective = acc_loss + alpha * perf_loss
 
+:func:`search` evaluates every (layer, config) cell once, then selects one
+(SE, BS) pair for the whole model or, with scope ``layer`` (``--scope layer``
+on the command line), one pair per layer under the full objective.
+
 Modes ablate single factors: ``full`` optimizes the weighted objective,
 ``no_qat`` ignores accuracy and minimizes traffic (for setups with no trained
 accuracy numbers), ``no_dm`` minimizes accuracy loss alone, ``pareto`` treats
@@ -27,7 +31,7 @@ from .accuracy import (
     proxy_layer_loss,
 )
 from .codec import BfpSpec
-from .dm import OPERANDS
+from .dm import OPERANDS, dm_layer
 from .energy import EnergyParams, energy, normalized_energy
 from .model import ModelDesc, layer_volumes
 from .tiling import InfeasibleError, LayerMappingTable
@@ -93,7 +97,6 @@ class CandidateEval:
     acc_loss: float = math.inf
     perf_loss: float = math.inf
     objective: float = math.inf
-    layer_choices: list = field(default_factory=list)  # (mapping, dm_bits) per layer
 
     def row(self) -> dict:
         se, bs, qb = self.config
@@ -237,7 +240,7 @@ def knee_point(frontier, alpha: float) -> CandidateEval:
 
 
 # ---------------------------------------------------------------------------
-# Search drivers
+# Search driver
 # ---------------------------------------------------------------------------
 
 
@@ -257,41 +260,24 @@ def build_mapping_tables(model: ModelDesc, ceil_k: int = 8, count_first_load: bo
     return {layer.index: table for layer, table in zip(model.layers, tables)}
 
 
-def _gather_samples(model, sample_dir, seed):
-    kwargs = {"model_dir": sample_dir}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return {layer.index: layer_samples(layer, **kwargs) for layer in model.layers}
+def _candidate(config, hits) -> CandidateEval:
+    """Traffic side of one candidate over the layers whose query results are ``hits``."""
+    if any(hit is None for hit in hits):
+        return CandidateEval(config=config, feasible=False)
+    return CandidateEval(config=config, feasible=True, dm_sum_bits=sum(hit[1] for hit in hits))
 
 
-def _acc_raw_per_layer(model, config, loss_source, samples, table: AccuracyTable | None):
-    """Per-layer raw accuracy terms for one config (proxy MSE or table entries)."""
-    specs = specs_for_config(config)
-    out = {}
-    for layer in model.layers:
-        if loss_source == "proxy":
-            out[layer.index] = proxy_layer_loss(layer, specs, samples[layer.index])
-        else:
-            key = (layer.index,) + tuple(config)
-            if key not in table.layer_entries:
-                raise AccuracyError(
-                    f"accuracy table has no per-layer entry for layer {layer.index}, config {config}"
-                )
-            out[layer.index] = table.layer_entries[key]
-    return out
-
-
-def _whole_model_acc(model, config, loss_source, samples, table):
-    if loss_source == "table":
-        return lookup_acc_loss(table, config, model=model, compose=True)
-    per_layer = _acc_raw_per_layer(model, config, "proxy", samples, None)
-    total = 0.0
-    wsum = 0.0
-    for layer in model.layers:
-        w = float(layer_volumes(layer)[1])
-        total += w * per_layer[layer.index]
-        wsum += w
-    return total / wsum
+def _acc_term(layer, config, specs, loss_source, samples, acc_table) -> float:
+    """Raw accuracy term of one (layer, config) cell: the proxy's normalized
+    MSE or the table's per-layer entry."""
+    if loss_source == "proxy":
+        return proxy_layer_loss(layer, specs, samples[layer.index])
+    key = (layer.index,) + tuple(config)
+    if key not in acc_table.layer_entries:
+        raise AccuracyError(
+            f"accuracy table has no per-layer entry for layer {layer.index}, config {config}"
+        )
+    return acc_table.layer_entries[key]
 
 
 def search(
@@ -310,12 +296,14 @@ def search(
     seed: int | None = None,
     sample_dir: str | None = None,
 ) -> QuantPlan:
-    """Search the candidate grid for the plan minimizing the trade-off objective.
+    """Search the (layer, config) grid for the plan minimizing the trade-off objective.
 
-    One (SE, BS) pair applies to the whole model (``space.scope == 'model'``);
-    per-layer assignment goes through :func:`decompose_search`.  Layer sample
-    references resolve against ``sample_dir`` (usually the model file's
-    directory); layers without samples fall back to fixed-seed synthetic ones.
+    ``space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
+    ``'layer'`` takes each layer's argmin, which IS the joint optimum because
+    both loss terms are additive over layers and either term's joint maximum
+    separates into per-layer maxima.  Layer sample references resolve against
+    ``sample_dir`` (usually the model file's directory); layers without
+    samples fall back to fixed-seed synthetic ones.
     """
     if mode not in MODES:
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
@@ -330,217 +318,100 @@ def search(
     if space.scope == "layer":
         if mode != "full":
             raise SearchError("per-layer scope supports only the full trade-off mode")
-        return decompose_search(
-            model, space, alpha, mc_bits,
-            loss_source=loss_source, acc_table=acc_table, samples=samples, tables=tables,
-            energy_params=energy_params, count_first_load=count_first_load, jobs=jobs,
-            seed=seed, sample_dir=sample_dir,
-        )
-
-    if tables is None:
-        tables = build_mapping_tables(model, count_first_load=count_first_load, jobs=jobs)
-    if loss_source == "proxy" and samples is None:
-        samples = _gather_samples(model, sample_dir, seed)
-
-    cands = []
-    for config in space.configs():
-        specs = specs_for_config(config)
-        ev = CandidateEval(config=config, feasible=True)
-        dm_total = 0.0
-        choices = []
-        for layer in model.layers:
-            hit = tables[layer.index].query(specs, mc_bits)
-            if hit is None:
-                ev.feasible = False
-                break
-            mapping, dm_bits, _foot = hit
-            dm_total += dm_bits
-            choices.append((mapping, dm_bits))
-        if not ev.feasible:
-            cands.append(ev)
-            continue
-        ev.dm_sum_bits = dm_total
-        ev.layer_choices = choices
-        ev.raw_acc = _whole_model_acc(model, config, loss_source, samples, acc_table)
-        cands.append(ev)
-
-    feasible = [c for c in cands if c.feasible]
-    if not feasible:
-        raise InfeasibleError("every candidate is infeasible under the memory capacity")
-    dm_max = max(c.dm_sum_bits for c in feasible)
-    if dm_max <= 0:
-        raise SearchError(
-            "every candidate moves zero bits (literal reuse accounting with whole-layer "
-            "residency); performance loss cannot be normalized"
-        )
-    acc_norm = max(c.raw_acc for c in feasible) if loss_source == "proxy" else 1.0
-    for c in feasible:
-        c.perf_loss = c.dm_sum_bits / dm_max
-        c.acc_loss = c.raw_acc / acc_norm if acc_norm > 0 else 0.0
-        c.objective = c.acc_loss + alpha * c.perf_loss
-
-    winner = select_candidate(cands, mode, alpha)
-    return _assemble_plan(
-        model, winner, cands, dm_max, alpha, mode, space.scope,
-        tables, mc_bits, energy_params, count_first_load,
-    )
-
-
-def decompose_search(
-    model: ModelDesc,
-    space: CandidateSpace,
-    alpha: float = DEFAULT_ALPHA,
-    mc_bits: float = None,
-    loss_source: str = "proxy",
-    acc_table: AccuracyTable | None = None,
-    samples: dict | None = None,
-    tables: dict | None = None,
-    energy_params: EnergyParams = EnergyParams(),
-    count_first_load: bool = True,
-    jobs: int = 1,
-    seed: int | None = None,
-    sample_dir: str | None = None,
-) -> QuantPlan:
-    """Per-layer independent assignment over the joint candidate space.
-
-    Both loss terms are additive over layers, so with the normalizers fixed
-    (either term's joint maximum separates into per-layer maxima) the
-    per-layer argmin IS the joint optimum of the weighted objective.
-    """
-    if mc_bits is None or mc_bits <= 0:
-        raise SearchError(f"memory capacity (bits) must be positive, got {mc_bits}")
-    if loss_source == "table":
-        if acc_table is None:
-            raise SearchError("loss_source='table' needs an accuracy table")
-        if not acc_table.layer_entries:
+        if loss_source == "table" and not acc_table.layer_entries:
             raise AccuracyError(
                 "per-layer search needs per-layer accuracy entries; "
                 "this table only has whole-model rows -- use scope='model'"
             )
+
     if tables is None:
         tables = build_mapping_tables(model, count_first_load=count_first_load, jobs=jobs)
     if loss_source == "proxy" and samples is None:
-        samples = _gather_samples(model, sample_dir, seed)
+        seed_kw = {} if seed is None else {"seed": seed}
+        samples = {layer.index: layer_samples(layer, model_dir=sample_dir, **seed_kw) for layer in model.layers}
 
     configs = list(space.configs())
-    wsum = sum(float(layer_volumes(layer)[1]) for layer in model.layers)
+    specs = [specs_for_config(config) for config in configs]
+    # cells[i][j]: layer i's best (mapping, dm_bits, footprint_bits) under configs[j], or None.
+    cells = [[tables[layer.index].query(s, mc_bits) for s in specs] for layer in model.layers]
+    weights = [float(layer_volumes(layer)[1]) for layer in model.layers]
+    wsum = sum(weights)
 
-    # Per (layer, config): traffic of the optimal mapping and the raw accuracy term.
-    per_layer = {}
-    for layer in model.layers:
-        rows = {}
-        for config in configs:
-            specs = specs_for_config(config)
-            hit = tables[layer.index].query(specs, mc_bits)
-            if hit is None:
+    # Selection runs over groups of candidates: for model scope one group
+    # whose candidates sum a grid column over all layers, for layer scope one
+    # group per layer holding that layer's row.
+    if space.scope == "model":
+        groups = [[_candidate(config, [row[j] for row in cells]) for j, config in enumerate(configs)]]
+    else:
+        groups = [[_candidate(config, [hit]) for config, hit in zip(configs, row)] for row in cells]
+    for i, group in enumerate(groups):
+        if not any(c.feasible for c in group):
+            raise InfeasibleError(
+                f"layer {model.layers[i].index}: every candidate is infeasible" if space.scope == "layer"
+                else "every candidate is infeasible under the memory capacity"
+            )
+        for j, c in enumerate(group):
+            if not c.feasible:
                 continue
-            mapping, dm_bits, _ = hit
-            if loss_source == "proxy":
-                acc = proxy_layer_loss(layer, specs, samples[layer.index])
+            if space.scope == "layer":
+                acc = _acc_term(model.layers[i], configs[j], specs[j], loss_source, samples, acc_table)
+                c.raw_acc = weights[i] / wsum * acc
+            elif loss_source == "table":
+                c.raw_acc = lookup_acc_loss(acc_table, configs[j], model=model, compose=True)
             else:
-                key = (layer.index,) + tuple(config)
-                if key not in acc_table.layer_entries:
-                    raise AccuracyError(
-                        f"accuracy table has no per-layer entry for layer {layer.index}, config {config}"
-                    )
-                acc = acc_table.layer_entries[key]
-            w = float(layer_volumes(layer)[1]) / wsum
-            rows[config] = (mapping, dm_bits, w * acc)
-        if not rows:
-            raise InfeasibleError(f"layer {layer.index}: every candidate is infeasible")
-        per_layer[layer.index] = rows
+                c.raw_acc = sum(
+                    w * _acc_term(layer, configs[j], specs[j], loss_source, samples, acc_table)
+                    for layer, w in zip(model.layers, weights)
+                ) / wsum
 
-    # Joint normalizers separate into per-layer maxima.
-    dm_max = sum(max(r[1] for r in rows.values()) for rows in per_layer.values())
+    # Both normalizers separate into per-group maxima.
+    feasible = [[c for c in group if c.feasible] for group in groups]
+    dm_max = sum(max(c.dm_sum_bits for c in f) for f in feasible)
     if dm_max <= 0:
         raise SearchError(
             "every candidate moves zero bits (literal reuse accounting with whole-layer "
             "residency); performance loss cannot be normalized"
         )
-    acc_norm = sum(max(r[2] for r in rows.values()) for rows in per_layer.values())
-    if loss_source == "table":
-        acc_norm = 1.0
+    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if loss_source == "proxy" else 1.0
+    for f in feasible:
+        for c in f:
+            c.perf_loss = c.dm_sum_bits / dm_max
+            c.acc_loss = c.raw_acc / acc_norm if acc_norm > 0 else 0.0
+            c.objective = c.acc_loss + alpha * c.perf_loss
+
+    winners = [select_candidate(group, mode, alpha) for group in groups]
+    dm_sum = sum(c.dm_sum_bits for c in winners)
+    acc_loss = sum(c.raw_acc for c in winners) / acc_norm if acc_norm > 0 else 0.0
+    perf_loss = dm_sum / dm_max
+    if space.scope == "model":
+        winners *= len(model.layers)
 
     assignments = []
-    dm_total = 0.0
-    acc_total = 0.0
-    for layer in model.layers:
-        rows = per_layer[layer.index]
-
-        def key(config):
-            mapping, dm_bits, acc_term = rows[config]
-            acc_scaled = acc_term / acc_norm if acc_norm > 0 else 0.0
-            obj = acc_scaled + alpha * (dm_bits / dm_max)
-            se, bs, _ = config
-            return (obj, dm_bits, -bs, se)
-
-        best = min(rows.keys(), key=key)
-        mapping, dm_bits, acc_term = rows[best]
-        dm_total += dm_bits
-        acc_total += acc_term
-        from .dm import dm_layer as _dm_layer
-
-        specs = specs_for_config(best)
-        assignments.append(
-            LayerAssignment(
-                layer_index=layer.index,
-                config=best,
-                specs=specs,
-                mapping=mapping,
-                breakdown=_dm_layer(layer, mapping, specs, count_first_load=count_first_load),
-            )
-        )
-
-    acc_loss = acc_total / acc_norm if acc_norm > 0 else 0.0
-    perf = dm_total / dm_max
-    plan = QuantPlan(
-        model_name=model.name,
-        mode="full",
-        alpha=alpha,
-        scope="layer",
-        assignments=assignments,
-        acc_loss=acc_loss,
-        perf_loss=perf,
-        objective=acc_loss + alpha * perf,
-        dm_sum_bits=dm_total,
-        dm_max_bits=dm_max,
-    )
-    _attach_energy(plan, model, tables, mc_bits, energy_params, count_first_load)
-    return plan
-
-
-def _assemble_plan(model, winner, cands, dm_max, alpha, mode, scope, tables, mc_bits,
-                   energy_params, count_first_load) -> QuantPlan:
-    from .dm import dm_layer as _dm_layer
-
-    specs = specs_for_config(winner.config)
-    assignments = []
-    for layer, (mapping, _dm_bits) in zip(model.layers, winner.layer_choices):
-        assignments.append(
-            LayerAssignment(
-                layer_index=layer.index,
-                config=winner.config,
-                specs=specs,
-                mapping=mapping,
-                breakdown=_dm_layer(layer, mapping, specs, count_first_load=count_first_load),
-            )
-        )
+    for layer, row, c in zip(model.layers, cells, winners):
+        j = configs.index(c.config)
+        assignments.append(LayerAssignment(
+            layer_index=layer.index,
+            config=c.config,
+            specs=specs[j],
+            mapping=row[j][0],
+            breakdown=dm_layer(layer, row[j][0], specs[j], count_first_load=count_first_load),
+        ))
     plan = QuantPlan(
         model_name=model.name,
         mode=mode,
         alpha=alpha,
-        scope=scope,
+        scope=space.scope,
         assignments=assignments,
-        acc_loss=winner.acc_loss,
-        perf_loss=winner.perf_loss,
-        objective=winner.acc_loss + alpha * winner.perf_loss,
-        dm_sum_bits=winner.dm_sum_bits,
+        acc_loss=acc_loss,
+        perf_loss=perf_loss,
+        objective=acc_loss + alpha * perf_loss,
+        dm_sum_bits=dm_sum,
         dm_max_bits=dm_max,
-        candidates=[c.row() for c in cands],
     )
-    if mode == "pareto":
-        frontier = pareto_frontier([c for c in cands if c.feasible])
-        plan.pareto = [c.row() for c in frontier]
+    if space.scope == "model":
+        plan.candidates = [c.row() for c in groups[0]]
+        if mode == "pareto":
+            plan.pareto = [c.row() for c in pareto_frontier(feasible[0])]
     _attach_energy(plan, model, tables, mc_bits, energy_params, count_first_load)
     return plan
 
@@ -548,8 +419,6 @@ def _assemble_plan(model, winner, cands, dm_max, alpha, mode, scope, tables, mc_
 def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params, count_first_load):
     """Energy for the plan plus the unquantized 32-bit baseline under the
     same mapping optimizer."""
-    from .dm import dm_layer as _dm_layer
-
     plan.energy_report = energy(
         model, [(a.breakdown, a.specs) for a in plan.assignments], energy_params
     )
@@ -561,6 +430,6 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params, count
             plan.baseline_energy_report = None
             return
         mapping, _dm_bits, _ = hit
-        baseline_rows.append((_dm_layer(layer, mapping, bits32, count_first_load=count_first_load), bits32))
+        baseline_rows.append((dm_layer(layer, mapping, bits32, count_first_load=count_first_load), bits32))
     plan.baseline_energy_report = energy(model, baseline_rows, energy_params)
     normalized_energy(plan.energy_report, plan.baseline_energy_report, baseline_name="original")

@@ -8,9 +8,8 @@ remaining four loops is searched, 24 orders by default).
 
 The whole candidate lattice is evaluated with vectorized per-dimension tables
 that reproduce :func:`bfpsearch.dm.dm_layer` exactly (integer element counts,
-one bit-weighting per operand), so exhaustive runs return the true optimum of
-the candidate set.  Lattices above ``exhaustive_limit`` fall back to
-multi-seed coordinate descent with an exhaustively checked neighborhood.
+one bit-weighting per operand), so every query returns the true optimum of
+the candidate set.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from .dm import (
     loop_extents,
     make_mapping,
     role_bits,
-    tile_footprint_elems,
 )
 from .model import ConvLayer
 
 MOVING_DIMS = ("oc", "ic", "oh", "ow")
 
 DEFAULT_CEIL_K = 8
-DEFAULT_EXHAUSTIVE_LIMIT = 300_000
 
 
 class InfeasibleError(Exception):
@@ -333,93 +330,14 @@ def _moving_order(permutation) -> tuple:
 def optimize_tiling(
     problem: TilingProblem,
     ceil_k: int = DEFAULT_CEIL_K,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     count_first_load: bool = True,
 ) -> TilingChoice:
-    """Minimize one layer's traffic over tile sizes for a fixed loop order.
-
-    Exhaustive over the divisor/ceil candidate lattice when it is small
-    enough (the returned tiling is then the true candidate-set optimum),
-    otherwise coordinate descent from several seeds.
-    """
-    order = _moving_order(problem.permutation)
-    ext = loop_extents(problem.layer)
-    n_tilings = 1
-    for d in MOVING_DIMS:
-        n_tilings *= len(tile_candidates(ext[d], ceil_k))
-    if n_tilings <= exhaustive_limit:
-        table = LayerMappingTable(
-            problem.layer, permutations=[order], ceil_k=ceil_k, count_first_load=count_first_load
-        )
-        hit = table.query(problem.specs, problem.mc_bits)
-        if hit is None:
-            raise InfeasibleError(
-                f"no candidate tiling fits {problem.mc_bits} bits for layer {problem.layer.index}"
-            )
-        mapping, dm_bits_val, foot = hit
-    else:
-        mapping, dm_bits_val, foot = _coordinate_descent(problem, order, ceil_k, count_first_load)
-    breakdown = dm_layer(problem.layer, mapping, problem.specs, count_first_load=count_first_load)
-    return TilingChoice(mapping=mapping, breakdown=breakdown, footprint_bits=foot, dm_bits=breakdown.dm_total_bits)
-
-
-def _coordinate_descent(problem, order, ceil_k, count_first_load):
-    layer = problem.layer
-    ext = loop_extents(layer)
-    cands = {d: tile_candidates(ext[d], ceil_k) for d in MOVING_DIMS}
-    bits = role_bits(layer, problem.specs)
-
-    def eval_tiles(tiles):
-        mapping = make_mapping(layer, tiles, order=order)
-        foot_e = tile_footprint_elems(layer, mapping)
-        foot = (foot_e["input"] * bits["input"] + foot_e["output"] * bits["output"]) + foot_e["weight"] * bits["weight"]
-        if foot > problem.mc_bits:
-            return None
-        bd = dm_layer(layer, mapping, problem.specs, count_first_load=count_first_load)
-        volume = 1
-        for d in MOVING_DIMS:
-            volume *= tiles[d]
-        return (bd.dm_total_bits, -volume, tuple(-tiles[d] for d in MOVING_DIMS)), mapping, foot
-
-    seeds = [
-        {d: ext[d] for d in MOVING_DIMS},
-        {d: 1 for d in MOVING_DIMS},
-        {d: cands[d][len(cands[d]) // 2] for d in MOVING_DIMS},
-    ]
-    best = None
-    for seed in seeds:
-        tiles = dict(seed)
-        current = eval_tiles(tiles)
-        improved = True
-        while improved:
-            improved = False
-            for d in MOVING_DIMS:
-                for t in cands[d]:
-                    trial = dict(tiles, **{d: t})
-                    res = eval_tiles(trial)
-                    if res is not None and (current is None or res[0] < current[0]):
-                        current, tiles = res, trial
-                        improved = True
-        if current is None:
-            continue
-        # Exhaustive check of the +-1 candidate-index neighborhood.
-        idx = {d: cands[d].index(tiles[d]) for d in MOVING_DIMS}
-        spans = [
-            [cands[d][i] for i in range(max(0, idx[d] - 1), min(len(cands[d]), idx[d] + 2))]
-            for d in MOVING_DIMS
-        ]
-        for combo in itertools.product(*spans):
-            res = eval_tiles(dict(zip(MOVING_DIMS, combo)))
-            if res is not None and res[0] < current[0]:
-                current = res
-        if best is None or current[0] < best[0]:
-            best = current
-    if best is None:
-        raise InfeasibleError(
-            f"no candidate tiling fits {problem.mc_bits} bits for layer {problem.layer.index}"
-        )
-    key, mapping, foot = best
-    return mapping, key[0], foot
+    """Minimize one layer's traffic over tile sizes for a fixed loop order:
+    the exhaustive candidate-set optimum over the divisor/ceil lattice."""
+    return optimize_layer(
+        problem.layer, problem.specs, problem.mc_bits, permutations=[_moving_order(problem.permutation)],
+        ceil_k=ceil_k, count_first_load=count_first_load,
+    )
 
 
 def optimize_layer(

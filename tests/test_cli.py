@@ -40,6 +40,16 @@ def test_missing_model_is_io_error(tmp_path, capsys):
     assert "missing.model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--scope", "layer"], ["--sweep"]])
+def test_model_without_conv_layers_is_io_error(tmp_path, capsys, extra):
+    path = tmp_path / "pool.model"
+    path.write_text("format_version 1\nlayer 1\n  type pool\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 2 2\n")
+    rc = main(["--model", str(path), "--out", str(tmp_path / "o"), *extra])
+    assert rc == EXIT_IO
+    assert "no conv layers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_on_bad_flags(tiny4_path, tmp_path, capsys):
     assert main(["--model", tiny4_path, "--qb", "9"]) == EXIT_USAGE
     assert main(["--model", tiny4_path, "--alpha", "-2"]) == EXIT_USAGE

@@ -163,6 +163,15 @@ layer 3
     assert any("skipping non-conv" in msg for _, msg in model.diagnostics)
 
 
+@pytest.mark.parametrize("text", [
+    "format_version 1\nmodel empty\n",
+    "format_version 1\nlayer 1\n  type pool\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 2 2\n",
+])
+def test_model_without_conv_layers_rejected(text):
+    with pytest.raises(ModelFormatError, match="no conv layers"):
+        loads_model(text)
+
+
 def test_roundtrip_serialize(tiny4):
     again = loads_model(dumps_model(tiny4))
     assert len(again.layers) == len(tiny4.layers)

@@ -9,7 +9,6 @@ from bfpsearch.search import (
     CandidateSpace,
     SearchError,
     build_mapping_tables,
-    decompose_search,
     default_se_set,
     knee_point,
     pareto_frontier,
@@ -35,8 +34,8 @@ def test_candidate_space_defaults_match_published_sets():
         CandidateSpace(total_bits=8, se_set=())
 
 
-def small_space():
-    return CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
+def small_space(scope="model"):
+    return CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8), scope=scope)
 
 
 def test_full_mode_objective_identity(tiny4):
@@ -207,7 +206,7 @@ def test_decompose_single_layer_equals_whole_model_search():
     model = ModelDesc(name="one", layers=[small_layer(c_in=2, c_out=2)])
     space = small_space()
     joint = search(model, space, alpha=0.2, mc_bits=MC)
-    per_layer = decompose_search(model, space, alpha=0.2, mc_bits=MC)
+    per_layer = search(model, small_space("layer"), alpha=0.2, mc_bits=MC)
     assert per_layer.assignments[0].config == joint.assignments[0].config
 
 
@@ -216,7 +215,7 @@ def test_decompose_identical_layers_get_identical_configs():
         small_layer(index=1, c_in=2, c_out=2),
         small_layer(index=2, c_in=2, c_out=2),
     ])
-    plan = decompose_search(model, small_space(), alpha=0.2, mc_bits=MC)
+    plan = search(model, small_space("layer"), alpha=0.2, mc_bits=MC)
     assert plan.assignments[0].config == plan.assignments[1].config
 
 
@@ -227,7 +226,7 @@ def test_decompose_matches_joint_exhaustive(tiny4):
                for l in tiny4.layers}
     tables = build_mapping_tables(tiny4)
     best, obj = joint_exhaustive(tiny4, space, alpha, MC, samples, tables)
-    plan = decompose_search(tiny4, space, alpha=alpha, mc_bits=MC, samples=samples, tables=tables)
+    plan = search(tiny4, small_space("layer"), alpha=alpha, mc_bits=MC, samples=samples, tables=tables)
     assert tuple(a.config for a in plan.assignments) == best
     assert plan.objective == pytest.approx(obj, rel=1e-12)
 
@@ -237,8 +236,8 @@ def test_decompose_rejects_model_only_table(tiny4):
     from bfpsearch.accuracy import AccuracyError
 
     with pytest.raises(AccuracyError):
-        decompose_search(tiny4, small_space(), alpha=0.2, mc_bits=MC,
-                         loss_source="table", acc_table=table)
+        search(tiny4, small_space("layer"), alpha=0.2, mc_bits=MC,
+               loss_source="table", acc_table=table)
 
 
 def test_scope_layer_dispatches_to_decomposition(tiny4):

@@ -160,18 +160,6 @@ def test_feasibility_rechecked_post_hoc():
     assert foot == choice.footprint_bits
 
 
-def test_coordinate_descent_agrees_on_small_case():
-    # Force the descent path with a tiny exhaustive limit; on this small
-    # lattice it should still land on the exhaustive optimum.
-    layer = ConvLayer(1, 2, 2, 8, 8, 3, 3, pad_h=1, pad_w=1)
-    specs = spec_triple()
-    mc = 2500.0
-    exhaustive = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
-    descent = optimize_tiling(TilingProblem(layer, ORDER, specs, mc), exhaustive_limit=1)
-    assert descent.footprint_bits <= mc
-    assert descent.dm_bits == exhaustive.dm_bits
-
-
 def test_32bit_baseline_specs_supported():
     layer = small_layer(c_in=2, c_out=2)
     choice = optimize_layer(layer, (32.0, 32.0, 32.0), 1e9)
