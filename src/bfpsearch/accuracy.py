@@ -108,7 +108,8 @@ def lookup_acc_loss(table: AccuracyTable, config: tuple, model: ModelDesc | None
 
     Exact whole-model entries win; otherwise, with composition enabled and a
     model given, per-layer entries are combined as an output-volume-weighted
-    sum (the same rule the proxy uses).
+    sum (the same rule the proxy uses).  Per-layer rows are keyed by the layer
+    index written in the model file (``ConvLayer.source_index``).
     """
     if table.is_empty():
         raise AccuracyError("accuracy table is empty")
@@ -122,9 +123,11 @@ def lookup_acc_loss(table: AccuracyTable, config: tuple, model: ModelDesc | None
     total = 0.0
     weight_sum = 0.0
     for layer in model.layers:
-        layer_key = (layer.index,) + key
+        layer_key = (layer.source_index,) + key
         if layer_key not in table.layer_entries:
-            raise AccuracyError(f"accuracy table covers neither model nor layer {layer.index} for config {key}")
+            raise AccuracyError(
+                f"accuracy table covers neither model nor layer {layer.source_index} for config {key}"
+            )
         w = float(layer_volumes(layer)[1])
         total += w * table.layer_entries[layer_key]
         weight_sum += w

@@ -15,12 +15,14 @@ A model file is a line-oriented key/value format with one block per layer::
 
 Output dims are derived from the shape formula; explicitly given output dims
 must agree with it.  Non-conv layer blocks (``type pool`` etc.) are skipped
-with a warning since the cost model is defined over convolutions only.
+with a warning since the cost model is defined over convolutions only; the
+conv layers after them are renumbered and keep the index written in the file
+as ``source_index``, which per-layer accuracy-table rows refer to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 FORMAT_VERSION = 1
 
@@ -39,7 +41,12 @@ def out_extent(in_extent: int, pad: int, kernel: int, stride: int) -> int:
 
 @dataclass(frozen=True)
 class ConvLayer:
-    """Shape record for one convolution layer (1-based index within the model)."""
+    """Shape record for one convolution layer (1-based index within the model).
+
+    ``source_index`` is the index the model file gave the layer; it defaults
+    to ``index`` and differs from it where skipped non-conv blocks or gaps in
+    the file's numbering made the parser renumber the layer.
+    """
 
     index: int
     c_in: int
@@ -55,8 +62,11 @@ class ConvLayer:
     groups: int = 1
     input_sample: str | None = None
     weight_sample: str | None = None
+    source_index: int | None = None
 
     def __post_init__(self):
+        if self.source_index is None:
+            object.__setattr__(self, "source_index", self.index)
         for name in ("c_in", "c_out", "i_h", "i_w", "k_h", "k_w"):
             if getattr(self, name) < 1:
                 raise ModelFormatError(f"layer {self.index}: {name} must be >= 1")
@@ -131,6 +141,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     name = name_hint
     version_seen = False
     layers = []
+    seen_indices = set()  # per-layer accuracy-table rows refer to these
     current = None
     current_line = 0
 
@@ -185,6 +196,9 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             except (IndexError, ValueError):
                 errors.append((lineno, "layer needs an integer index"))
                 idx = len(layers) + 1
+            if idx in seen_indices:
+                errors.append((lineno, f"duplicate layer index {idx}"))
+            seen_indices.add(idx)
             current = (lineno, {"index": idx})
             current_line = lineno
             continue
@@ -225,28 +239,9 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     for i, layer in enumerate(layers, start=1):
         if layer.index != i:
             diagnostics.append((0, f"renumbered layer {layer.index} -> {i}"))
-            layer = ConvLayer(**{**_layer_fields(layer), "index": i})
+            layer = replace(layer, index=i)
         renumbered.append(layer)
     return ModelDesc(name=name, layers=renumbered, diagnostics=diagnostics)
-
-
-def _layer_fields(layer: ConvLayer) -> dict:
-    return {
-        "index": layer.index,
-        "c_in": layer.c_in,
-        "c_out": layer.c_out,
-        "i_h": layer.i_h,
-        "i_w": layer.i_w,
-        "k_h": layer.k_h,
-        "k_w": layer.k_w,
-        "stride_h": layer.stride_h,
-        "stride_w": layer.stride_w,
-        "pad_h": layer.pad_h,
-        "pad_w": layer.pad_w,
-        "groups": layer.groups,
-        "input_sample": layer.input_sample,
-        "weight_sample": layer.weight_sample,
-    }
 
 
 def load_model(path) -> ModelDesc:
@@ -263,7 +258,7 @@ def load_model(path) -> ModelDesc:
 def dumps_model(model: ModelDesc) -> str:
     lines = [f"format_version {FORMAT_VERSION}", f"model {model.name}", ""]
     for layer in model.layers:
-        lines.append(f"layer {layer.index}")
+        lines.append(f"layer {layer.source_index}")
         lines.append(f"  c_in {layer.c_in}")
         lines.append(f"  c_out {layer.c_out}")
         lines.append(f"  input {layer.i_h} {layer.i_w}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .accuracy import (
     AccuracyError,
@@ -249,15 +249,25 @@ def _build_table(args):
     return LayerMappingTable(layer, ceil_k=ceil_k, count_first_load=count_first_load)
 
 
+def _shape_key(layer):
+    """The layer with everything its mapping table does not depend on normalized away."""
+    return replace(layer, index=0, source_index=0, input_sample=None, weight_sample=None)
+
+
 def build_mapping_tables(model: ModelDesc, ceil_k: int = 8, count_first_load: bool = True, jobs: int = 1) -> dict:
-    """Per-layer mapping tables; independent layers build in parallel."""
-    args = [(layer, ceil_k, count_first_load) for layer in model.layers]
+    """Mapping tables by layer index, one table shared by all layers of one
+    shape; distinct shapes build in parallel."""
+    first_of_shape = {}
+    for layer in model.layers:
+        first_of_shape.setdefault(_shape_key(layer), layer)
+    args = [(layer, ceil_k, count_first_load) for layer in first_of_shape.values()]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             tables = list(pool.map(_build_table, args))
     else:
         tables = [_build_table(a) for a in args]
-    return {layer.index: table for layer, table in zip(model.layers, tables)}
+    by_shape = dict(zip(first_of_shape, tables))
+    return {layer.index: by_shape[_shape_key(layer)] for layer in model.layers}
 
 
 def _candidate(config, hits) -> CandidateEval:
@@ -269,13 +279,13 @@ def _candidate(config, hits) -> CandidateEval:
 
 def _acc_term(layer, config, specs, loss_source, samples, acc_table) -> float:
     """Raw accuracy term of one (layer, config) cell: the proxy's normalized
-    MSE or the table's per-layer entry."""
+    MSE or the table's per-layer entry, keyed by the model file's layer index."""
     if loss_source == "proxy":
         return proxy_layer_loss(layer, specs, samples[layer.index])
-    key = (layer.index,) + tuple(config)
+    key = (layer.source_index,) + tuple(config)
     if key not in acc_table.layer_entries:
         raise AccuracyError(
-            f"accuracy table has no per-layer entry for layer {layer.index}, config {config}"
+            f"accuracy table has no per-layer entry for layer {layer.source_index}, config {config}"
         )
     return acc_table.layer_entries[key]
 

@@ -9,7 +9,8 @@ remaining four loops is searched, 24 orders by default).
 The whole candidate lattice is evaluated with vectorized per-dimension tables
 that reproduce :func:`bfpsearch.dm.dm_layer` exactly (integer element counts,
 one bit-weighting per operand), so every query returns the true optimum of
-the candidate set.
+the candidate set.  Tile candidates ascend per dimension, and ties on traffic
+are broken by one ``np.lexsort`` over the tied lattice points.
 """
 
 from __future__ import annotations
@@ -132,11 +133,13 @@ class LayerMappingTable:
     quantization candidate: a query weights the counts by the three effective
     bitwidths, applies the capacity constraint and returns the argmin with
     the deterministic tie-break (smaller traffic, larger tile volume, earlier
-    permutation, lexicographically larger tile vector).
+    permutation, lexicographically larger tile vector), taken as a lexsort of
+    the tied points.  The lexsort needs each dimension's candidates in
+    ascending order, which :func:`tile_candidates` guarantees.
     """
 
     def __init__(self, layer: ConvLayer, permutations=None, ceil_k: int = DEFAULT_CEIL_K,
-                 count_first_load: bool = True, candidates=None):
+                 count_first_load: bool = True):
         self.layer = layer
         self.permutations = tuple(tuple(p) for p in (permutations or default_permutations()))
         for perm in self.permutations:
@@ -145,10 +148,7 @@ class LayerMappingTable:
         self.count_first_load = count_first_load
         ext = loop_extents(layer)
         self.extents = ext
-        self.candidates = {
-            d: tuple(candidates[d]) if candidates and d in candidates else tile_candidates(ext[d], ceil_k)
-            for d in MOVING_DIMS
-        }
+        self.candidates = {d: tile_candidates(ext[d], ceil_k) for d in MOVING_DIMS}
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
         self._build()
@@ -291,25 +291,17 @@ class LayerMappingTable:
         best = dm_feas.min()
         if not np.isfinite(best):
             return None
-        ties = np.argwhere(dm_feas == best)
-        chosen = min(
-            (self._tie_key(pi, tuple(ti)) for pi, *ti in ties),
-            key=lambda k: k[0],
-        )
-        perm_idx, tile_idx = chosen[1]
+        # Tie-break: larger tile volume, earlier permutation, lexicographically
+        # larger tile vector.  Candidates ascend per dimension, so a larger
+        # C-order flat tiling index is a lexicographically larger tile vector.
+        perm, flat = np.divmod(np.flatnonzero(dm_feas == best), self.n_tilings)
+        first = np.lexsort((-flat, perm, -self.tile_volume.ravel()[flat]))[0]
+        tile_idx = np.unravel_index(flat[first], self.mesh_shape)
         return (
-            self.mapping_at(perm_idx, tile_idx),
+            self.mapping_at(int(perm[first]), tile_idx),
             float(best),
             float(foot[tile_idx]),
         )
-
-    def _tie_key(self, perm_idx: int, tile_idx: tuple):
-        tiles = self.tiles_at(tile_idx)
-        volume = 1
-        for d in MOVING_DIMS:
-            volume *= tiles[d]
-        key = (-volume, perm_idx, tuple(-tiles[d] for d in MOVING_DIMS))
-        return key, (perm_idx, tile_idx)
 
 
 # ---------------------------------------------------------------------------

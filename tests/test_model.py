@@ -163,6 +163,33 @@ layer 3
     assert any("skipping non-conv" in msg for _, msg in model.diagnostics)
 
 
+def test_skipped_block_keeps_file_layer_index():
+    text = """format_version 1
+layer 1
+  c_in 1
+  c_out 1
+  input 6 6
+  kernel 3 3
+layer 2
+  type pool
+layer 3
+  c_in 1
+  c_out 2
+  input 4 4
+  kernel 3 3
+"""
+    model = loads_model(text)
+    assert [(l.index, l.source_index) for l in model.layers] == [(1, 1), (2, 3)]
+    again = loads_model(dumps_model(model))
+    assert again.layers == model.layers
+
+
+def test_duplicate_layer_index_rejected():
+    block = "layer 2\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 3 3\n"
+    with pytest.raises(ModelFormatError, match="duplicate layer index 2"):
+        loads_model("format_version 1\n" + block + block)
+
+
 @pytest.mark.parametrize("text", [
     "format_version 1\nmodel empty\n",
     "format_version 1\nlayer 1\n  type pool\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 2 2\n",

@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from bfpsearch.accuracy import loads_table, proxy_layer_loss, synthetic_sample
-from bfpsearch.model import ModelDesc, layer_volumes
+from bfpsearch.model import ModelDesc, layer_volumes, loads_model
 from bfpsearch.search import (
     CandidateEval,
     CandidateSpace,
@@ -256,3 +257,93 @@ def test_parallel_table_build_is_deterministic(tiny4):
     assert [a.config for a in serial.assignments] == [a.config for a in parallel.assignments]
     assert serial.objective == parallel.objective
     assert serial.dm_sum_bits == parallel.dm_sum_bits
+
+
+def test_identical_shapes_share_one_table():
+    model = ModelDesc(name="shared", layers=[
+        small_layer(index=1, c_in=2, c_out=2),
+        small_layer(index=2, c_in=2, c_out=2, input_sample="in.f32", weight_sample="w.f32"),
+        small_layer(index=3, c_in=2, c_out=4),
+        small_layer(index=4, c_in=2, c_out=2, source_index=9),
+        small_layer(index=5, c_in=2, c_out=2, stride_h=2),
+        small_layer(index=6, c_in=2, c_out=4),
+    ])
+    tables = build_mapping_tables(model)
+    assert tables[1] is tables[2] is tables[4]
+    assert tables[3] is tables[6]
+    assert len({id(t) for t in tables.values()}) == 3
+
+
+def test_shared_tables_parallel_build_matches_serial():
+    model = ModelDesc(name="repeats", layers=[
+        small_layer(index=i, c_in=c, c_out=2 * c) for i, c in enumerate((1, 2, 1, 2, 2), start=1)
+    ])
+    serial = build_mapping_tables(model, jobs=1)
+    parallel = build_mapping_tables(model, jobs=2)
+    assert parallel[1] is parallel[3] and parallel[2] is parallel[4] is parallel[5]
+    for config in small_space().configs():
+        specs = specs_for_config(config)
+        for layer in model.layers:
+            assert parallel[layer.index].query(specs, MC) == serial[layer.index].query(specs, MC)
+    space = small_space()
+    one = search(model, space, alpha=0.2, mc_bits=MC, jobs=1)
+    two = search(model, space, alpha=0.2, mc_bits=MC, jobs=2)
+    assert one.to_record() == two.to_record()
+
+
+POOL_MODEL = """format_version 1
+layer 1
+  c_in 2
+  c_out 2
+  input 6 6
+  kernel 3 3
+layer 2
+  type pool
+  c_in 2
+  c_out 2
+  input 4 4
+  kernel 2 2
+layer 3
+  c_in 2
+  c_out 4
+  input 4 4
+  kernel 3 3
+"""
+
+
+def per_layer_table(losses: dict) -> str:
+    """Table text with one ``layer:N`` row per small-space config; ``losses``
+    maps N to a function of (se, bs)."""
+    rows = ["format_version 1"]
+    for n, loss in losses.items():
+        rows += [f"layer:{n} {se} {bs} {qb} {loss(se, bs)}" for se, bs, qb in small_space().configs()]
+    return "\n".join(rows) + "\n"
+
+
+# Layer 2 of the file is a pool block; its rows favour the widest exponent,
+# layer 3's rows the narrowest, so misplaced rows change the plan.
+POOL_LOSSES = {
+    1: lambda se, bs: 0.02 * se + 0.001 * bs,
+    2: lambda se, bs: 0.5 / se,
+    3: lambda se, bs: 0.01 * se + 0.002 * bs,
+}
+
+
+@pytest.mark.parametrize("scope", ["model", "layer"])
+def test_table_rows_follow_file_layer_index_after_skipped_block(scope):
+    model = loads_model(POOL_MODEL)
+    assert [(l.index, l.source_index) for l in model.layers] == [(1, 1), (2, 3)]
+    table = loads_table(per_layer_table(POOL_LOSSES))
+    # The same two convs numbered 1 and 2 in the file, with layer 3's rows as layer:2.
+    plain = ModelDesc(name=model.name, layers=[replace(l, source_index=l.index) for l in model.layers])
+    plain_table = loads_table(per_layer_table({1: POOL_LOSSES[1], 2: POOL_LOSSES[3]}))
+    kw = dict(alpha=0.0, mc_bits=MC, loss_source="table")
+    plan = search(model, small_space(scope), acc_table=table, **kw)
+    want = search(plain, small_space(scope), acc_table=plain_table, **kw)
+    assert plan.to_record() == want.to_record()
+    if scope == "layer":
+        assert plan.assignments[1].config[0] == 2  # layer 3's narrowest exponent
+    else:
+        w1, w2 = (float(layer_volumes(l)[1]) for l in model.layers)
+        se, bs, _ = plan.assignments[0].config
+        assert plan.acc_loss == pytest.approx((w1 * POOL_LOSSES[1](se, bs) + w2 * POOL_LOSSES[3](se, bs)) / (w1 + w2))

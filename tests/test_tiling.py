@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from bfpsearch.dm import dm_layer, loop_extents, make_mapping, role_bits, tile_footprint_elems
 from bfpsearch.model import ConvLayer, layer_volumes
@@ -9,6 +12,7 @@ from bfpsearch.tiling import (
     InfeasibleError,
     LayerMappingTable,
     TilingProblem,
+    default_permutations,
     optimize_layer,
     optimize_tiling,
     tile_candidates,
@@ -19,27 +23,28 @@ from conftest import small_layer, spec_triple
 ORDER = ("oc", "ic", "oh", "ow")
 
 
-def brute_force_best(layer, order, specs, mc_bits, count_first_load=True):
-    """Exhaustive reference over the same candidate lattice and tie-break."""
+def reference_query(layer, specs, mc_bits, permutations=None, count_first_load=True):
+    """Brute force over the full (permutation x tiling) lattice, scored one
+    point at a time with the scalar model: smaller traffic, then larger tile
+    volume, then earlier permutation, then lexicographically larger tiles.
+    Returns (mapping, dm_bits, footprint_bits) like ``query``, or None."""
     bits = role_bits(layer, specs)
     ext = loop_extents(layer)
-    cands = {d: tile_candidates(ext[d]) for d in MOVING_DIMS}
+    cands = [tile_candidates(ext[d]) for d in MOVING_DIMS]
     best = None
-    for combo in itertools.product(*(cands[d] for d in MOVING_DIMS)):
-        tiles = dict(zip(MOVING_DIMS, combo))
-        mapping = make_mapping(layer, tiles, order=order)
-        fe = tile_footprint_elems(layer, mapping)
-        foot = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
-        if foot > mc_bits:
-            continue
-        bd = dm_layer(layer, mapping, specs, count_first_load=count_first_load)
-        volume = 1
-        for d in MOVING_DIMS:
-            volume *= tiles[d]
-        key = (bd.dm_total_bits, -volume, tuple(-tiles[d] for d in MOVING_DIMS))
-        if best is None or key < best[0]:
-            best = (key, mapping, foot)
-    return best
+    for perm_idx, perm in enumerate(permutations or default_permutations()):
+        for combo in itertools.product(*cands):
+            mapping = make_mapping(layer, dict(zip(MOVING_DIMS, combo)), order=perm)
+            fe = tile_footprint_elems(layer, mapping)
+            foot = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
+            if foot > mc_bits:
+                continue
+            dm_bits = dm_layer(layer, mapping, specs, count_first_load=count_first_load).dm_total_bits
+            volume = combo[0] * combo[1] * combo[2] * combo[3]
+            key = (dm_bits, -volume, perm_idx, tuple(-t for t in combo))
+            if best is None or key < best[0]:
+                best = (key, mapping, foot)
+    return None if best is None else (best[1], best[0][0], best[2])
 
 
 def test_tile_candidates_divisors_and_ceils():
@@ -68,9 +73,9 @@ def test_capacity_constrained_matches_exhaustive_minimum():
     bits = role_bits(layer, specs)
     mc = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
     choice = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
-    ref = brute_force_best(layer, ORDER, specs, mc)
-    assert choice.mapping == ref[1]
-    assert choice.dm_bits == ref[0][0]
+    ref = reference_query(layer, specs, mc, permutations=[ORDER])
+    assert choice.mapping == ref[0]
+    assert choice.dm_bits == ref[1]
     assert choice.footprint_bits <= mc
 
 
@@ -78,14 +83,14 @@ def test_capacity_constrained_matches_exhaustive_minimum():
 def test_optimality_across_capacities(mc):
     layer = ConvLayer(1, 2, 3, 8, 8, 3, 3, pad_h=1, pad_w=1)
     specs = spec_triple()
-    ref = brute_force_best(layer, ORDER, specs, mc)
+    ref = reference_query(layer, specs, mc, permutations=[ORDER])
     if ref is None:
         with pytest.raises(InfeasibleError):
             optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
         return
     choice = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
-    assert choice.mapping == ref[1]
-    assert choice.dm_bits == ref[0][0]
+    assert choice.mapping == ref[0]
+    assert choice.dm_bits == ref[1]
 
 
 def test_infeasible_below_minimal_tile():
@@ -175,3 +180,47 @@ def test_table_query_matches_scalar_breakdowns():
     assert hit is not None
     mapping, dm_bits, foot = hit
     assert dm_layer(layer, mapping, specs).dm_total_bits == dm_bits
+
+
+@st.composite
+def query_cases(draw):
+    groups = draw(st.sampled_from((1, 1, 2)))
+    k = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 2))
+    pad = draw(st.integers(0, (k - 1) // 2))
+    layer = ConvLayer(
+        1,
+        c_in=groups * draw(st.integers(1, 4)),
+        c_out=groups * draw(st.integers(1, 4)),
+        i_h=draw(st.integers(k, 6)),
+        i_w=draw(st.integers(k, 6)),
+        k_h=k,
+        k_w=draw(st.integers(1, k)),
+        stride_h=stride,
+        stride_w=draw(st.integers(1, 2)),
+        pad_h=pad,
+        pad_w=pad,
+        groups=groups,
+    )
+    if draw(st.booleans()):
+        qb = draw(st.sampled_from((8, 16)))
+        se = draw(st.integers(2, 5))
+        specs = spec_triple(qb=qb, se=se, bs=draw(st.sampled_from((1, 2, 4, 8, 16))))
+    else:
+        specs = tuple(float(draw(st.sampled_from((4, 8, 16, 32)))) for _ in range(3))
+    # Capacity between half the smallest tile footprint (infeasible) and
+    # twice the whole-layer footprint (loose), on a log scale.
+    table = LayerMappingTable(layer)
+    foot = table.footprint_bits(role_bits(layer, specs))
+    lo, hi = math.log(foot.min() / 2), math.log(foot.max() * 2)
+    mc_bits = math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    return layer, specs, mc_bits, draw(st.booleans())
+
+
+@seed(20241018)
+@settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(query_cases())
+def test_query_matches_lattice_brute_force(case):
+    layer, specs, mc_bits, count_first_load = case
+    table = LayerMappingTable(layer, count_first_load=count_first_load)
+    assert table.query(specs, mc_bits) == reference_query(layer, specs, mc_bits, count_first_load=count_first_load)
