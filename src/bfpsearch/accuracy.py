@@ -14,6 +14,7 @@ so the trade-off factor weighs two ratios of comparable scale.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -71,6 +72,9 @@ def loads_table(text: str) -> AccuracyTable:
             loss = float(loss_s)
         except ValueError:
             errors.append((lineno, f"non-numeric record {parts[1:]}"))
+            continue
+        if not math.isfinite(loss):
+            errors.append((lineno, f"non-finite loss {loss_s!r}"))
             continue
         if loss < 0.0:
             table.diagnostics.append((lineno, f"negative loss {loss} clamped to 0"))

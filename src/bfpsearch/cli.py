@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
 from .codec import CodecError
 from .dm import MappingError
-from .energy import EnergyParams
+from .energy import EnergyError, EnergyParams
 from .model import ModelFormatError, load_model
 from .search import (
     DEFAULT_ALPHA,
@@ -315,10 +316,19 @@ def config_from_args(args) -> RunConfig:
         jobs = int(os.environ.get("BFPSEARCH_JOBS", "1"))
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if args.mc <= 0:
+    if not args.mc > 0:
         raise UsageError(f"--mc must be positive, got {args.mc}")
-    if args.alpha < 0:
-        raise UsageError(f"--alpha must be >= 0, got {args.alpha}")
+    if args.sweep_alpha is not None:
+        sweep_alphas = args.sweep_alpha or DEFAULT_SWEEP_ALPHAS
+    else:
+        sweep_alphas = DEFAULT_SWEEP_ALPHAS if args.sweep else None
+    for alpha in (args.alpha,) + (sweep_alphas or ()):
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise UsageError(f"alpha must be finite and >= 0, got {alpha}")
+    try:
+        EnergyParams(args.e_sram, args.e_dram)
+    except EnergyError as exc:
+        raise UsageError(f"--e-sram/--e-dram: {exc}")
     return RunConfig(
         model_path=args.model,
         total_bits=args.qb,
@@ -335,7 +345,7 @@ def config_from_args(args) -> RunConfig:
         jobs=jobs,
         count_first_load=not args.no_first_load,
         write_csv=args.csv,
-        sweep_alphas=args.sweep_alpha if args.sweep_alpha else (DEFAULT_SWEEP_ALPHAS if args.sweep else None),
+        sweep_alphas=sweep_alphas,
         sram_pj_per_bit=args.e_sram,
         dram_pj_per_bit=args.e_dram,
     )

@@ -10,6 +10,7 @@ model can be swapped in without touching the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .dm import role_bits
@@ -31,8 +32,9 @@ class EnergyParams:
     dram_pj_per_bit: float = 20.0
 
     def __post_init__(self):
-        if self.sram_pj_per_bit <= 0 or self.dram_pj_per_bit <= 0:
-            raise EnergyError("per-bit energies must be positive")
+        for value in (self.sram_pj_per_bit, self.dram_pj_per_bit):
+            if not (math.isfinite(value) and value > 0):
+                raise EnergyError(f"per-bit energies must be positive and finite, got {value}")
 
 
 @dataclass

@@ -319,9 +319,9 @@ def search(
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
     if loss_source not in LOSS_SOURCES:
         raise SearchError(f"loss_source must be one of {LOSS_SOURCES}, got {loss_source!r}")
-    if alpha < 0:
-        raise SearchError(f"alpha must be >= 0, got {alpha}")
-    if mc_bits is None or mc_bits <= 0:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise SearchError(f"alpha must be finite and >= 0, got {alpha}")
+    if mc_bits is None or not mc_bits > 0:
         raise SearchError(f"memory capacity (bits) must be positive, got {mc_bits}")
     if loss_source == "table" and acc_table is None:
         raise SearchError("loss_source='table' needs an accuracy table")

@@ -6,11 +6,13 @@ capacity.  Tile candidates are divisors of each extent plus ceil(extent/k)
 for small k; kernel loops stay untiled and innermost (the loop order over the
 remaining four loops is searched, 24 orders by default).
 
-The whole candidate lattice is evaluated with vectorized per-dimension tables
-that reproduce :func:`bfpsearch.dm.dm_layer` exactly (integer element counts,
-one bit-weighting per operand), so every query returns the true optimum of
-the candidate set.  Tile candidates ascend per dimension, and ties on traffic
-are broken by one ``np.lexsort`` over the tied lattice points.
+The whole candidate lattice is evaluated once per layer with vectorized
+per-dimension tables that reproduce :func:`bfpsearch.dm.dm_layer` exactly
+(integer element counts, one bit-weighting per operand).  Points that an
+earlier permutation at the same tiling dominates in all three traffic counts
+can never win, so they are pruned at build time; the survivors are stored in
+tie-break order, and a query is one masked ``np.argmin`` over them that
+returns the true optimum of the candidate set.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class TilingProblem:
     mc_bits: float
 
     def __post_init__(self):
-        if self.mc_bits <= 0:
+        if not self.mc_bits > 0:
             raise MappingError(f"memory capacity must be positive, got {self.mc_bits}")
 
 
@@ -126,16 +128,25 @@ def _axis_shape(axis: int, n: int):
     return tuple(shape)
 
 
+def _weigh(elems: dict, bits: dict):
+    """Per-role element counts weighted by bits, summed in the order ``dm_layer`` uses."""
+    return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
+
+
 class LayerMappingTable:
-    """Exact traffic of every (permutation, tiling) candidate for one layer.
+    """Exact traffic of the (permutation, tiling) candidates for one layer.
 
     Element counts are bitwidth-independent, so one table serves every
-    quantization candidate: a query weights the counts by the three effective
-    bitwidths, applies the capacity constraint and returns the argmin with
-    the deterministic tie-break (smaller traffic, larger tile volume, earlier
-    permutation, lexicographically larger tile vector), taken as a lexsort of
-    the tied points.  The lexsort needs each dimension's candidates in
-    ascending order, which :func:`tile_candidates` guarantees.
+    quantization candidate.  The build keeps only the points that survive
+    dominance pruning: a permutation is dropped at a tiling when an earlier
+    permutation there has no larger traffic count for any operand.  The
+    survivors are sorted once into the deterministic tie-break order (larger
+    tile volume, earlier permutation, lexicographically larger tile vector;
+    the last relies on each dimension's candidates ascending, which
+    :func:`tile_candidates` guarantees).  A query weights the survivors'
+    counts by the three effective bitwidths, applies the capacity constraint
+    and takes the first ``np.argmin``, which is the smallest traffic with
+    that tie-break.
     """
 
     def __init__(self, layer: ConvLayer, permutations=None, ceil_k: int = DEFAULT_CEIL_K,
@@ -194,7 +205,6 @@ class LayerMappingTable:
             return getattr(table, field_name).reshape(_axis_shape(axis[driver], len(table.candidates)))
 
         iters = {d: arr(("part", d), "iters", d) for d in MOVING_DIMS}
-        self._iters = iters
 
         # Operand geometry: driver loop -> (table key, static multiplier).
         operand_dims = {
@@ -203,10 +213,13 @@ class LayerMappingTable:
             "weight": ({"oc": ("part", "oc"), "ic": ("part", "ic")}, float(ext["kh"] * ext["kw"])),
         }
 
-        traffic = {role: np.zeros((len(self.permutations),) + self.mesh_shape) for role in OPERANDS}
+        # counts[r, p, t]: elements of operand OPERANDS[r] moved under
+        # permutation p at flat (C-order) tiling t.
+        counts = np.zeros((len(OPERANDS), len(self.permutations), self.n_tilings))
         for pi, perm in enumerate(self.permutations):
             pos = {d: i for i, d in enumerate(perm)}
-            for role, (drivers, static) in operand_dims.items():
+            for r, role in enumerate(OPERANDS):
+                drivers, static = operand_dims[role]
                 total = np.zeros(self.mesh_shape)
                 for lvl in perm:
                     j = pos[lvl]
@@ -244,9 +257,7 @@ class LayerMappingTable:
                     for d in drivers:
                         moves |= np.broadcast_to(iters[d] > 1, self.mesh_shape)
                     total = total + first * moves
-                traffic[role][pi] = total * self.layer.groups
-
-        self.traffic_elems = traffic
+                counts[r, pi] = (total * self.layer.groups).ravel()
 
         # Nominal tile footprints in elements (capacity constraint side).
         t_oc = np.asarray(self.candidates["oc"], dtype=np.float64).reshape(_axis_shape(0, self.mesh_shape[0]))
@@ -260,18 +271,34 @@ class LayerMappingTable:
             "output": np.broadcast_to(t_oc * t_oh * t_ow, self.mesh_shape),
             "weight": np.broadcast_to(t_oc * t_ic * float(ext["kh"] * ext["kw"]), self.mesh_shape),
         }
-        self.tile_volume = np.broadcast_to(t_oc * t_ic * t_oh * t_ow, self.mesh_shape)
+        tile_volume = (t_oc * t_ic * t_oh * t_ow).ravel()
+
+        # Dominance pruning: at one tiling every permutation has the same
+        # footprint, and bits are positive, so a permutation whose three
+        # counts are all >= those of an earlier one never beats it (rounded
+        # products and sums are monotone) and loses an exact tie to it.  A
+        # later permutation never prunes: rounding can turn its smaller
+        # counts into an exact tie, which the earlier one must win.
+        # Permutation 0 always survives, so no tiling loses feasibility.
+        keep = np.ones(counts.shape[1:], dtype=bool)
+        for p in range(1, len(self.permutations)):
+            keep[p] = ~(counts[:, :p] <= counts[:, p:p + 1]).all(axis=0).any(axis=0)
+        perm, flat = np.nonzero(keep)
+        # Survivors in tie-break order (larger tile volume, earlier
+        # permutation, larger flat tiling index = lexicographically larger
+        # tile vector, as candidates ascend per dimension), so the first
+        # minimum of a query is its winner.
+        order = np.lexsort((-flat, perm, -tile_volume[flat]))
+        self._perm, self._flat = perm[order], flat[order]
+        tile_idx = np.unravel_index(self._flat, self.mesh_shape)
+        self._traffic = {role: counts[r][self._perm, self._flat] for r, role in enumerate(OPERANDS)}
+        self._footprint = {role: self.footprint_elems[role][tile_idx] for role in OPERANDS}
 
     # -- queries -------------------------------------------------------------
 
-    def dm_bits(self, bits: dict) -> np.ndarray:
-        """(n_perms, *mesh) traffic in bits for one bits-per-role triple."""
-        t = self.traffic_elems
-        return (t["input"] * bits["input"] + t["output"] * bits["output"]) + t["weight"] * bits["weight"]
-
     def footprint_bits(self, bits: dict) -> np.ndarray:
-        f = self.footprint_elems
-        return (f["input"] * bits["input"] + f["output"] * bits["output"]) + f["weight"] * bits["weight"]
+        """Full-mesh tile footprint in bits for one bits-per-role triple."""
+        return _weigh(self.footprint_elems, bits)
 
     def tiles_at(self, tile_idx: tuple) -> dict:
         return {d: self.candidates[d][tile_idx[i]] for i, d in enumerate(MOVING_DIMS)}
@@ -282,26 +309,13 @@ class LayerMappingTable:
     def query(self, specs, mc_bits: float):
         """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible."""
         bits = role_bits(self.layer, specs)
-        foot = self.footprint_bits(bits)
-        feasible = foot <= mc_bits
-        if not feasible.any():
+        foot = _weigh(self._footprint, bits)
+        dm = np.where(foot <= mc_bits, _weigh(self._traffic, bits), np.inf)
+        best = int(np.argmin(dm))
+        if dm[best] == np.inf:
             return None
-        dm = self.dm_bits(bits)
-        dm_feas = np.where(feasible[None, ...], dm, np.inf)
-        best = dm_feas.min()
-        if not np.isfinite(best):
-            return None
-        # Tie-break: larger tile volume, earlier permutation, lexicographically
-        # larger tile vector.  Candidates ascend per dimension, so a larger
-        # C-order flat tiling index is a lexicographically larger tile vector.
-        perm, flat = np.divmod(np.flatnonzero(dm_feas == best), self.n_tilings)
-        first = np.lexsort((-flat, perm, -self.tile_volume.ravel()[flat]))[0]
-        tile_idx = np.unravel_index(flat[first], self.mesh_shape)
-        return (
-            self.mapping_at(int(perm[first]), tile_idx),
-            float(best),
-            float(foot[tile_idx]),
-        )
+        tile_idx = np.unravel_index(self._flat[best], self.mesh_shape)
+        return self.mapping_at(int(self._perm[best]), tile_idx), float(dm[best]), float(foot[best])
 
 
 # ---------------------------------------------------------------------------

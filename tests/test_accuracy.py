@@ -46,6 +46,12 @@ def test_table_negative_loss_clamped():
     assert table.diagnostics
 
 
+@pytest.mark.parametrize("loss", ["nan", "inf", "-inf"])
+def test_table_non_finite_loss_rejected(loss):
+    with pytest.raises(AccuracyError, match="line 3: non-finite loss"):
+        loads_table(f"format_version 1\nmodel 3 8 8 0.1\nlayer:1 3 8 8 {loss}\n")
+
+
 def test_table_empty_rejected():
     with pytest.raises(AccuracyError):
         lookup_acc_loss(AccuracyTable(), (3, 8, 8))

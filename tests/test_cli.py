@@ -57,6 +57,17 @@ def test_usage_error_on_bad_flags(tiny4_path, tmp_path, capsys):
     assert main(["--model", tiny4_path, "--loss-source", "table"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--mc", "nan"], ["--sweep-alpha", "0.1,nan"],
+    ["--e-sram", "0"], ["--e-dram", "-5"], ["--e-sram", "nan"], ["--e-dram", "inf"],
+], ids="=".join)
+def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_exit_code(tiny4_path, tmp_path):
     # 16 bits cannot hold even a unit tile set at the smallest bitwidths.
     rc = main(["--model", tiny4_path, "--mc", "16", "--out", str(tmp_path / "o")])
@@ -116,6 +127,13 @@ def test_cli_sweep_flag(tiny4_path, tmp_path):
     rc = main(base_args(tiny4_path, out, "--sweep"))
     assert rc == EXIT_OK
     assert sorted(os.listdir(out)) == ["sweep.csv", "sweep.json"]
+
+
+def test_cli_empty_sweep_alpha_uses_default_values(tiny4_path, tmp_path):
+    rc = main(base_args(tiny4_path, str(tmp_path / "out"), "--sweep-alpha", ""))
+    assert rc == EXIT_OK
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == list(DEFAULT_SWEEP_ALPHAS)
 
 
 def test_env_overrides(tiny4_path, tmp_path, monkeypatch):

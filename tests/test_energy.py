@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bfpsearch.dm import dm_layer, make_mapping, role_bits
@@ -32,6 +34,9 @@ def test_linearity():
 def test_invalid_params_rejected():
     with pytest.raises(EnergyError):
         EnergyParams(sram_pj_per_bit=0.0)
+    for bad in (-5.0, math.nan, math.inf):
+        with pytest.raises(EnergyError):
+            EnergyParams(dram_pj_per_bit=bad)
     with pytest.raises(EnergyError):
         energy_from_bits(-1.0, 0.0)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -167,6 +168,11 @@ def test_invalid_args(tiny4):
         search(tiny4, small_space(), alpha=0.2, mc_bits=MC, mode="bogus")
     with pytest.raises(SearchError):
         search(tiny4, small_space(), alpha=0.2, mc_bits=0.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(SearchError):
+            search(tiny4, small_space(), alpha=alpha, mc_bits=MC)
+    with pytest.raises(SearchError):
+        search(tiny4, small_space(), alpha=0.2, mc_bits=math.nan)
 
 
 # -- per-layer decomposition --------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
@@ -208,19 +209,33 @@ def query_cases(draw):
         specs = spec_triple(qb=qb, se=se, bs=draw(st.sampled_from((1, 2, 4, 8, 16))))
     else:
         specs = tuple(float(draw(st.sampled_from((4, 8, 16, 32)))) for _ in range(3))
+    # A random subset of the loop orders in a random order, so that which
+    # permutation is "earlier" in the tie-break and the pruning varies.
+    perms = draw(st.permutations(default_permutations()))
+    perms = perms[: draw(st.integers(1, len(perms)))]
     # Capacity between half the smallest tile footprint (infeasible) and
     # twice the whole-layer footprint (loose), on a log scale.
     table = LayerMappingTable(layer)
     foot = table.footprint_bits(role_bits(layer, specs))
     lo, hi = math.log(foot.min() / 2), math.log(foot.max() * 2)
     mc_bits = math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
-    return layer, specs, mc_bits, draw(st.booleans())
+    return layer, specs, mc_bits, draw(st.booleans()), perms
 
 
 @seed(20241018)
 @settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(query_cases())
 def test_query_matches_lattice_brute_force(case):
-    layer, specs, mc_bits, count_first_load = case
-    table = LayerMappingTable(layer, count_first_load=count_first_load)
-    assert table.query(specs, mc_bits) == reference_query(layer, specs, mc_bits, count_first_load=count_first_load)
+    layer, specs, mc_bits, count_first_load, perms = case
+    table = LayerMappingTable(layer, permutations=perms, count_first_load=count_first_load)
+    # Pruning keeps at least one permutation at every tiling.
+    assert np.array_equal(np.unique(table._flat), np.arange(table.n_tilings))
+    expected = reference_query(layer, specs, mc_bits, permutations=perms, count_first_load=count_first_load)
+    assert table.query(specs, mc_bits) == expected
+
+
+def test_pruning_survivor_count_on_stack20_shape():
+    # The 16 -> 16 channel, 32 x 32, 3 x 3 convolution of the 20-layer stack.
+    table = LayerMappingTable(ConvLayer(1, 16, 16, 32, 32, 3, 3, pad_h=1, pad_w=1))
+    assert len(table.permutations) * table.n_tilings == 117_600
+    assert len(table._perm) == 16_643
