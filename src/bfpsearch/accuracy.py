@@ -174,12 +174,14 @@ def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SY
 def normalized_mse(tensor: np.ndarray, spec: BfpSpec) -> float:
     """MSE of the encode/decode round trip, normalized by signal power."""
     arr = np.asarray(tensor, dtype=np.float64)
-    deq = quantize_dequantize(arr, spec)
-    err = arr - deq
+    # The squared error is built in place in the fresh dequantized buffer.
+    err = quantize_dequantize(arr, spec)
+    np.subtract(arr, err, out=err)
+    np.square(err, out=err)
     power = float(np.mean(arr * arr))
     if power == 0.0:
         return 0.0
-    return float(np.mean(err * err)) / power
+    return float(np.mean(err)) / power
 
 
 def proxy_layer_loss(layer: ConvLayer, specs, samples: dict) -> float:

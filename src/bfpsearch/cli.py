@@ -310,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     out_dir = args.out or os.environ.get("BFPSEARCH_OUT_DIR") or "bfpsearch_out"
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = int(os.environ.get("BFPSEARCH_JOBS", "1"))
+    try:
+        jobs = args.jobs if args.jobs is not None else int(os.environ.get("BFPSEARCH_JOBS", "1"))
+    except ValueError:
+        raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if not args.mc > 0:
-        raise UsageError(f"--mc must be positive, got {args.mc}")
+    if not (math.isfinite(args.mc) and args.mc > 0):
+        raise UsageError(f"--mc must be finite and positive, got {args.mc}")
     if args.sweep_alpha is not None:
         sweep_alphas = args.sweep_alpha or DEFAULT_SWEEP_ALPHAS
     else:

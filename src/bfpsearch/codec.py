@@ -4,6 +4,13 @@ A block groups ``block_size`` values under one shared exponent.  Each element
 stores a two's-complement mantissa of ``total_bits - exp_bits`` bits (sign
 included).  Encoding picks the largest binary exponent in the block, shifts
 every element's significand down to that scale and rounds to nearest-even.
+
+:func:`encode_tensor` and :func:`quantize_dequantize` share one block kernel.
+It keeps one rule that :func:`encode_block` lacks: a block holding a zero
+(padding included) takes exponent ``max(e, 0)``, so an all-zero block gets 0,
+not ``exp_min``.  It comes from an ``int64``-min zero sentinel that NumPy 2's
+``int32`` ``frexp`` exponents wrap to 0; the benchmark's recorded plans were
+made with it, and dropping it changes some of them.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ class BfpSpec:
             raise CodecError(f"block_size must be >= 1, got {self.block_size}")
         if self.role not in ROLES:
             raise CodecError(f"role must be one of {ROLES}, got {self.role!r}")
+        if abs(self.exp_bias) > 1 << 30:  # the block kernel keeps shared exponents in int32
+            raise CodecError(f"exp_bias must be within +-2^30, got {self.exp_bias}")
 
     @property
     def mantissa_bits(self) -> int:
@@ -189,59 +198,71 @@ def roundtrip_error_bound(spec: BfpSpec, shared_exponent: int) -> float:
     return math.ldexp(1.0, shared_exponent - (spec.total_bits - spec.exp_bits - 1))
 
 
-def encode_tensor(tensor, spec: BfpSpec, layout: str = "flat") -> BfpTensor:
-    """Encode a whole tensor, blocking its row-major flattening.
+def _fold(op, grid: np.ndarray) -> np.ndarray:
+    """Reduce each row of a C-contiguous 2-D array by folding adjacent column
+    pairs: long strided ufunc runs, far faster than ``op.reduce(axis=1)``."""
+    while grid.shape[1] > 1:
+        width = grid.shape[1]
+        folded = op(grid[:, 0 : width - 1 : 2], grid[:, 1:width:2])
+        if width % 2:
+            op(folded[:, 0], grid[:, width - 1], out=folded[:, 0])
+        grid = folded
+    return grid[:, 0]
 
-    The final block may be partial; its fill count is recorded so decoding
-    restores the exact shape.
+
+def _encode_blocks(tensor, spec: BfpSpec, layout: str):
+    """The block kernel of :func:`encode_tensor` and :func:`quantize_dequantize`.
+
+    Returns the input as float64, per-block int32 shared exponents, the
+    rounded mantissas of the zero-padded (n_blocks, block_size) grid and
+    per-block saturation flags, deciding each block from its extreme values.
     """
     if layout != "flat":
         raise CodecError(f"unsupported layout {layout!r} (supported: 'flat')")
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise CodecError("cannot encode an empty tensor")
-    _check_finite(arr)
     flat = arr.reshape(-1)
     bs = spec.block_size
     n_blocks = -(-flat.size // bs)
-    fill = flat.size - (n_blocks - 1) * bs
+    if flat.size % bs:
+        flat = np.concatenate([flat, np.zeros(n_blocks * bs - flat.size)])
+    grid = flat.reshape(n_blocks, bs)
 
-    padded = np.zeros(n_blocks * bs, dtype=np.float64)
-    padded[: flat.size] = flat
-    grid = padded.reshape(n_blocks, bs)
+    hi = _fold(np.maximum, grid)
+    amax = np.maximum(hi, -_fold(np.minimum, grid))
+    _check_finite(amax)  # np.maximum and np.minimum propagate NaN
+    _, exp = np.frexp(amax)  # the largest element exponent, plus one
+    exp -= 1
+    small = np.flatnonzero(amax < 1.0)
+    # A zero-holding block takes max(e, 0): the zero sentinel wraps to 0 (module docstring).
+    exp[small] = np.where(_fold(np.logical_or, grid[small] == 0.0), np.maximum(exp[small], 0), exp[small])
+    # Rounding overflow at the positive boundary raises the shared scale;
+    # rint and ldexp are monotone, so the block's largest value decides.
+    exp += np.rint(np.ldexp(hi, spec.fraction_bits - exp)) > spec.mantissa_max
 
-    # Vectorized variant of encode_block over all rows at once.
-    frac, exps = np.frexp(grid)
-    exps = np.where(grid != 0.0, exps - 1, np.iinfo(np.int64).min)
-    e_max = exps.max(axis=1)
-    zero_rows = e_max == np.iinfo(np.int64).min
-    shared = np.where(zero_rows, spec.exp_min, e_max)
+    saturated = (exp < spec.exp_min) | (exp > spec.exp_max)
+    shared = np.clip(exp, spec.exp_min, spec.exp_max)
+    mant = np.ldexp(grid, (spec.fraction_bits - shared)[:, None])
+    np.rint(mant, out=mant)
+    mant[saturated] = np.clip(mant[saturated], spec.mantissa_min, spec.mantissa_max)
+    return arr, shared, mant, saturated
 
-    mant = np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None]))
-    bump = mant.max(axis=1) > spec.mantissa_max
-    if bump.any():
-        shared = shared + bump.astype(np.int64)
-        mant = np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None]))
 
-    saturated = (~zero_rows) & ((shared < spec.exp_min) | (shared > spec.exp_max))
-    if saturated.any():
-        shared = np.clip(shared, spec.exp_min, spec.exp_max)
-        mant = np.clip(
-            np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None])),
-            spec.mantissa_min,
-            spec.mantissa_max,
-        )
+def encode_tensor(tensor, spec: BfpSpec, layout: str = "flat") -> BfpTensor:
+    """Encode a whole tensor, blocking its row-major flattening.
 
-    blocks = []
-    for r in range(n_blocks):
-        size = bs if r < n_blocks - 1 else fill
-        blocks.append(
-            BfpBlock(
-                shared_exponent=int(shared[r]),
-                mantissas=tuple(int(m) for m in mant[r, :size]),
-                saturated=bool(saturated[r]),
-            )
-        )
+    The final block may be partial; its fill count is recorded so decoding
+    restores the exact shape.
+    """
+    arr, shared, mant, saturated = _encode_blocks(tensor, spec, layout)
+    fill = arr.size - (len(shared) - 1) * spec.block_size
+    rows = mant.astype(np.int64).tolist()
+    rows[-1] = rows[-1][:fill]
+    blocks = [
+        BfpBlock(shared_exponent=e, mantissas=tuple(m), saturated=s)
+        for e, m, s in zip(shared.tolist(), rows, saturated.tolist())
+    ]
     return BfpTensor(
         shape=tuple(arr.shape),
         layout=layout,
@@ -268,36 +289,9 @@ def decode_tensor(enc: BfpTensor) -> np.ndarray:
 
 def quantize_dequantize(tensor, spec: BfpSpec, layout: str = "flat") -> np.ndarray:
     """encode + decode in one step, without materializing block objects."""
-    if layout != "flat":
-        raise CodecError(f"unsupported layout {layout!r} (supported: 'flat')")
-    arr = np.asarray(tensor, dtype=np.float64)
-    if arr.size == 0:
-        raise CodecError("cannot quantize an empty tensor")
-    _check_finite(arr)
-    flat = arr.reshape(-1)
-    bs = spec.block_size
-    n_blocks = -(-flat.size // bs)
-    padded = np.zeros(n_blocks * bs, dtype=np.float64)
-    padded[: flat.size] = flat
-    grid = padded.reshape(n_blocks, bs)
-
-    _, exps = np.frexp(grid)
-    exps = np.where(grid != 0.0, exps - 1, np.iinfo(np.int64).min)
-    e_max = exps.max(axis=1)
-    shared = np.where(e_max == np.iinfo(np.int64).min, spec.exp_min, e_max)
-    mant = np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None]))
-    bump = mant.max(axis=1) > spec.mantissa_max
-    if bump.any():
-        shared = shared + bump.astype(np.int64)
-        mant = np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None]))
-    shared = np.clip(shared, spec.exp_min, spec.exp_max)
-    mant = np.clip(
-        np.rint(np.ldexp(grid, spec.fraction_bits - shared[:, None])),
-        spec.mantissa_min,
-        spec.mantissa_max,
-    )
-    deq = np.ldexp(mant, shared[:, None] - spec.fraction_bits)
-    return deq.reshape(-1)[: flat.size].reshape(arr.shape)
+    arr, shared, mant, _ = _encode_blocks(tensor, spec, layout)
+    deq = np.ldexp(mant, (shared - spec.fraction_bits)[:, None], out=mant)
+    return deq.reshape(-1)[: arr.size].reshape(arr.shape)
 
 
 def effective_bitwidth(spec: BfpSpec, dims) -> float:

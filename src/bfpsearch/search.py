@@ -321,8 +321,8 @@ def search(
         raise SearchError(f"loss_source must be one of {LOSS_SOURCES}, got {loss_source!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise SearchError(f"alpha must be finite and >= 0, got {alpha}")
-    if mc_bits is None or not mc_bits > 0:
-        raise SearchError(f"memory capacity (bits) must be positive, got {mc_bits}")
+    if mc_bits is None or not (math.isfinite(mc_bits) and mc_bits > 0):
+        raise SearchError(f"memory capacity (bits) must be finite and positive, got {mc_bits}")
     if loss_source == "table" and acc_table is None:
         raise SearchError("loss_source='table' needs an accuracy table")
     if space.scope == "layer":

@@ -4,9 +4,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
+from hypothesis import settings
 
 from bfpsearch.codec import BfpSpec
 from bfpsearch.model import ConvLayer, loads_model
+
+# Property tests use this profile: the same examples on every run, and no
+# example database written to disk.
+settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
 
 
 def spec_triple(qb=8, se=3, bs=2):

@@ -58,13 +58,22 @@ def test_usage_error_on_bad_flags(tiny4_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--alpha", "nan"], ["--alpha", "inf"], ["--mc", "nan"], ["--sweep-alpha", "0.1,nan"],
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--mc", "nan"], ["--mc", "inf"], ["--sweep-alpha", "0.1,nan"],
     ["--e-sram", "0"], ["--e-dram", "-5"], ["--e-sram", "nan"], ["--e-dram", "inf"],
 ], ids="=".join)
 def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
     rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra))
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_non_integer_jobs_env_is_usage_error(tiny4_path, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("BFPSEARCH_JOBS", value)
+    rc = main(base_args(tiny4_path, str(tmp_path / "o")))
+    assert rc == EXIT_USAGE
+    assert "BFPSEARCH_JOBS" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bfpsearch.codec import (
     BfpSpec,
@@ -15,6 +17,7 @@ from bfpsearch.codec import (
     quantize_dequantize,
     roundtrip_error_bound,
 )
+from frozen_codec import frozen_encode_tensor, frozen_quantize_dequantize
 from reference_codec import ref_encode
 
 
@@ -30,6 +33,10 @@ def test_spec_validation():
         BfpSpec(8, 3, 0, "input")
     with pytest.raises(CodecError):
         BfpSpec(8, 3, 2, "bias")
+    BfpSpec(8, 3, 2, "input", exp_bias=-(1 << 30))
+    for bias in (1 << 31, -(10**12)):  # shared exponents would leave int32
+        with pytest.raises(CodecError):
+            BfpSpec(8, 3, 2, "input", exp_bias=bias)
 
 
 def test_encode_identical_values_exact():
@@ -204,3 +211,68 @@ def test_quantize_dequantize_matches_block_path():
     via_blocks = decode_tensor(encode_tensor(data, spec))
     direct = quantize_dequantize(data, spec)
     assert np.array_equal(via_blocks, direct)
+
+
+# -- bit-exactness of the block kernel ------------------------------------------
+
+
+@st.composite
+def codec_cases(draw):
+    """A format and a tensor built to hit the kernel's edge cases: partial last
+    blocks, zeros (signed, whole blocks), subnormals, magnitudes from about
+    1e-310 to 1e300, values just below a power of two (they round up across
+    it), and exponent windows that saturate on either side."""
+    qb = draw(st.sampled_from((8, 16)))
+    spec = BfpSpec(
+        qb,
+        draw(st.integers(1, qb - 2)),
+        draw(st.sampled_from((1, 2, 3, 5, 24, 48))),
+        exp_bias=draw(st.one_of(st.just(0), st.integers(-1100, 1100))),
+    )
+    bs = spec.block_size
+    n = draw(st.integers(1, 4 * bs + 3))
+    scale = draw(st.integers(-1075, 990))  # binary exponent the values cluster around
+    sign = st.sampled_from((1.0, -1.0))
+    element = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.builds(lambda s, m, d: s * math.ldexp(m, scale + d), sign, st.floats(1.0, 2.0, exclude_max=True), st.integers(-12, 0)),
+        st.builds(lambda s, k: s * math.ldexp(1.0 - 2.0**-k, scale), sign, st.integers(1, 20)),
+    )
+    if draw(st.booleans()):
+        element = st.one_of(element, st.floats(-1e300, 1e300))
+    data = np.array(draw(st.lists(element, min_size=n, max_size=n)))
+    zero_block = draw(st.integers(-1, (n - 1) // bs))
+    if zero_block >= 0:
+        data[zero_block * bs : (zero_block + 1) * bs] = 0.0
+    return spec, data
+
+
+@settings(settings.get_profile("seeded"), max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(codec_cases())
+def test_kernel_matches_frozen_vectorized_codec_bitwise(case):
+    spec, data = case
+    with np.errstate(over="ignore", under="ignore"):
+        got = quantize_dequantize(data, spec)
+        want = frozen_quantize_dequantize(data, spec)
+        enc, ref = encode_tensor(data, spec), frozen_encode_tensor(data, spec)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # -0.0 and 0.0 differ here
+    assert [b.shared_exponent for b in enc.blocks] == [b.shared_exponent for b in ref.blocks]
+    assert [b.mantissas for b in enc.blocks] == [b.mantissas for b in ref.blocks]
+    assert [b.saturated for b in enc.blocks] == [b.saturated for b in ref.blocks]
+    assert enc.saturated_blocks == ref.saturated_blocks
+    assert enc == ref
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bs", [1, 3, 24])
+def test_non_finite_anywhere_is_rejected(bad, bs):
+    spec = BfpSpec(8, 3, bs, "input")
+    for n in (1, bs, 2 * bs + 1):  # whole blocks and a padded last block
+        for pos in range(n):
+            data = np.linspace(-1.0, 1.0, n)
+            data[pos] = bad
+            with pytest.raises(CodecError):
+                quantize_dequantize(data, spec)
+            with pytest.raises(CodecError):
+                encode_tensor(data, spec)

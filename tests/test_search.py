@@ -171,8 +171,9 @@ def test_invalid_args(tiny4):
     for alpha in (math.nan, math.inf):
         with pytest.raises(SearchError):
             search(tiny4, small_space(), alpha=alpha, mc_bits=MC)
-    with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=math.nan)
+    for mc_bits in (math.nan, math.inf):
+        with pytest.raises(SearchError):
+            search(tiny4, small_space(), alpha=0.2, mc_bits=mc_bits)
 
 
 # -- per-layer decomposition --------------------------------------------------

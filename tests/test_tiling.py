@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bfpsearch.dm import dm_layer, loop_extents, make_mapping, role_bits, tile_footprint_elems
@@ -222,8 +222,7 @@ def query_cases(draw):
     return layer, specs, mc_bits, draw(st.booleans()), perms
 
 
-@seed(20241018)
-@settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(settings.get_profile("seeded"), max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(query_cases())
 def test_query_matches_lattice_brute_force(case):
     layer, specs, mc_bits, count_first_load, perms = case
