@@ -214,7 +214,12 @@ def run(config: RunConfig) -> tuple:
 
 
 def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
-    """One search per trade-off factor; emits a CSV suited for plotting."""
+    """One search per trade-off factor; emits a CSV suited for plotting.
+
+    Each row holds one (se, bs) pair, so the sweep needs model scope.
+    """
+    if config.scope != "model":
+        raise UsageError("an alpha sweep writes one (se, bs) per alpha and needs --scope model")
     alphas = tuple(alphas if alphas is not None else DEFAULT_SWEEP_ALPHAS)
     if not alphas:
         raise UsageError("alpha sweep needs at least one value")

@@ -13,11 +13,17 @@ All footprints are exact integer element counts (clipped against padding and
 ragged final tiles); bit-weighting by the per-role effective bitwidth happens
 once per operand at the end, which keeps totals bit-identical to the
 brute-force schedule simulator in :mod:`bfpsearch.oracle`.
+
+One level formula, :func:`level_traffic`, serves both a single mapping
+(ints, here) and the whole tiling lattice of :mod:`bfpsearch.tiling`
+(NumPy arrays that broadcast); each operand's tensor dims and their driver
+loops are listed once, in ``OPERAND_DIMS``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -194,46 +200,35 @@ def _iv_overlap(iv_a, iv_b):
     return max(0, min(iv_a[1], iv_b[1]) - max(iv_a[0], iv_b[0]))
 
 
-def _operand_dims(layer: ConvLayer, mapping: Mapping) -> dict:
-    ext = loop_extents(layer)
-    t = {d: mapping.tile(d) for d in LOOP_DIMS}
-    rows = _ConvDim(
-        out_driver="oh", k_driver="kh",
-        out_tile=t["oh"], out_extent=ext["oh"],
-        k_tile=t["kh"], k_extent=ext["kh"],
-        stride=layer.stride_h, pad=layer.pad_h, extent=layer.i_h,
+# Each operand's tensor dims, named by the loops that drive them: one loop
+# partitions a dim; an input row (column) follows the output-row (column)
+# loop and the kernel-row (column) loop.
+OPERAND_DIMS = {
+    "input": (("ic",), ("oh", "kh"), ("ow", "kw")),
+    "output": (("oc",), ("oh",), ("ow",)),
+    "weight": (("oc",), ("ic",), ("kh",), ("kw",)),
+}
+
+
+def _tensor_dim(layer: ConvLayer, ext: dict, drivers: tuple, tiles: dict):
+    """The footprint geometry of the tensor dim that ``drivers`` drive, given
+    the layer's loop extents and per-loop tile sizes."""
+    if len(drivers) == 1:
+        return _PartDim(drivers[0], tiles[drivers[0]], ext[drivers[0]])
+    out, k = drivers
+    axis = out[1]  # "h" or "w"
+    return _ConvDim(
+        out_driver=out, k_driver=k,
+        out_tile=tiles[out], out_extent=ext[out],
+        k_tile=tiles[k], k_extent=ext[k],
+        stride=getattr(layer, "stride_" + axis), pad=getattr(layer, "pad_" + axis),
+        extent=getattr(layer, "i_" + axis),
     )
-    cols = _ConvDim(
-        out_driver="ow", k_driver="kw",
-        out_tile=t["ow"], out_extent=ext["ow"],
-        k_tile=t["kw"], k_extent=ext["kw"],
-        stride=layer.stride_w, pad=layer.pad_w, extent=layer.i_w,
-    )
-    return {
-        "input": (_PartDim("ic", t["ic"], ext["ic"]), rows, cols),
-        "output": (
-            _PartDim("oc", t["oc"], ext["oc"]),
-            _PartDim("oh", t["oh"], ext["oh"]),
-            _PartDim("ow", t["ow"], ext["ow"]),
-        ),
-        "weight": (
-            _PartDim("oc", t["oc"], ext["oc"]),
-            _PartDim("ic", t["ic"], ext["ic"]),
-            _PartDim("kh", t["kh"], ext["kh"]),
-            _PartDim("kw", t["kw"], ext["kw"]),
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
 # Reuse classification
 # ---------------------------------------------------------------------------
-
-_DEPENDS = {
-    "input": {"ic", "oh", "ow", "kh", "kw"},
-    "output": {"oc", "oh", "ow"},
-    "weight": {"oc", "ic", "kh", "kw"},
-}
 
 
 def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mapping) -> ReuseClass:
@@ -251,7 +246,7 @@ def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mappin
     extents = loop_extents(layer)
     if tiling.tile(loop_dim) >= extents[loop_dim]:
         return ReuseClass.FULL_REUSE
-    if loop_dim not in _DEPENDS[operand]:
+    if not any(loop_dim in drivers for drivers in OPERAND_DIMS[operand]):
         return ReuseClass.FULL_REUSE
     if operand == "input":
         if loop_dim == "oh":
@@ -274,7 +269,12 @@ def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mappin
 def tile_footprint_elems(layer: ConvLayer, tiling: Mapping) -> dict:
     """Nominal per-operand elements of one tile (halo included, unclipped)."""
     validate_mapping(layer, tiling)
-    t = {d: tiling.tile(d) for d in LOOP_DIMS}
+    return _footprint_elems(layer, dict(zip(LOOP_DIMS, tiling.tiles)))
+
+
+def _footprint_elems(layer: ConvLayer, t: dict) -> dict:
+    """Nominal per-operand tile elements from per-loop tile sizes, which may
+    be ints or NumPy arrays that broadcast (a lattice of tilings)."""
     in_rows = (t["oh"] - 1) * layer.stride_h + t["kh"]
     in_cols = (t["ow"] - 1) * layer.stride_w + t["kw"]
     return {
@@ -388,83 +388,89 @@ class DmBreakdown:
         }
 
 
-def _dim_pairs(dim, perm_index, j, iters):
-    """(old, new) position pairs of one dim's drivers at a transition of level j.
+# A driver loop's place relative to the advancing level of a transition.
+OUTSIDE, ADVANCING, INSIDE = -1, 0, 1
 
-    Drivers outside j keep their position (all values), the advancing level
-    steps p-1 -> p, drivers inside j wrap from their last position to 0.
+
+def _dim_sums(dim, rels, iters):
+    """Summed new-footprint length and old/new overlap of one tensor dim over
+    the transitions of one level.
+
+    ``rels`` places each of the dim's drivers: outside the level it keeps its
+    position (all values), the advancing level steps p-1 -> p, and inside it
+    wraps from its last position to 0.
     """
     per_driver = []
-    for drv in dim.drivers:
-        i = perm_index[drv]
+    for drv, rel in zip(dim.drivers, rels):
         n = iters[drv]
-        if i < j:
+        if rel == OUTSIDE:
             per_driver.append([(p, p) for p in range(n)])
-        elif i == j:
+        elif rel == ADVANCING:
             per_driver.append([(p - 1, p) for p in range(1, n)])
         else:
             per_driver.append([(n - 1, 0)])
+    new_len = overlap = 0
     for combo in product(*per_driver):
-        old = tuple(c[0] for c in combo)
-        new = tuple(c[1] for c in combo)
-        yield old, new
+        old, new = zip(*combo)
+        iv_new = dim.interval(new)
+        new_len += _iv_len(iv_new)
+        overlap += _iv_overlap(iv_new, dim.interval(old))
+    return new_len, overlap
+
+
+def level_traffic(perm, drivers, iters, sums) -> list:
+    """Elements one operand moves at each level of the loop order ``perm``
+    (first load excluded).
+
+    ``drivers`` lists the operand's tensor dims as driver-loop tuples (see
+    ``OPERAND_DIMS``), and ``sums(k, rels)`` returns dim k's summed (new
+    length, overlap) over a level's transitions, with ``rels`` placing each
+    driver as in :func:`_dim_sums`.  ``iters`` and the sums are ints for one
+    mapping or NumPy arrays that broadcast over a lattice of tilings; every
+    count is an integer far below 2^53, so float64 holds it exactly in any
+    product order.  A level that iterates once, or at or inside which no
+    driver iterates more than once, leaves the footprint unchanged: it moves
+    0 and is skipped.  An array of counts is taken to iterate; where it
+    holds 1 its levels come out 0.
+    """
+    pos = {d: i for i, d in enumerate(perm)}
+    movers = {d for dim in drivers for d in dim}
+    iterating = {d for d in perm if not isinstance(iters[d], int) or iters[d] > 1}
+    levels = [0] * len(perm)
+    for j, lvl in enumerate(perm):
+        if lvl not in iterating or all(pos[d] < j for d in movers & iterating):
+            continue
+        mult = 1
+        for other in perm[:j]:
+            if other not in movers:
+                mult = mult * iters[other]
+        if lvl not in movers:
+            mult = mult * (iters[lvl] - 1)
+        vol_new = vol_ovl = 1
+        for k, dim in enumerate(drivers):
+            rels = tuple((pos[d] > j) - (pos[d] < j) for d in dim)  # OUTSIDE, ADVANCING or INSIDE
+            new_len, overlap = sums(k, rels)
+            vol_new = vol_new * new_len
+            vol_ovl = vol_ovl * overlap
+        levels[j] = mult * (vol_new - vol_ovl)
+    return levels
 
 
 def operand_traffic_elems(layer: ConvLayer, mapping: Mapping, operand: str):
     """Exact per-level moved elements for one operand; returns
-    (per-level list, cold first-load elements)."""
+    (per-level list, cold first-load elements).  The first load is counted at
+    the operand's innermost moving loop, or is cold if no loop moves it."""
     iters = iteration_counts(layer, mapping)
     perm = mapping.permutation
-    perm_index = {d: i for i, d in enumerate(perm)}
-    dims = _operand_dims(layer, mapping)[operand]
-    driver_set = set()
-    for dim in dims:
-        driver_set.update(dim.drivers)
-
-    first = 1
-    for dim in dims:
-        first *= _iv_len(dim.interval((0,) * len(dim.drivers)))
-
-    level_elems = [0] * len(perm)
-    deepest_mover = None
-    for j, lvl in enumerate(perm):
-        if iters[lvl] <= 1:
-            continue
-        moves_any = lvl in driver_set and iters[lvl] > 1
-        inner_mover = any(
-            iters[d] > 1 and perm_index[d] > j for d in driver_set
-        )
-        if moves_any:
-            deepest_mover = j
-        if not moves_any and not inner_mover:
-            continue  # operand footprint unchanged by this transition
-        mult = 1
-        for i, other in enumerate(perm):
-            if other in driver_set or iters[other] <= 1:
-                continue
-            if i < j:
-                mult *= iters[other]
-            elif i == j:
-                mult *= iters[other] - 1
-        vol_new = 1
-        vol_ovl = 1
-        for dim in dims:
-            a_sum = 0
-            b_sum = 0
-            for old, new in _dim_pairs(dim, perm_index, j, iters):
-                iv_new = dim.interval(new)
-                a_sum += _iv_len(iv_new)
-                b_sum += _iv_overlap(iv_new, dim.interval(old))
-            vol_new *= a_sum
-            vol_ovl *= b_sum
-        level_elems[j] = mult * (vol_new - vol_ovl)
-
-    cold = 0
-    if deepest_mover is not None:
-        level_elems[deepest_mover] += first
-    else:
-        cold = first
-    return level_elems, cold
+    ext, tiles = loop_extents(layer), dict(zip(LOOP_DIMS, mapping.tiles))
+    dims = [_tensor_dim(layer, ext, drivers, tiles) for drivers in OPERAND_DIMS[operand]]
+    level_elems = level_traffic(perm, OPERAND_DIMS[operand], iters, lambda k, rels: _dim_sums(dims[k], rels, iters))
+    first = math.prod(_iv_len(dim.interval((0,) * len(dim.drivers))) for dim in dims)
+    moving_levels = [j for j, d in enumerate(perm) if iters[d] > 1 and any(d in dim.drivers for dim in dims)]
+    if not moving_levels:
+        return level_elems, first
+    level_elems[moving_levels[-1]] += first
+    return level_elems, 0
 
 
 def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool = True) -> DmBreakdown:

@@ -6,9 +6,11 @@ capacity.  Tile candidates are divisors of each extent plus ceil(extent/k)
 for small k; kernel loops stay untiled and innermost (the loop order over the
 remaining four loops is searched, 24 orders by default).
 
-The whole candidate lattice is evaluated once per layer with vectorized
-per-dimension tables that reproduce :func:`bfpsearch.dm.dm_layer` exactly
-(integer element counts, one bit-weighting per operand).  Points that an
+The whole candidate lattice is evaluated once per layer by the same
+level formula that :func:`bfpsearch.dm.dm_layer` uses for one mapping,
+:func:`bfpsearch.dm.level_traffic`, run over per-candidate arrays that
+broadcast along each loop's axis of the tiling mesh (integer element counts,
+exact in float64, one bit-weighting per operand).  Points that an
 earlier permutation at the same tiling dominates in all three traffic counts
 can never win, so they are pruned at build time; the survivors are stored in
 tie-break order, and a query is one masked ``np.argmin`` over them that
@@ -18,18 +20,23 @@ returns the true optimum of the candidate set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dm import (
+    INSIDE,
     LOOP_DIMS,
+    OPERAND_DIMS,
     OPERANDS,
     Mapping,
     MappingError,
-    _ConvDim,
-    _PartDim,
+    _dim_sums,
+    _footprint_elems,
+    _tensor_dim,
     dm_layer,
+    level_traffic,
     loop_extents,
     make_mapping,
     role_bits,
@@ -81,53 +88,6 @@ def default_permutations():
     return tuple(itertools.permutations(MOVING_DIMS))
 
 
-# ---------------------------------------------------------------------------
-# Per-dimension tables
-# ---------------------------------------------------------------------------
-#
-# For one loop dimension with a list of tile-size candidates, precompute the
-# exact per-position sums the level-by-level traffic formula needs, for all
-# three relations a loop can have to the advancing level: enumerated outside
-# it, advancing itself, or wrapping back to the start inside it.
-
-
-@dataclass
-class _DimTable:
-    candidates: tuple
-    iters: np.ndarray       # ceil(extent / T)
-    len_first: np.ndarray   # footprint length at position 0
-    sum_all: np.ndarray     # sum of lengths over all positions
-    sum_adv_new: np.ndarray  # sum of lengths over positions 1..It-1
-    sum_adv_ovl: np.ndarray  # sum of consecutive-position overlaps
-    wrap_ovl: np.ndarray    # overlap of the last position with position 0
-
-
-def _build_table(dim_for, candidates) -> _DimTable:
-    n = len(candidates)
-    out = {k: np.zeros(n, dtype=np.float64) for k in
-           ("iters", "len_first", "sum_all", "sum_adv_new", "sum_adv_ovl", "wrap_ovl")}
-    for ci, tile in enumerate(candidates):
-        dim, it = dim_for(tile)
-        ivs = [dim.interval((p, 0)[: len(dim.drivers)]) for p in range(it)]
-        lens = [max(0, b - a) for a, b in ivs]
-        out["iters"][ci] = it
-        out["len_first"][ci] = lens[0]
-        out["sum_all"][ci] = sum(lens)
-        out["sum_adv_new"][ci] = sum(lens[1:])
-        out["sum_adv_ovl"][ci] = sum(
-            max(0, min(ivs[p - 1][1], ivs[p][1]) - max(ivs[p - 1][0], ivs[p][0]))
-            for p in range(1, it)
-        )
-        out["wrap_ovl"][ci] = max(0, min(ivs[-1][1], ivs[0][1]) - max(ivs[-1][0], ivs[0][0]))
-    return _DimTable(candidates=tuple(candidates), **out)
-
-
-def _axis_shape(axis: int, n: int):
-    shape = [1, 1, 1, 1]
-    shape[axis] = n
-    return tuple(shape)
-
-
 def _weigh(elems: dict, bits: dict):
     """Per-role element counts weighted by bits, summed in the order ``dm_layer`` uses."""
     return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
@@ -167,111 +127,53 @@ class LayerMappingTable:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        layer = self.layer
-        ext = self.extents
-        axis = {d: i for i, d in enumerate(MOVING_DIMS)}
+        layer, ext = self.layer, self.extents
+        # The kernel loops stay untiled and innermost: one candidate and one
+        # iteration each, so their values broadcast along no mesh axis.
+        cands = {**self.candidates, "kh": (ext["kh"],), "kw": (ext["kw"],)}
 
-        def part(dim_name, extent):
-            return _build_table(
-                lambda t: (_PartDim(dim_name, t, extent), -(-extent // t)),
-                self.candidates[dim_name],
-            )
+        def along(d, values):
+            """Per-candidate values of loop d, shaped to broadcast along d's mesh axis."""
+            return np.asarray(values, dtype=np.float64).reshape(
+                [len(cands[d]) if e == d else 1 for e in MOVING_DIMS])
 
-        tables = {
-            ("part", "oc"): part("oc", ext["oc"]),
-            ("part", "ic"): part("ic", ext["ic"]),
-            ("part", "oh"): part("oh", ext["oh"]),
-            ("part", "ow"): part("ow", ext["ow"]),
-            ("conv", "oh"): _build_table(
-                lambda t: (
-                    _ConvDim("oh", "kh", t, ext["oh"], ext["kh"], ext["kh"],
-                             layer.stride_h, layer.pad_h, layer.i_h),
-                    -(-ext["oh"] // t),
-                ),
-                self.candidates["oh"],
-            ),
-            ("conv", "ow"): _build_table(
-                lambda t: (
-                    _ConvDim("ow", "kw", t, ext["ow"], ext["kw"], ext["kw"],
-                             layer.stride_w, layer.pad_w, layer.i_w),
-                    -(-ext["ow"] // t),
-                ),
-                self.candidates["ow"],
-            ),
-        }
+        iters = {d: along(d, [-(-ext[d] // t) for t in cands[d]]) for d in MOVING_DIMS}
+        iters.update(kh=1, kw=1)
+        memo = {}
 
-        def arr(table_key, field_name, driver):
-            table = tables[table_key]
-            return getattr(table, field_name).reshape(_axis_shape(axis[driver], len(table.candidates)))
-
-        iters = {d: arr(("part", d), "iters", d) for d in MOVING_DIMS}
-
-        # Operand geometry: driver loop -> (table key, static multiplier).
-        operand_dims = {
-            "input": ({"ic": ("part", "ic"), "oh": ("conv", "oh"), "ow": ("conv", "ow")}, 1.0),
-            "output": ({"oc": ("part", "oc"), "oh": ("part", "oh"), "ow": ("part", "ow")}, 1.0),
-            "weight": ({"oc": ("part", "oc"), "ic": ("part", "ic")}, float(ext["kh"] * ext["kw"])),
-        }
+        def sums(drivers, rels):
+            # Each (tensor dim, rels) sum is computed once per build, per
+            # candidate of the dim's leading driver (its other driver is a
+            # kernel loop at full extent), and shared by every role and order.
+            if (drivers, rels) not in memo:
+                lead = drivers[0]
+                per_cand = []
+                for t in cands[lead]:
+                    tiles = {**ext, lead: t}
+                    dim = _tensor_dim(layer, ext, drivers, tiles)
+                    per_cand.append(_dim_sums(dim, rels, {d: -(-ext[d] // tiles[d]) for d in drivers}))
+                memo[drivers, rels] = tuple(along(lead, col) for col in zip(*per_cand))
+            return memo[drivers, rels]
 
         # counts[r, p, t]: elements of operand OPERANDS[r] moved under
         # permutation p at flat (C-order) tiling t.
         counts = np.zeros((len(OPERANDS), len(self.permutations), self.n_tilings))
-        for pi, perm in enumerate(self.permutations):
-            pos = {d: i for i, d in enumerate(perm)}
-            for r, role in enumerate(OPERANDS):
-                drivers, static = operand_dims[role]
-                total = np.zeros(self.mesh_shape)
-                for lvl in perm:
-                    j = pos[lvl]
-                    inner_driver = any(pos[d] > j for d in drivers)
-                    if lvl not in drivers and not inner_driver:
-                        continue
-                    vol_new = np.full(self.mesh_shape, static)
-                    vol_ovl = np.full(self.mesh_shape, static)
-                    for d, key in drivers.items():
-                        if pos[d] < j:
-                            vol_new = vol_new * arr(key, "sum_all", d)
-                            vol_ovl = vol_ovl * arr(key, "sum_all", d)
-                        elif pos[d] == j:
-                            vol_new = vol_new * arr(key, "sum_adv_new", d)
-                            vol_ovl = vol_ovl * arr(key, "sum_adv_ovl", d)
-                        else:
-                            vol_new = vol_new * arr(key, "len_first", d)
-                            vol_ovl = vol_ovl * arr(key, "wrap_ovl", d)
-                    mult = np.ones(self.mesh_shape)
-                    for nd in MOVING_DIMS:
-                        if nd in drivers:
-                            continue
-                        if pos[nd] < j:
-                            mult = mult * iters[nd]
-                        elif pos[nd] == j:
-                            mult = mult * (iters[nd] - 1.0)
-                    total = total + mult * (vol_new - vol_ovl)
-                first = np.full(self.mesh_shape, static)
-                for d, key in drivers.items():
-                    first = first * arr(key, "len_first", d)
-                if self.count_first_load:
-                    total = total + first
-                else:
-                    moves = np.zeros(self.mesh_shape, dtype=bool)
-                    for d in drivers:
-                        moves |= np.broadcast_to(iters[d] > 1, self.mesh_shape)
-                    total = total + first * moves
-                counts[r, pi] = (total * self.layer.groups).ravel()
+        for r, role in enumerate(OPERANDS):
+            dims = OPERAND_DIMS[role]
+            first = math.prod(sums(dim, (INSIDE,) * len(dim))[0] for dim in dims)
+            if not self.count_first_load:
+                # A first load counts only if some loop moves the operand.
+                first = first * (math.prod(iters[d] for dim in dims for d in dim) > 1)
+            for pi, perm in enumerate(self.permutations):
+                levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels))
+                counts[r, pi].reshape(self.mesh_shape)[...] = (sum(levels) + first) * layer.groups
 
         # Nominal tile footprints in elements (capacity constraint side).
-        t_oc = np.asarray(self.candidates["oc"], dtype=np.float64).reshape(_axis_shape(0, self.mesh_shape[0]))
-        t_ic = np.asarray(self.candidates["ic"], dtype=np.float64).reshape(_axis_shape(1, self.mesh_shape[1]))
-        t_oh = np.asarray(self.candidates["oh"], dtype=np.float64).reshape(_axis_shape(2, self.mesh_shape[2]))
-        t_ow = np.asarray(self.candidates["ow"], dtype=np.float64).reshape(_axis_shape(3, self.mesh_shape[3]))
-        in_rows = (t_oh - 1.0) * layer.stride_h + ext["kh"]
-        in_cols = (t_ow - 1.0) * layer.stride_w + ext["kw"]
+        tiles = {d: along(d, cands[d]) for d in LOOP_DIMS}
         self.footprint_elems = {
-            "input": np.broadcast_to(t_ic * in_rows * in_cols, self.mesh_shape),
-            "output": np.broadcast_to(t_oc * t_oh * t_ow, self.mesh_shape),
-            "weight": np.broadcast_to(t_oc * t_ic * float(ext["kh"] * ext["kw"]), self.mesh_shape),
+            role: np.broadcast_to(elems, self.mesh_shape) for role, elems in _footprint_elems(layer, tiles).items()
         }
-        tile_volume = (t_oc * t_ic * t_oh * t_ow).ravel()
+        tile_volume = math.prod(tiles[d] for d in MOVING_DIMS).ravel()
 
         # Dominance pruning: at one tiling every permutation has the same
         # footprint, and bits are positive, so a permutation whose three

@@ -10,6 +10,7 @@ from bfpsearch.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    UsageError,
     main,
     run,
     sweep_alpha,
@@ -136,6 +137,20 @@ def test_cli_sweep_flag(tiny4_path, tmp_path):
     rc = main(base_args(tiny4_path, out, "--sweep"))
     assert rc == EXIT_OK
     assert sorted(os.listdir(out)) == ["sweep.csv", "sweep.json"]
+
+
+@pytest.mark.parametrize("sweep", [["--sweep"], ["--sweep-alpha", "0.2"]], ids="=".join)
+def test_sweep_with_layer_scope_is_usage_error(tiny4_path, tmp_path, capsys, sweep):
+    # A sweep row has one (se, bs) column pair, which a per-layer plan does not.
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), "--scope", "layer", *sweep))
+    assert rc == EXIT_USAGE
+    assert "--scope model" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    config = RunConfig(model_path=tiny4_path, mc_bits=65536.0, se_set=(2, 3, 4), bs_set=(2, 8),
+                       scope="layer", out_dir=str(tmp_path / "s"))
+    with pytest.raises(UsageError, match="--scope model"):
+        sweep_alpha(config, alphas=(0.2,))
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_empty_sweep_alpha_uses_default_values(tiny4_path, tmp_path):

@@ -1,8 +1,10 @@
-"""Golden guard: the benchmark's seed-0 stack20 outputs reproduce byte for byte.
+"""Golden guard: the benchmark's seed-0 outputs reproduce byte for byte.
 
-The inputs come from ``perfbench/workloads.py`` and the expected SHA-256
-digests from ``perfbench/golden.json``; both are only read.  The ResNet-50
-workload is left to the benchmark, as it takes too long for this suite.
+All three workloads run: model-scope stack20 with the proxy, the stack20
+alpha sweep over an accuracy table, and the layer-scope ResNet-50-shaped net,
+whose 23 distinct shapes make it the largest set of mapping tables.  The
+inputs come from ``perfbench/workloads.py`` and the expected SHA-256 digests
+from ``perfbench/golden.json``; both are only read.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ def golden_digests() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["stack20-proxy", "stack20-sweep-table"])
+@pytest.mark.parametrize("name", ["stack20-proxy", "stack20-sweep-table", "resnet50-layer-proxy"])
 def test_seed0_output_matches_golden_digest(tmp_path, name):
     workload = WORKLOADS[name]
     argv = workload.write_inputs(str(tmp_path), 0) + workload.flags() + ["--out", str(tmp_path / "out")]

@@ -3,11 +3,15 @@ pinned here against a per-element set-based reference simulator."""
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bfpsearch.dm import LOOP_DIMS, Mapping, dm_layer, iteration_counts, make_mapping, role_bits
+from bfpsearch.dm import LOOP_DIMS, OPERANDS, Mapping, dm_layer, iteration_counts, loop_extents, make_mapping, role_bits
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.oracle import CapacityError, simulate
+from bfpsearch.tiling import LayerMappingTable, default_permutations
 
 from conftest import small_layer, spec_triple
 
@@ -175,3 +179,60 @@ def test_oracle_equals_model_on_mixed_grid():
                 assert bd.dm_total_bits == sim.total_bits
                 pairs += 1
     assert pairs == 36
+
+
+@st.composite
+def small_layers(draw):
+    """Small layers with groups, strides up to above the kernel, padding up to
+    the kernel halo and extents that leave ragged final tiles."""
+    groups = draw(st.sampled_from((1, 1, 2)))
+    k_h, k_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return ConvLayer(
+        1,
+        c_in=groups * draw(st.integers(1, 3)),
+        c_out=groups * draw(st.integers(1, 3)),
+        i_h=draw(st.integers(k_h, 7)),
+        i_w=draw(st.integers(k_w, 7)),
+        k_h=k_h,
+        k_w=k_w,
+        stride_h=draw(st.integers(1, 4)),
+        stride_w=draw(st.integers(1, 4)),
+        pad_h=draw(st.integers(0, k_h - 1)),
+        pad_w=draw(st.integers(0, k_w - 1)),
+        groups=groups,
+    )
+
+
+BITS = (8.0, 8.0, 8.0)
+
+
+@settings(settings.get_profile("seeded"), max_examples=80)
+@given(small_layers(), st.data())
+def test_table_survivor_counts_match_simulator(layer, data):
+    # Independent of the level formula: every sampled survivor's per-role
+    # counts must equal the schedule simulator's transfers for its mapping.
+    perms = data.draw(st.permutations(default_permutations()))
+    perms = perms[: data.draw(st.integers(1, len(perms)))]
+    count_first_load = data.draw(st.booleans())
+    table = LayerMappingTable(layer, permutations=perms, count_first_load=count_first_load)
+    n = len(table._perm)
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=25, unique=True)):
+        tile_idx = np.unravel_index(table._flat[i], table.mesh_shape)
+        mapping = table.mapping_at(int(table._perm[i]), tile_idx)
+        sim = simulate(layer, mapping, BITS, count_first_load=count_first_load)
+        assert {role: table._traffic[role][i] for role in OPERANDS} == sim.transfer_elems
+
+
+@settings(settings.get_profile("seeded"), max_examples=80)
+@given(small_layers(), st.data())
+def test_dm_layer_matches_simulator_on_six_loop_orders(layer, data):
+    # Any order of all six loops, kernel loops tiled too.
+    ext = loop_extents(layer)
+    order = tuple(data.draw(st.permutations(LOOP_DIMS)))
+    tiles = tuple(data.draw(st.integers(1, ext[d])) for d in LOOP_DIMS)
+    count_first_load = data.draw(st.booleans())
+    mapping = Mapping(permutation=order, tiles=tiles)
+    bd = dm_layer(layer, mapping, BITS, count_first_load=count_first_load)
+    sim = simulate(layer, mapping, BITS, count_first_load=count_first_load)
+    assert bd.total_elems == sim.transfer_elems
+    assert bd.dm_total_bits == sim.total_bits
