@@ -151,17 +151,34 @@ def synthetic_sample(layer: ConvLayer, role: str, seed: int = SYNTHETIC_SEED) ->
     return rng.standard_normal(size)
 
 
+def _load_sample(what: str, path: str, volume: int) -> np.ndarray:
+    """One sample file, checked for its size before it is read and for
+    finite values after."""
+    try:
+        nbytes = os.path.getsize(path)
+    except OSError as exc:
+        raise AccuracyError(f"cannot read {what}: {exc}") from exc
+    if nbytes != 4 * volume:
+        raise AccuracyError(f"{what} has {nbytes} bytes, expected {volume} float32 values ({4 * volume} bytes)")
+    data = load_tensor_f32(path)
+    if not np.isfinite(data).all():
+        raise AccuracyError(f"{what} holds NaN or inf")
+    return data
+
+
 def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SYNTHETIC_SEED,
                   allow_synthetic: bool = True) -> dict:
     """Sample tensors for the proxy, one per role with data on disk, falling
-    back to fixed-seed synthetic tensors."""
+    back to fixed-seed synthetic tensors.  A sample file that cannot be read,
+    whose size does not match the operand volume or that holds NaN or inf
+    raises :class:`AccuracyError` naming the layer and the path."""
     samples = {}
     vol_in, _, vol_w = layer_volumes(layer)
     refs = {"input": (layer.input_sample, vol_in), "weight": (layer.weight_sample, vol_w)}
     for role, (ref, volume) in refs.items():
         if ref:
             path = os.path.join(model_dir, ref) if model_dir else ref
-            samples[role] = load_tensor_f32(path, shape=(volume,))
+            samples[role] = _load_sample(f"layer {layer.source_index} {role} sample {path}", path, volume)
         elif allow_synthetic:
             samples[role] = synthetic_sample(layer, role, seed=seed)
         else:
@@ -174,11 +191,12 @@ def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SY
 def normalized_mse(tensor: np.ndarray, spec: BfpSpec) -> float:
     """MSE of the encode/decode round trip, normalized by signal power."""
     arr = np.asarray(tensor, dtype=np.float64)
-    # The squared error is built in place in the fresh dequantized buffer.
+    # Power first, so its temporary is gone before the round trip; the
+    # squared error is built in place in the fresh dequantized buffer.
+    power = float(np.mean(arr * arr))
     err = quantize_dequantize(arr, spec)
     np.subtract(arr, err, out=err)
     np.square(err, out=err)
-    power = float(np.mean(arr * arr))
     if power == 0.0:
         return 0.0
     return float(np.mean(err)) / power

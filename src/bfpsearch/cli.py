@@ -124,7 +124,7 @@ def _candidate_space(config: RunConfig) -> CandidateSpace:
     return CandidateSpace(**kwargs)
 
 
-def _search_once(model, config: RunConfig, alpha: float, tables, samples_cache, acc_table):
+def _search_once(model, config: RunConfig, alpha: float, tables, acc_table):
     plan = search(
         model,
         _candidate_space(config),
@@ -133,7 +133,6 @@ def _search_once(model, config: RunConfig, alpha: float, tables, samples_cache, 
         loss_source=config.loss_source,
         mode=config.mode,
         acc_table=acc_table,
-        samples=samples_cache,
         tables=tables,
         energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
         count_first_load=config.count_first_load,
@@ -196,7 +195,7 @@ def run(config: RunConfig) -> tuple:
         raise UsageError("--loss-source table needs --acc-table")
 
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
-    plan = _search_once(model, config, config.alpha, tables, None, acc_table)
+    plan = _search_once(model, config, config.alpha, tables, acc_table)
 
     writer = _Writer(config.out_dir)
     try:
@@ -232,7 +231,7 @@ def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
     rows = []
     plans = []
     for alpha in alphas:
-        plan = _search_once(model, config, alpha, tables, None, acc_table)
+        plan = _search_once(model, config, alpha, tables, acc_table)
         plans.append(plan)
         first = plan.assignments[0]
         rows.append({

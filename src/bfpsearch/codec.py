@@ -332,12 +332,6 @@ def quantization_error(tensor, spec: BfpSpec, layout: str = "flat") -> QuantErro
     return QuantError(max_abs_error=float(np.max(np.abs(err))), mse=mse, sqnr_db=sqnr)
 
 
-def load_tensor_f32(path, shape=None) -> np.ndarray:
-    """Read a flat little-endian float32 file, optionally reshaping."""
-    data = np.fromfile(path, dtype="<f4").astype(np.float64)
-    if shape is not None:
-        expect = int(np.prod(shape))
-        if data.size != expect:
-            raise CodecError(f"{path}: has {data.size} float32 values, expected {expect} for shape {tuple(shape)}")
-        data = data.reshape(shape)
-    return data
+def load_tensor_f32(path) -> np.ndarray:
+    """Read a flat little-endian float32 file as float64."""
+    return np.fromfile(path, dtype="<f4").astype(np.float64)

@@ -279,9 +279,10 @@ def _candidate(config, hits) -> CandidateEval:
 
 def _acc_term(layer, config, specs, loss_source, samples, acc_table) -> float:
     """Raw accuracy term of one (layer, config) cell: the proxy's normalized
-    MSE or the table's per-layer entry, keyed by the model file's layer index."""
+    MSE over the layer's ``samples`` or the table's per-layer entry, keyed by
+    the model file's layer index."""
     if loss_source == "proxy":
-        return proxy_layer_loss(layer, specs, samples[layer.index])
+        return proxy_layer_loss(layer, specs, samples)
     key = (layer.source_index,) + tuple(config)
     if key not in acc_table.layer_entries:
         raise AccuracyError(
@@ -298,7 +299,6 @@ def search(
     loss_source: str = "proxy",
     mode: str = "full",
     acc_table: AccuracyTable | None = None,
-    samples: dict | None = None,
     tables: dict | None = None,
     energy_params: EnergyParams = EnergyParams(),
     count_first_load: bool = True,
@@ -313,7 +313,9 @@ def search(
     both loss terms are additive over layers and either term's joint maximum
     separates into per-layer maxima.  Layer sample references resolve against
     ``sample_dir`` (usually the model file's directory); layers without
-    samples fall back to fixed-seed synthetic ones.
+    samples fall back to fixed-seed synthetic ones.  Samples are built after
+    every cell has been queried, one layer at a time, and each layer's are
+    freed before the next layer's are built.
     """
     if mode not in MODES:
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
@@ -336,9 +338,6 @@ def search(
 
     if tables is None:
         tables = build_mapping_tables(model, count_first_load=count_first_load, jobs=jobs)
-    if loss_source == "proxy" and samples is None:
-        seed_kw = {} if seed is None else {"seed": seed}
-        samples = {layer.index: layer_samples(layer, model_dir=sample_dir, **seed_kw) for layer in model.layers}
 
     configs = list(space.configs())
     specs = [specs_for_config(config) for config in configs]
@@ -360,19 +359,28 @@ def search(
                 f"layer {model.layers[i].index}: every candidate is infeasible" if space.scope == "layer"
                 else "every candidate is infeasible under the memory capacity"
             )
+
+    # Raw accuracy terms acc[i][j] of the cells the selection can pick, one
+    # layer at a time: a layer's proxy samples live only while its row is scored.
+    acc = [{} for _ in model.layers]
+    if space.scope == "layer" or loss_source == "proxy":
+        seed_kw = {} if seed is None else {"seed": seed}
+        for i, layer in enumerate(model.layers):
+            samples = layer_samples(layer, model_dir=sample_dir, **seed_kw) if loss_source == "proxy" else None
+            row = groups[i] if space.scope == "layer" else groups[0]
+            acc[i] = {j: _acc_term(layer, configs[j], specs[j], loss_source, samples, acc_table)
+                      for j, c in enumerate(row) if c.feasible}
+            del samples  # before the next layer's are built
+    for i, group in enumerate(groups):
         for j, c in enumerate(group):
             if not c.feasible:
                 continue
             if space.scope == "layer":
-                acc = _acc_term(model.layers[i], configs[j], specs[j], loss_source, samples, acc_table)
-                c.raw_acc = weights[i] / wsum * acc
+                c.raw_acc = weights[i] / wsum * acc[i][j]
             elif loss_source == "table":
                 c.raw_acc = lookup_acc_loss(acc_table, configs[j], model=model, compose=True)
             else:
-                c.raw_acc = sum(
-                    w * _acc_term(layer, configs[j], specs[j], loss_source, samples, acc_table)
-                    for layer, w in zip(model.layers, weights)
-                ) / wsum
+                c.raw_acc = sum(w * acc[k][j] for k, w in enumerate(weights)) / wsum
 
     # Both normalizers separate into per-group maxima.
     feasible = [[c for c in group if c.feasible] for group in groups]

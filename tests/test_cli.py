@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bfpsearch.cli import (
@@ -207,10 +208,9 @@ def test_failed_write_rolls_back_outputs(tiny4_path, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_summary_text", real)
 
 
-def test_sample_files_resolve_relative_to_model(tmp_path):
-    import numpy as np
-
-    model_text = """format_version 1
+def write_sampled_model(tmp_path, act, weight):
+    """A one-layer model whose input and weight samples are files next to it."""
+    (tmp_path / "m.model").write_text("""format_version 1
 model sampled
 layer 1
   c_in 1
@@ -219,14 +219,36 @@ layer 1
   kernel 3 3
   input_sample act.f32
   weight_sample w.f32
-"""
-    (tmp_path / "m.model").write_text(model_text)
-    (tmp_path / "act.f32").write_bytes(np.linspace(-1, 1, 36).astype("<f4").tobytes())
-    (tmp_path / "w.f32").write_bytes(np.linspace(-0.5, 0.5, 9).astype("<f4").tobytes())
-    out = str(tmp_path / "out")
-    rc = main(["--model", str(tmp_path / "m.model"), "--se", "2,3", "--bs", "2,8",
-               "--mc", "65536", "--out", out])
-    assert rc == EXIT_OK
+""")
+    (tmp_path / "act.f32").write_bytes(np.asarray(act, dtype="<f4").tobytes())
+    (tmp_path / "w.f32").write_bytes(np.asarray(weight, dtype="<f4").tobytes())
+    return ["--model", str(tmp_path / "m.model"), "--se", "2,3", "--bs", "2,8",
+            "--mc", "65536", "--out", str(tmp_path / "out")]
+
+
+def test_sample_files_resolve_relative_to_model(tmp_path):
+    argv = write_sampled_model(tmp_path, np.linspace(-1, 1, 36), np.linspace(-0.5, 0.5, 9))
+    assert main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize("act, fault", [
+    (np.r_[np.linspace(-1, 1, 35), np.nan], "NaN or inf"),
+    (np.r_[np.linspace(-1, 1, 35), -np.inf], "NaN or inf"),
+    (np.linspace(-1, 1, 35), "expected 36 float32 values"),
+], ids=["nan", "inf", "short"])
+def test_bad_sample_file_is_io_error_naming_layer_and_path(tmp_path, capsys, act, fault):
+    argv = write_sampled_model(tmp_path, act, np.linspace(-0.5, 0.5, 9))
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "layer 1 input sample" in err and "act.f32" in err and fault in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infeasible_run_reads_no_sample_file(tmp_path, capsys):
+    argv = write_sampled_model(tmp_path, np.linspace(-1, 1, 36), np.linspace(-0.5, 0.5, 9))
+    os.remove(tmp_path / "act.f32")
+    argv[argv.index("--mc") + 1] = "8"
+    assert main(argv) == EXIT_INFEASIBLE
 
 
 def test_literal_reuse_flag(tiny4_path, tmp_path):

@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from bfpsearch import accuracy
 from bfpsearch.accuracy import loads_table, proxy_layer_loss, synthetic_sample
+from bfpsearch.dm import role_bits
 from bfpsearch.model import ModelDesc, layer_volumes, loads_model
 from bfpsearch.search import (
     CandidateEval,
@@ -234,7 +237,7 @@ def test_decompose_matches_joint_exhaustive(tiny4):
                for l in tiny4.layers}
     tables = build_mapping_tables(tiny4)
     best, obj = joint_exhaustive(tiny4, space, alpha, MC, samples, tables)
-    plan = search(tiny4, small_space("layer"), alpha=alpha, mc_bits=MC, samples=samples, tables=tables)
+    plan = search(tiny4, small_space("layer"), alpha=alpha, mc_bits=MC, tables=tables)
     assert tuple(a.config for a in plan.assignments) == best
     assert plan.objective == pytest.approx(obj, rel=1e-12)
 
@@ -354,3 +357,53 @@ def test_table_rows_follow_file_layer_index_after_skipped_block(scope):
         w1, w2 = (float(layer_volumes(l)[1]) for l in model.layers)
         se, bs, _ = plan.assignments[0].config
         assert plan.acc_loss == pytest.approx((w1 * POOL_LOSSES[1](se, bs) + w2 * POOL_LOSSES[3](se, bs)) / (w1 + w2))
+
+
+def test_proxy_holds_one_layers_samples_at_a_time():
+    # Eight identical layers; each one's input and weight samples are
+    # (64*32*32 + 64*64*3*3) float64 values = 0.78 MiB.  Holding every
+    # layer's samples at once would be eight times that.
+    layer = small_layer(c_in=64, c_out=64, i_h=32, i_w=32, pad_h=1, pad_w=1)
+    model = ModelDesc(name="eight", layers=[replace(layer, index=i) for i in range(1, 9)])
+    vol_in, _, vol_w = layer_volumes(layer)
+    layer_bytes = 8 * (vol_in + vol_w)
+    tables = build_mapping_tables(model)
+    # NumPy imports numpy.random on first use, which the bound should not count.
+    import numpy.random  # noqa: F401
+    for scope in ("model", "layer"):
+        space = CandidateSpace(total_bits=8, se_set=(3, 5), bs_set=(8, 32), scope=scope)
+        tracemalloc.start()
+        try:
+            search(model, space, alpha=0.2, mc_bits=2.0 ** 21, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * layer_bytes, (scope, peak / layer_bytes)
+
+
+def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
+    # (se 4, bs 8) fits every layer; (se 2, bs 8) has more bits per element
+    # and misses the capacity on the last, larger-kernel layer only.
+    layers = [small_layer(index=i, c_in=2, c_out=2) for i in (1, 2, 3)]
+    layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
+    model = ModelDesc(name="edge", layers=layers)
+    tables = build_mapping_tables(model)
+    wide, narrow = specs_for_config((2, 8, 8)), specs_for_config((4, 8, 8))
+    mc = float(tables[4].footprint_bits(role_bits(layers[-1], narrow)).min())
+    assert tables[4].query(wide, mc) is None and tables[4].query(narrow, mc) is not None
+    assert all(tables[i].query(wide, mc) is not None for i in (1, 2, 3))
+
+    calls = []
+    qdq = accuracy.quantize_dequantize
+
+    def counting(tensor, spec):
+        calls.append(spec)
+        return qdq(tensor, spec)
+
+    monkeypatch.setattr(accuracy, "quantize_dequantize", counting)
+    space = CandidateSpace(total_bits=8, se_set=(2, 4), bs_set=(8,))
+    search(model, space, alpha=0.2, mc_bits=mc, tables=tables)
+    assert len(calls) == 2 * len(layers) * 1  # roles x layers x fully feasible configs
+    calls.clear()
+    search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
+    assert len(calls) == 2 * (2 * len(layers) - 1)  # roles x feasible cells
