@@ -31,7 +31,7 @@ from .accuracy import (
     proxy_layer_loss,
 )
 from .codec import BfpSpec
-from .dm import OPERANDS, dm_layer
+from .dm import OPERANDS
 from .energy import EnergyParams, energy, normalized_energy
 from .model import ModelDesc, layer_volumes
 from .tiling import InfeasibleError, LayerMappingTable
@@ -338,6 +338,11 @@ def search(
 
     if tables is None:
         tables = build_mapping_tables(model, count_first_load=count_first_load, jobs=jobs)
+    elif any(tables[layer.index].count_first_load != count_first_load for layer in model.layers):
+        raise SearchError(
+            f"mapping tables were built with count_first_load={not count_first_load}, "
+            f"the search asks for {count_first_load}"
+        )
 
     configs = list(space.configs())
     specs = [specs_for_config(config) for config in configs]
@@ -412,7 +417,7 @@ def search(
             config=c.config,
             specs=specs[j],
             mapping=row[j][0],
-            breakdown=dm_layer(layer, row[j][0], specs[j], count_first_load=count_first_load),
+            breakdown=tables[layer.index].breakdown(row[j][0], specs[j]),
         ))
     plan = QuantPlan(
         model_name=model.name,
@@ -430,11 +435,11 @@ def search(
         plan.candidates = [c.row() for c in groups[0]]
         if mode == "pareto":
             plan.pareto = [c.row() for c in pareto_frontier(feasible[0])]
-    _attach_energy(plan, model, tables, mc_bits, energy_params, count_first_load)
+    _attach_energy(plan, model, tables, mc_bits, energy_params)
     return plan
 
 
-def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params, count_first_load):
+def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
     """Energy for the plan plus the unquantized 32-bit baseline under the
     same mapping optimizer."""
     plan.energy_report = energy(
@@ -447,7 +452,6 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params, count
         if hit is None:
             plan.baseline_energy_report = None
             return
-        mapping, _dm_bits, _ = hit
-        baseline_rows.append((dm_layer(layer, mapping, bits32, count_first_load=count_first_load), bits32))
+        baseline_rows.append((tables[layer.index].breakdown(hit[0], bits32), bits32))
     plan.baseline_energy_report = energy(model, baseline_rows, energy_params)
     normalized_energy(plan.energy_report, plan.baseline_energy_report, baseline_name="original")

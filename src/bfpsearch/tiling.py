@@ -15,6 +15,16 @@ earlier permutation at the same tiling dominates in all three traffic counts
 can never win, so they are pruned at build time; the survivors are stored in
 tie-break order, and a query is one masked ``np.argmin`` over them that
 returns the true optimum of the candidate set.
+
+A table also memoizes its answers for its lifetime (one CLI run, or one
+alpha sweep over all its alphas).  A query's answer depends only on the
+three effective bitwidths and the capacity, so the survivors are weighed once
+per distinct (bits, capacity); spec triples that are different objects but
+share bits hit the same entry.  The traffic breakdown of a winning mapping is
+likewise computed once per distinct (mapping, bits).  Every caller gets the
+same objects, so they are read-only: a query answer is a tuple of a frozen
+``Mapping`` and two floats, and nothing changes a ``DmBreakdown`` after
+``finalize``.
 """
 
 from __future__ import annotations
@@ -123,6 +133,8 @@ class LayerMappingTable:
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
         self._build()
+        self._answers = {}  # (input, output, weight bits, mc_bits) -> query's answer
+        self._breakdowns = {}  # (mapping, input, output, weight bits) -> DmBreakdown
 
     # -- construction -------------------------------------------------------
 
@@ -209,8 +221,20 @@ class LayerMappingTable:
         return make_mapping(self.layer, self.tiles_at(tile_idx), order=self.permutations[perm_idx])
 
     def query(self, specs, mc_bits: float):
-        """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible."""
+        """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible.
+
+        The specs are validated on every call; the survivors are weighed only
+        the first time the table sees their effective bits with ``mc_bits``.
+        """
+        if not mc_bits > 0:
+            raise MappingError(f"memory capacity must be positive, got {mc_bits}")
         bits = role_bits(self.layer, specs)
+        key = (*(bits[r] for r in OPERANDS), mc_bits)
+        if key not in self._answers:
+            self._answers[key] = self._weigh_survivors(bits, mc_bits)
+        return self._answers[key]
+
+    def _weigh_survivors(self, bits: dict, mc_bits: float):
         foot = _weigh(self._footprint, bits)
         dm = np.where(foot <= mc_bits, _weigh(self._traffic, bits), np.inf)
         best = int(np.argmin(dm))
@@ -218,6 +242,15 @@ class LayerMappingTable:
             return None
         tile_idx = np.unravel_index(self._flat[best], self.mesh_shape)
         return self.mapping_at(int(self._perm[best]), tile_idx), float(dm[best]), float(foot[best])
+
+    def breakdown(self, mapping: Mapping, specs):
+        """``dm_layer`` of the table's layer under ``mapping`` and the table's
+        first-load accounting, computed once per distinct (mapping, bits)."""
+        bits = role_bits(self.layer, specs)
+        key = (mapping, *(bits[r] for r in OPERANDS))
+        if key not in self._breakdowns:
+            self._breakdowns[key] = dm_layer(self.layer, mapping, specs, count_first_load=self.count_first_load)
+        return self._breakdowns[key]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +296,6 @@ def optimize_layer(
     hit = table.query(specs, mc_bits)
     if hit is None:
         raise InfeasibleError(f"no candidate mapping fits {mc_bits} bits for layer {layer.index}")
-    mapping, dm_bits_val, foot = hit
-    breakdown = dm_layer(layer, mapping, specs, count_first_load=count_first_load)
+    mapping, _dm_bits, foot = hit
+    breakdown = table.breakdown(mapping, specs)
     return TilingChoice(mapping=mapping, breakdown=breakdown, footprint_bits=foot, dm_bits=breakdown.dm_total_bits)

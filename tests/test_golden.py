@@ -4,7 +4,9 @@ All three workloads run: model-scope stack20 with the proxy, the stack20
 alpha sweep over an accuracy table, and the layer-scope ResNet-50-shaped net,
 whose 23 distinct shapes make it the largest set of mapping tables.  The
 inputs come from ``perfbench/workloads.py`` and the expected SHA-256 digests
-from ``perfbench/golden.json``; both are only read.
+from ``perfbench/golden.json``; both are only read.  The sweep also guards
+the mapping tables' memo: every pinned ``query`` call still happens, but the
+survivors are weighed and the breakdowns computed once per distinct answer.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import sys
 
 import pytest
 
-from bfpsearch import cli
+from bfpsearch import cli, tiling
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -26,17 +28,44 @@ def golden_digests() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["stack20-proxy", "stack20-sweep-table", "resnet50-layer-proxy"])
-def test_seed0_output_matches_golden_digest(tmp_path, name):
-    workload = WORKLOADS[name]
+def run_seed0(tmp_path, workload) -> dict:
+    """One CLI operation of the workload on its seed-0 inputs; its output paths."""
     argv = workload.write_inputs(str(tmp_path), 0) + workload.flags() + ["--out", str(tmp_path / "out")]
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     if workload.sweep:
         code, outputs, _rows = cli.sweep_alpha(config, config.sweep_alphas)
-        digested = outputs["sweep_csv"]
     else:
         code, outputs = cli.run(config)
-        digested = outputs["plan"]
     assert code == cli.EXIT_OK
+    return outputs
+
+
+@pytest.mark.parametrize("name", ["stack20-proxy", "stack20-sweep-table", "resnet50-layer-proxy"])
+def test_seed0_output_matches_golden_digest(tmp_path, name):
+    workload = WORKLOADS[name]
+    outputs = run_seed0(tmp_path, workload)
+    digested = outputs["sweep_csv" if workload.sweep else "plan"]
     with open(digested, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == golden_digests()[name]["0"]
+
+
+def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
+    # The sweep queries its 820-cell grid (20 layers x 40 configs + 20
+    # baselines) once per alpha: 5,740 calls, the count perfbench pins.  Only
+    # 246 are distinct (6 shapes x 41 bit triples), and each weighs the
+    # survivors twice (footprint, traffic); 24 winners are distinct.
+    calls = {"query": 0, "weigh": 0, "dm_layer": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(tiling.LayerMappingTable, "query", counting("query", tiling.LayerMappingTable.query))
+    monkeypatch.setattr(tiling, "_weigh", counting("weigh", tiling._weigh))
+    monkeypatch.setattr(tiling, "dm_layer", counting("dm_layer", tiling.dm_layer))
+    workload = WORKLOADS["stack20-sweep-table"]
+    run_seed0(tmp_path, workload)
+    assert workload.query_calls == 5740
+    assert calls == {"query": 5740, "weigh": 2 * 246, "dm_layer": 24}

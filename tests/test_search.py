@@ -8,7 +8,7 @@ import pytest
 from bfpsearch import accuracy
 from bfpsearch.accuracy import loads_table, proxy_layer_loss, synthetic_sample
 from bfpsearch.dm import role_bits
-from bfpsearch.model import ModelDesc, layer_volumes, loads_model
+from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes, loads_model
 from bfpsearch.search import (
     CandidateEval,
     CandidateSpace,
@@ -282,6 +282,21 @@ def test_identical_shapes_share_one_table():
     assert tables[1] is tables[2] is tables[4]
     assert tables[3] is tables[6]
     assert len({id(t) for t in tables.values()}) == 3
+
+
+def test_tables_with_other_first_load_accounting_are_rejected():
+    # Tables that count first loads, under a search that does not: the plan
+    # reported dm_sum_bits 9367.0 while its layers' breakdowns summed to 0.0.
+    model = ModelDesc(name="two", layers=[
+        ConvLayer(1, 8, 8, 4, 4, 1, 1),
+        ConvLayer(2, 8, 16, 4, 4, 3, 3, pad_h=1, pad_w=1),
+    ])
+    space = CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,))
+    with pytest.raises(SearchError, match="count_first_load"):
+        search(model, space, mc_bits=1e9, tables=build_mapping_tables(model), count_first_load=False)
+    tables = build_mapping_tables(model, count_first_load=False)
+    plan = search(model, space, mc_bits=4096.0, tables=tables, count_first_load=False)
+    assert plan.dm_sum_bits == sum(a.breakdown.dm_total_bits for a in plan.assignments) > 0
 
 
 def test_shared_tables_parallel_build_matches_serial():

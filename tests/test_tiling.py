@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfpsearch.dm import dm_layer, loop_extents, make_mapping, role_bits, tile_footprint_elems
+from bfpsearch.dm import OPERANDS, MappingError, dm_layer, loop_extents, make_mapping, role_bits, tile_footprint_elems
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
     MOVING_DIMS,
@@ -184,12 +184,12 @@ def test_table_query_matches_scalar_breakdowns():
 
 
 @st.composite
-def query_cases(draw):
+def small_convs(draw):
     groups = draw(st.sampled_from((1, 1, 2)))
     k = draw(st.integers(1, 3))
     stride = draw(st.integers(1, 2))
     pad = draw(st.integers(0, (k - 1) // 2))
-    layer = ConvLayer(
+    return ConvLayer(
         1,
         c_in=groups * draw(st.integers(1, 4)),
         c_out=groups * draw(st.integers(1, 4)),
@@ -203,6 +203,11 @@ def query_cases(draw):
         pad_w=pad,
         groups=groups,
     )
+
+
+@st.composite
+def query_cases(draw):
+    layer = draw(small_convs())
     if draw(st.booleans()):
         qb = draw(st.sampled_from((8, 16)))
         se = draw(st.integers(2, 5))
@@ -238,3 +243,47 @@ def test_pruning_survivor_count_on_stack20_shape():
     table = LayerMappingTable(ConvLayer(1, 16, 16, 32, 32, 3, 3, pad_h=1, pad_w=1))
     assert len(table.permutations) * table.n_tilings == 117_600
     assert len(table._perm) == 16_643
+
+
+@pytest.mark.parametrize("mc", [math.nan, 0.0, -1.0])
+def test_query_rejects_nan_or_nonpositive_capacity(mc):
+    table = LayerMappingTable(small_layer())
+    with pytest.raises(MappingError):
+        table.query(spec_triple(), mc)
+
+
+@st.composite
+def query_sequences(draw):
+    """One layer, a few spec triples and capacities, and a random sequence of
+    (triple, capacity) picks with repeats and interleaving.  Each BFP triple
+    comes with a plain-float triple of its effective bits: different objects,
+    the same answer."""
+    layer = draw(small_convs())
+    triples = []
+    for se, bs in draw(st.lists(st.tuples(st.integers(2, 5), st.sampled_from((1, 2, 4, 8))),
+                                min_size=1, max_size=3)):
+        bfp = spec_triple(qb=8, se=se, bs=bs)
+        bits = role_bits(layer, bfp)
+        triples += [bfp, tuple(bits[r] for r in OPERANDS)]
+    triples.append((32.0, 32.0, 32.0))
+    foot = LayerMappingTable(layer).footprint_bits(role_bits(layer, triples[0]))
+    lo, hi = math.log(foot.min() / 2), math.log(foot.max() * 2)
+    capacities = [math.exp(lo + f * (hi - lo)) for f in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))]
+    picks = draw(st.lists(st.tuples(st.sampled_from(triples), st.sampled_from(capacities)), min_size=1, max_size=10))
+    return layer, picks, draw(st.booleans())
+
+
+@settings(settings.get_profile("seeded"), max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(query_sequences())
+def test_memoized_answers_match_fresh_tables(case):
+    layer, picks, count_first_load = case
+    table = LayerMappingTable(layer, count_first_load=count_first_load)
+    for specs, mc_bits in picks:
+        hit = table.query(specs, mc_bits)
+        assert hit == LayerMappingTable(layer, count_first_load=count_first_load).query(specs, mc_bits)
+        if hit is not None:
+            direct = dm_layer(layer, hit[0], specs, count_first_load=count_first_load)
+            assert table.breakdown(hit[0], specs).to_record() == direct.to_record()
+    # One weighing per distinct (bits, capacity), whatever objects carried the bits.
+    keys = {(*(role_bits(layer, specs)[r] for r in OPERANDS), mc_bits) for specs, mc_bits in picks}
+    assert len(table._answers) == len(keys)
