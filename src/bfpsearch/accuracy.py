@@ -188,12 +188,23 @@ def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SY
     return samples
 
 
-def normalized_mse(tensor: np.ndarray, spec: BfpSpec) -> float:
-    """MSE of the encode/decode round trip, normalized by signal power."""
+def signal_power(tensor: np.ndarray) -> float:
+    """Mean square of a sample: the normalizer of its round-trip MSE."""
+    arr = np.asarray(tensor, dtype=np.float64)
+    return float(np.mean(arr * arr))
+
+
+def normalized_mse(tensor: np.ndarray, spec: BfpSpec, power: float | None = None) -> float:
+    """MSE of the encode/decode round trip, normalized by signal power.
+
+    ``power`` is the tensor's :func:`signal_power`, for callers that score one
+    sample under many specs; it is computed here when not given.
+    """
     arr = np.asarray(tensor, dtype=np.float64)
     # Power first, so its temporary is gone before the round trip; the
     # squared error is built in place in the fresh dequantized buffer.
-    power = float(np.mean(arr * arr))
+    if power is None:
+        power = signal_power(arr)
     err = quantize_dequantize(arr, spec)
     np.subtract(arr, err, out=err)
     np.square(err, out=err)
@@ -202,14 +213,18 @@ def normalized_mse(tensor: np.ndarray, spec: BfpSpec) -> float:
     return float(np.mean(err)) / power
 
 
-def proxy_layer_loss(layer: ConvLayer, specs, samples: dict) -> float:
-    """Mean normalized round-trip MSE over the roles with samples."""
+def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None = None) -> float:
+    """Mean normalized round-trip MSE over the roles with samples.
+
+    ``powers`` maps each role to its sample's :func:`signal_power`, computed
+    once per layer by callers that score the layer under many configs.
+    """
     spec_by_role = {s.role: s for s in specs if isinstance(s, BfpSpec)}
     losses = []
     for role, tensor in sorted(samples.items()):
         if role not in spec_by_role:
             continue
-        losses.append(normalized_mse(tensor, spec_by_role[role]))
+        losses.append(normalized_mse(tensor, spec_by_role[role], None if powers is None else powers[role]))
     if not losses:
         raise AccuracyError(f"no usable samples for layer {layer.index}")
     return float(np.mean(losses))

@@ -77,8 +77,8 @@ class RunConfig:
             "mode": self.mode,
             "loss_source": self.loss_source,
             "acc_table_path": self.acc_table_path,
-            "se_set": list(self.se_set) if self.se_set else None,
-            "bs_set": list(self.bs_set) if self.bs_set else None,
+            "se_set": list(self.se_set) if self.se_set is not None else None,
+            "bs_set": list(self.bs_set) if self.bs_set is not None else None,
             "scope": self.scope,
             "seed": self.seed,
             "count_first_load": self.count_first_load,
@@ -117,9 +117,9 @@ class _Writer:
 
 def _candidate_space(config: RunConfig) -> CandidateSpace:
     kwargs = {"total_bits": config.total_bits, "scope": config.scope}
-    if config.se_set:
+    if config.se_set is not None:
         kwargs["se_set"] = config.se_set
-    if config.bs_set:
+    if config.bs_set is not None:
         kwargs["bs_set"] = config.bs_set
     return CandidateSpace(**kwargs)
 
@@ -322,6 +322,8 @@ def config_from_args(args) -> RunConfig:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
     if not (math.isfinite(args.mc) and args.mc > 0):
         raise UsageError(f"--mc must be finite and positive, got {args.mc}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.sweep_alpha is not None:
         sweep_alphas = args.sweep_alpha or DEFAULT_SWEEP_ALPHAS
     else:
@@ -333,7 +335,7 @@ def config_from_args(args) -> RunConfig:
         EnergyParams(args.e_sram, args.e_dram)
     except EnergyError as exc:
         raise UsageError(f"--e-sram/--e-dram: {exc}")
-    return RunConfig(
+    config = RunConfig(
         model_path=args.model,
         total_bits=args.qb,
         alpha=args.alpha,
@@ -353,6 +355,8 @@ def config_from_args(args) -> RunConfig:
         sram_pj_per_bit=args.e_sram,
         dram_pj_per_bit=args.e_dram,
     )
+    _candidate_space(config)  # an empty --se or --bs fails here, before any table is built
+    return config
 
 
 def main(argv=None) -> int:

@@ -139,7 +139,10 @@ def role_bits(layer: ConvLayer, specs) -> dict:
 # Every operand footprint is a box: a product of integer intervals, one per
 # tensor dimension.  Each tensor dimension is driven by one loop (partition
 # dims) or by an output loop plus a kernel loop (input rows/cols, which slide
-# by the stride and carry the kernel halo).
+# by the stride and carry the kernel halo).  A dim's ``interval`` takes one
+# position with the builtin ``max`` and ``min`` (one mapping), or arrays of
+# positions and tiles with ``np.maximum`` and ``np.minimum`` (every tile
+# candidate of a mapping table at once): one formula serves both.
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,9 @@ class _PartDim:
     def drivers(self):
         return (self.driver,)
 
-    def interval(self, pos):
+    def interval(self, pos, maximum=max, minimum=min):
         a = pos[0] * self.tile
-        return a, min(a + self.tile, self.extent)
+        return a, minimum(a + self.tile, self.extent)
 
 
 @dataclass(frozen=True)
@@ -181,15 +184,15 @@ class _ConvDim:
     def drivers(self):
         return (self.out_driver, self.k_driver)
 
-    def interval(self, pos):
+    def interval(self, pos, maximum=max, minimum=min):
         po, pk = pos
         o_lo = po * self.out_tile
-        o_len = min(self.out_tile, self.out_extent - o_lo)
+        o_len = minimum(self.out_tile, self.out_extent - o_lo)
         k_lo = pk * self.k_tile
-        k_len = min(self.k_tile, self.k_extent - k_lo)
+        k_len = minimum(self.k_tile, self.k_extent - k_lo)
         a = o_lo * self.stride + k_lo - self.pad
         b = a + (o_len - 1) * self.stride + k_len
-        return max(a, 0), min(b, self.extent)
+        return maximum(a, 0), minimum(b, self.extent)
 
 
 def _iv_len(iv):
@@ -418,7 +421,7 @@ def _dim_sums(dim, rels, iters):
     return new_len, overlap
 
 
-def level_traffic(perm, drivers, iters, sums) -> list:
+def level_traffic(perm, drivers, iters, sums, terms=None) -> list:
     """Elements one operand moves at each level of the loop order ``perm``
     (first load excluded).
 
@@ -432,13 +435,24 @@ def level_traffic(perm, drivers, iters, sums) -> list:
     driver iterates more than once, leaves the footprint unchanged: it moves
     0 and is skipped.  An array of counts is taken to iterate; where it
     holds 1 its levels come out 0.
+
+    A level's term depends only on the set of loops outside it and on its
+    own loop: they fix the outer non-movers' iterations, each driver's place
+    and the skip rule.  A caller that runs many orders of one operand over
+    the same ``iters`` and ``sums`` (a mapping table) passes one ``terms``
+    dict for them, keyed by (that set, the level loop), and each distinct
+    term is computed once; exact integer products make the term independent
+    of the order the outer loops come in.
     """
-    pos = {d: i for i, d in enumerate(perm)}
     movers = {d for dim in drivers for d in dim}
     iterating = {d for d in perm if not isinstance(iters[d], int) or iters[d] > 1}
     levels = [0] * len(perm)
     for j, lvl in enumerate(perm):
-        if lvl not in iterating or all(pos[d] < j for d in movers & iterating):
+        outer = frozenset(perm[:j])
+        if lvl not in iterating or movers & iterating <= outer:
+            continue
+        if terms is not None and (outer, lvl) in terms:
+            levels[j] = terms[outer, lvl]
             continue
         mult = 1
         for other in perm[:j]:
@@ -448,11 +462,13 @@ def level_traffic(perm, drivers, iters, sums) -> list:
             mult = mult * (iters[lvl] - 1)
         vol_new = vol_ovl = 1
         for k, dim in enumerate(drivers):
-            rels = tuple((pos[d] > j) - (pos[d] < j) for d in dim)  # OUTSIDE, ADVANCING or INSIDE
+            rels = tuple(OUTSIDE if d in outer else ADVANCING if d == lvl else INSIDE for d in dim)
             new_len, overlap = sums(k, rels)
             vol_new = vol_new * new_len
             vol_ovl = vol_ovl * overlap
         levels[j] = mult * (vol_new - vol_ovl)
+        if terms is not None:
+            terms[outer, lvl] = levels[j]
     return levels
 
 

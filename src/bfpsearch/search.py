@@ -29,6 +29,7 @@ from .accuracy import (
     layer_samples,
     lookup_acc_loss,
     proxy_layer_loss,
+    signal_power,
 )
 from .codec import BfpSpec
 from .dm import OPERANDS
@@ -277,12 +278,13 @@ def _candidate(config, hits) -> CandidateEval:
     return CandidateEval(config=config, feasible=True, dm_sum_bits=sum(hit[1] for hit in hits))
 
 
-def _acc_term(layer, config, specs, loss_source, samples, acc_table) -> float:
+def _acc_term(layer, config, specs, loss_source, samples, powers, acc_table) -> float:
     """Raw accuracy term of one (layer, config) cell: the proxy's normalized
-    MSE over the layer's ``samples`` or the table's per-layer entry, keyed by
-    the model file's layer index."""
+    MSE over the layer's ``samples`` (whose signal ``powers`` are computed
+    once per layer) or the table's per-layer entry, keyed by the model file's
+    layer index."""
     if loss_source == "proxy":
-        return proxy_layer_loss(layer, specs, samples)
+        return proxy_layer_loss(layer, specs, samples, powers)
     key = (layer.source_index,) + tuple(config)
     if key not in acc_table.layer_entries:
         raise AccuracyError(
@@ -327,6 +329,8 @@ def search(
         raise SearchError(f"memory capacity (bits) must be finite and positive, got {mc_bits}")
     if loss_source == "table" and acc_table is None:
         raise SearchError("loss_source='table' needs an accuracy table")
+    if seed is not None and seed < 0:
+        raise SearchError(f"seed must be >= 0, got {seed}")
     if space.scope == "layer":
         if mode != "full":
             raise SearchError("per-layer scope supports only the full trade-off mode")
@@ -371,9 +375,12 @@ def search(
     if space.scope == "layer" or loss_source == "proxy":
         seed_kw = {} if seed is None else {"seed": seed}
         for i, layer in enumerate(model.layers):
-            samples = layer_samples(layer, model_dir=sample_dir, **seed_kw) if loss_source == "proxy" else None
+            samples = powers = None
+            if loss_source == "proxy":
+                samples = layer_samples(layer, model_dir=sample_dir, **seed_kw)
+                powers = {role: signal_power(tensor) for role, tensor in samples.items()}
             row = groups[i] if space.scope == "layer" else groups[0]
-            acc[i] = {j: _acc_term(layer, configs[j], specs[j], loss_source, samples, acc_table)
+            acc[i] = {j: _acc_term(layer, configs[j], specs[j], loss_source, samples, powers, acc_table)
                       for j, c in enumerate(row) if c.feasible}
             del samples  # before the next layer's are built
     for i, group in enumerate(groups):

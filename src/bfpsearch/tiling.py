@@ -16,6 +16,21 @@ can never win, so they are pruned at build time; the survivors are stored in
 tie-break order, and a query is one masked ``np.argmin`` over them that
 returns the true optimum of the candidate set.
 
+The build does each distinct piece of that arithmetic once:
+
+* A tensor dim's summed interval lengths and overlaps are computed for
+  every tile candidate of its driving loop in one flat pass over the
+  (candidate, position) pairs, for all three places of the loop relative to
+  a level (outside, advancing, inside).
+* A level's term depends only on the operand, the set of loops outside the
+  level and the level's own loop, so each operand computes it once per such
+  key (at most 32 keys, against 24 orders x 4 levels) and the orders share
+  it.
+* Pruning compares each permutation only against the earlier ones that are
+  live (keep some tiling); that is exact because dominance is transitive.
+* The survivors are ordered by one ``sort`` of a packed int64 key and
+  gathered with ``take`` from flat arrays.
+
 A table also memoizes its answers for its lifetime (one CLI run, or one
 alpha sweep over all its alphas).  A query's answer depends only on the
 three effective bitwidths and the capacity, so the survivors are weighed once
@@ -36,13 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dm import (
+    ADVANCING,
     INSIDE,
     LOOP_DIMS,
     OPERAND_DIMS,
     OPERANDS,
+    OUTSIDE,
     Mapping,
     MappingError,
-    _dim_sums,
     _footprint_elems,
     _tensor_dim,
     dm_layer,
@@ -98,6 +114,41 @@ def default_permutations():
     return tuple(itertools.permutations(MOVING_DIMS))
 
 
+def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands) -> dict:
+    """Summed (new length, overlap) of the tensor dim that ``drivers`` drive,
+    for every candidate tile of its lead driver at once, by the lead's rel.
+
+    Equal, candidate by candidate, to :func:`bfpsearch.dm._dim_sums` with
+    the lead at that tile and a second (kernel) driver untiled and INSIDE:
+    its one position is 0.  The (candidate, position) pairs are laid out
+    flat, every interval is computed once, and one pass gives all three
+    rels: OUTSIDE sums every position with itself, ADVANCING steps p-1 -> p
+    for p >= 1, and INSIDE wraps from the last position to 0.
+    """
+    lead = drivers[0]
+    tile = np.asarray(lead_cands, dtype=np.int64)
+    n = -(-ext[lead] // tile)
+    start = np.cumsum(n) - n
+    cand = np.repeat(np.arange(len(tile)), n)
+    pos = np.arange(len(cand)) - start[cand]
+    dim = _tensor_dim(layer, ext, drivers, {**ext, lead: tile[cand]})
+    lo, hi = dim.interval((pos,) + (0,) * (len(drivers) - 1), np.maximum, np.minimum)
+
+    def overlap(i, j):
+        return np.maximum(np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]), 0)
+
+    length = np.maximum(hi - lo, 0)
+    step = np.zeros_like(length)
+    step[1:] = overlap(slice(1, None), slice(None, -1))
+    step[start] = 0  # a candidate's first position is stepped into from nowhere
+    total = np.add.reduceat(length, start)
+    return {
+        OUTSIDE: (total, total),
+        ADVANCING: (total - length[start], np.add.reduceat(step, start)),
+        INSIDE: (length[start], overlap(start, start + n - 1)),
+    }
+
+
 def _weigh(elems: dict, bits: dict):
     """Per-role element counts weighted by bits, summed in the order ``dm_layer`` uses."""
     return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
@@ -117,6 +168,25 @@ class LayerMappingTable:
     counts by the three effective bitwidths, applies the capacity constraint
     and takes the first ``np.argmin``, which is the smallest traffic with
     that tie-break.
+
+    How the build stays exact while doing less:
+
+    * Level terms are keyed per operand by (set of loops outside the level,
+      level loop).  That key fixes the outer non-movers' iterations, each
+      driver's place and the skip rule, and integer products are exact in
+      float64 in any order, so the term is the same for every order that
+      has the key.  Each order's counts still add its levels in level order.
+    * Only live permutations prune.  If an earlier q dominates p at tiling t
+      but is itself pruned at t, some earlier q' dominates q there, and by
+      transitivity of <= also p; following that chain ends at a permutation
+      that keeps t, which is live.  Permutation 0 keeps every tiling.
+    * The tie-break order is one ascending sort of the key
+      (dense rank of -volume, permutation, T-1-flat), packed into one int64
+      as ``(rank * P + perm) * T + (T - 1 - flat)``: unique, and below
+      P*T^2, so it fits for any table that fits in memory.
+
+    No build-time memo outlives the build: a table holds only its arrays and
+    its answer memos, and pickles for parallel builds.
     """
 
     def __init__(self, layer: ConvLayer, permutations=None, ceil_k: int = DEFAULT_CEIL_K,
@@ -151,41 +221,46 @@ class LayerMappingTable:
 
         iters = {d: along(d, [-(-ext[d] // t) for t in cands[d]]) for d in MOVING_DIMS}
         iters.update(kh=1, kw=1)
-        memo = {}
+        dim_sums = {}
 
         def sums(drivers, rels):
-            # Each (tensor dim, rels) sum is computed once per build, per
-            # candidate of the dim's leading driver (its other driver is a
-            # kernel loop at full extent), and shared by every role and order.
-            if (drivers, rels) not in memo:
-                lead = drivers[0]
-                per_cand = []
-                for t in cands[lead]:
-                    tiles = {**ext, lead: t}
-                    dim = _tensor_dim(layer, ext, drivers, tiles)
-                    per_cand.append(_dim_sums(dim, rels, {d: -(-ext[d] // tiles[d]) for d in drivers}))
-                memo[drivers, rels] = tuple(along(lead, col) for col in zip(*per_cand))
-            return memo[drivers, rels]
+            # Each tensor dim's sums are computed once per build, for every
+            # candidate of its lead driver and all three of the lead's rels,
+            # and shared by every role and order.  A second driver is a
+            # kernel loop, which sits inside every level that moves anything.
+            if drivers not in dim_sums:
+                by_rel = _candidate_dim_sums(layer, ext, drivers, cands[drivers[0]])
+                dim_sums[drivers] = {rel: tuple(along(drivers[0], col) for col in cols)
+                                     for rel, cols in by_rel.items()}
+            return dim_sums[drivers][rels[0]]
 
         # counts[r, p, t]: elements of operand OPERANDS[r] moved under
         # permutation p at flat (C-order) tiling t.
-        counts = np.zeros((len(OPERANDS), len(self.permutations), self.n_tilings))
+        n_perms, n_tilings = len(self.permutations), self.n_tilings
+        counts = np.zeros((len(OPERANDS), n_perms, n_tilings))
         for r, role in enumerate(OPERANDS):
             dims = OPERAND_DIMS[role]
             first = math.prod(sums(dim, (INSIDE,) * len(dim))[0] for dim in dims)
             if not self.count_first_load:
                 # A first load counts only if some loop moves the operand.
                 first = first * (math.prod(iters[d] for dim in dims for d in dim) > 1)
+            terms = {}  # this role's level terms by (loops outside the level, level loop)
             for pi, perm in enumerate(self.permutations):
-                levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels))
-                counts[r, pi].reshape(self.mesh_shape)[...] = (sum(levels) + first) * layer.groups
+                levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels), terms)
+                # (sum(levels) + first) * groups, accumulated in place in level order.
+                out = counts[r, pi].reshape(self.mesh_shape)
+                for level in levels:
+                    if isinstance(level, np.ndarray):  # skipped levels are 0
+                        out += level
+                out += first
+                out *= layer.groups
+            del terms  # freed per role, before the pruning buffers
 
         # Nominal tile footprints in elements (capacity constraint side).
         tiles = {d: along(d, cands[d]) for d in LOOP_DIMS}
         self.footprint_elems = {
             role: np.broadcast_to(elems, self.mesh_shape) for role, elems in _footprint_elems(layer, tiles).items()
         }
-        tile_volume = math.prod(tiles[d] for d in MOVING_DIMS).ravel()
 
         # Dominance pruning: at one tiling every permutation has the same
         # footprint, and bits are positive, so a permutation whose three
@@ -194,19 +269,36 @@ class LayerMappingTable:
         # later permutation never prunes: rounding can turn its smaller
         # counts into an exact tie, which the earlier one must win.
         # Permutation 0 always survives, so no tiling loses feasibility.
-        keep = np.ones(counts.shape[1:], dtype=bool)
-        for p in range(1, len(self.permutations)):
-            keep[p] = ~(counts[:, :p] <= counts[:, p:p + 1]).all(axis=0).any(axis=0)
+        # Only live permutations (those that keep some tiling) prune; see
+        # the class docstring for why that is exact.
+        keep = np.zeros((n_perms, n_tilings), dtype=bool)
+        keep[0] = True
+        live = [0]
+        le = np.empty((len(OPERANDS), n_tilings), dtype=bool)
+        dominated, by_q = np.empty(n_tilings, dtype=bool), np.empty(n_tilings, dtype=bool)
+        for p in range(1, n_perms):
+            dominated[...] = False
+            for q in live:
+                np.less_equal(counts[:, q], counts[:, p], out=le)
+                dominated |= np.logical_and.reduce(le, axis=0, out=by_q)
+            np.logical_not(dominated, out=keep[p])
+            if keep[p].any():
+                live.append(p)
         perm, flat = np.nonzero(keep)
         # Survivors in tie-break order (larger tile volume, earlier
         # permutation, larger flat tiling index = lexicographically larger
         # tile vector, as candidates ascend per dimension), so the first
-        # minimum of a query is its winner.
-        order = np.lexsort((-flat, perm, -tile_volume[flat]))
-        self._perm, self._flat = perm[order], flat[order]
-        tile_idx = np.unravel_index(self._flat, self.mesh_shape)
-        self._traffic = {role: counts[r][self._perm, self._flat] for r, role in enumerate(OPERANDS)}
-        self._footprint = {role: self.footprint_elems[role][tile_idx] for role in OPERANDS}
+        # minimum of a query is its winner: one sort of the packed key.
+        tile_volume = math.prod(tiles[d] for d in MOVING_DIMS).ravel()
+        rank = np.unique(-tile_volume, return_inverse=True)[1]
+        key = (rank[flat] * n_perms + perm) * n_tilings + (n_tilings - 1 - flat)
+        del keep, perm, flat, rank  # the build's memory peaks from here on
+        key.sort()
+        self._perm = key // n_tilings % n_perms
+        self._flat = n_tilings - 1 - key % n_tilings
+        at = self._perm * n_tilings + self._flat
+        self._traffic = {role: counts[r].reshape(-1).take(at) for r, role in enumerate(OPERANDS)}
+        self._footprint = {role: self.footprint_elems[role].reshape(-1).take(self._flat) for role in OPERANDS}
 
     # -- queries -------------------------------------------------------------
 

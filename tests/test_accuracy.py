@@ -10,6 +10,7 @@ from bfpsearch.accuracy import (
     normalized_mse,
     proxy_acc_loss,
     proxy_layer_loss,
+    signal_power,
     synthetic_sample,
 )
 from bfpsearch.codec import BfpSpec
@@ -156,3 +157,14 @@ def test_layer_samples_from_file(tmp_path):
 def test_normalized_mse_zero_signal():
     spec = BfpSpec(8, 3, 2, "weight")
     assert normalized_mse(np.zeros(8), spec) == 0.0
+
+
+def test_given_power_is_the_computed_one():
+    layer = small_layer(c_in=3, c_out=2)
+    samples = {role: synthetic_sample(layer, role) for role in ("input", "weight")}
+    powers = {role: signal_power(t) for role, t in samples.items()}
+    for specs in (spec_triple(qb=8, se=3, bs=4), spec_triple(qb=16, se=5, bs=16)):
+        assert proxy_layer_loss(layer, specs, samples, powers) == proxy_layer_loss(layer, specs, samples)
+        for spec in specs[::2]:
+            tensor = samples[spec.role]
+            assert normalized_mse(tensor, spec, powers[spec.role]) == normalized_mse(tensor, spec)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bfpsearch import cli
 from bfpsearch.cli import (
     DEFAULT_SWEEP_ALPHAS,
     EXIT_INFEASIBLE,
@@ -68,6 +69,19 @@ def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path,
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--se", ""], ["--bs", ""]], ids="=".join)
+def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_path, capsys, monkeypatch, extra):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("mapping tables built for an invalid run")
+
+    monkeypatch.setattr(cli, "build_mapping_tables", no_tables)
+    for sweep in ([], ["--sweep"]):
+        rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra, *sweep))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", ""])

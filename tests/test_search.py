@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -177,6 +178,8 @@ def test_invalid_args(tiny4):
     for mc_bits in (math.nan, math.inf):
         with pytest.raises(SearchError):
             search(tiny4, small_space(), alpha=0.2, mc_bits=mc_bits)
+    with pytest.raises(SearchError):
+        search(tiny4, small_space(), alpha=0.2, mc_bits=MC, seed=-1)
 
 
 # -- per-layer decomposition --------------------------------------------------
@@ -422,3 +425,20 @@ def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
     calls.clear()
     search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
     assert len(calls) == 2 * (2 * len(layers) - 1)  # roles x feasible cells
+
+
+def test_proxy_takes_each_samples_power_once_per_layer(tiny4, monkeypatch):
+    calls = []
+    power = accuracy.signal_power
+
+    def counting(tensor):
+        calls.append(tensor.size)
+        return power(tensor)
+
+    monkeypatch.setattr(sys.modules["bfpsearch.search"], "signal_power", counting)
+    monkeypatch.setattr(accuracy, "signal_power", counting)
+    space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
+    plan = search(tiny4, space, alpha=0.2, mc_bits=MC)
+    assert len(calls) == 2 * len(tiny4.layers)  # roles x layers, not x configs
+    monkeypatch.undo()
+    assert search(tiny4, space, alpha=0.2, mc_bits=MC).to_record() == plan.to_record()

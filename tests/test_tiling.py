@@ -3,16 +3,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bfpsearch.dm import OPERANDS, MappingError, dm_layer, loop_extents, make_mapping, role_bits, tile_footprint_elems
+from bfpsearch.dm import (
+    ADVANCING,
+    INSIDE,
+    OPERAND_DIMS,
+    OPERANDS,
+    OUTSIDE,
+    MappingError,
+    _dim_sums,
+    _tensor_dim,
+    dm_layer,
+    loop_extents,
+    make_mapping,
+    role_bits,
+    tile_footprint_elems,
+)
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
     MOVING_DIMS,
     InfeasibleError,
     LayerMappingTable,
     TilingProblem,
+    _candidate_dim_sums,
     default_permutations,
     optimize_layer,
     optimize_tiling,
@@ -20,6 +35,7 @@ from bfpsearch.tiling import (
 )
 
 from conftest import small_layer, spec_triple
+from reference_tiling import reference_table_arrays
 
 ORDER = ("oc", "ic", "oh", "ow")
 
@@ -287,3 +303,68 @@ def test_memoized_answers_match_fresh_tables(case):
     # One weighing per distinct (bits, capacity), whatever objects carried the bits.
     keys = {(*(role_bits(layer, specs)[r] for r in OPERANDS), mc_bits) for specs, mc_bits in picks}
     assert len(table._answers) == len(keys)
+
+
+@st.composite
+def dim_cases(draw):
+    """A layer with padding and a stride up to two past its kernel, one of
+    its tensor dims, and tile candidates for the dim's lead driver, in any
+    order, with ragged last tiles and the whole extent (one position)."""
+    k_h, k_w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pad_h, pad_w = draw(st.integers(0, k_h)), draw(st.integers(0, k_w))
+    layer = ConvLayer(
+        1, c_in=draw(st.integers(1, 12)), c_out=draw(st.integers(1, 12)),
+        i_h=draw(st.integers(max(1, k_h - 2 * pad_h), 30)), i_w=draw(st.integers(max(1, k_w - 2 * pad_w), 30)),
+        k_h=k_h, k_w=k_w, stride_h=draw(st.integers(1, k_h + 2)), stride_w=draw(st.integers(1, k_w + 2)),
+        pad_h=pad_h, pad_w=pad_w,
+    )
+    drivers = draw(st.sampled_from(sorted({dim for dims in OPERAND_DIMS.values() for dim in dims})))
+    extent = loop_extents(layer)[drivers[0]]
+    tiles = draw(st.lists(st.integers(1, extent), min_size=1, max_size=8, unique=True))
+    return layer, drivers, tuple(tiles)
+
+
+@settings(settings.get_profile("seeded"), max_examples=150)
+@given(dim_cases())
+@example((ConvLayer(1, 2, 2, 11, 11, 1, 1, stride_h=3, stride_w=3), ("oh", "kh"), (4, 2, 1)))
+@example((ConvLayer(1, 2, 2, 9, 7, 3, 2, stride_h=4, stride_w=1, pad_h=2, pad_w=1), ("oh", "kh"), (3, 1)))
+def test_candidate_dim_sums_match_scalar_dim_sums(case):
+    """All candidates at once equal ``_dim_sums`` one candidate at a time,
+    for every rel of the lead driver, with a kernel driver INSIDE."""
+    layer, drivers, tiles = case
+    ext = loop_extents(layer)
+    got = _candidate_dim_sums(layer, ext, drivers, tiles)
+    for rel in (OUTSIDE, ADVANCING, INSIDE):
+        assert all(arr.dtype.kind == "i" for arr in got[rel])
+    for c, t in enumerate(tiles):
+        dim = _tensor_dim(layer, ext, drivers, {**ext, drivers[0]: t})
+        iters = {d: -(-ext[d] // (t if d == drivers[0] else ext[d])) for d in drivers}
+        for rel in (OUTSIDE, ADVANCING, INSIDE):
+            want = _dim_sums(dim, (rel,) + (INSIDE,) * (len(drivers) - 1), iters)
+            assert (int(got[rel][0][c]), int(got[rel][1][c])) == want
+
+
+@st.composite
+def table_cases(draw):
+    layer = draw(small_convs())
+    perms = draw(st.permutations(default_permutations()))
+    return layer, perms[: draw(st.integers(1, len(perms)))], draw(st.booleans())
+
+
+@settings(settings.get_profile("seeded"), max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(table_cases())
+def test_table_arrays_match_loop_reference_build(case):
+    """The build's survivors, their order and their counts equal the loop
+    version's bit for bit, for random orders, subsets and accountings."""
+    layer, perms, count_first_load = case
+    table = LayerMappingTable(layer, permutations=perms, count_first_load=count_first_load)
+    want = reference_table_arrays(layer, permutations=perms, count_first_load=count_first_load)
+
+    def same(a, b):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
+    assert same(table._perm, want["perm"]) and same(table._flat, want["flat"])
+    for role in OPERANDS:
+        assert same(table._traffic[role], want["traffic"][role])
+        assert same(table._footprint[role], want["footprint"][role])
+        assert same(table.footprint_elems[role], want["footprint_elems"][role])
