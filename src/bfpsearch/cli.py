@@ -21,12 +21,15 @@ import sys
 from dataclasses import dataclass
 
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
-from .codec import CodecError
+from .codec import VALID_TOTAL_BITS, CodecError
 from .dm import MappingError
 from .energy import EnergyError, EnergyParams
 from .model import ModelFormatError, load_model
 from .search import (
     DEFAULT_ALPHA,
+    LOSS_SOURCES,
+    MODES,
+    SCOPES,
     CandidateSpace,
     SearchError,
     build_mapping_tables,
@@ -65,8 +68,8 @@ class RunConfig:
     count_first_load: bool = True
     write_csv: bool = False
     sweep_alphas: tuple | None = None
-    sram_pj_per_bit: float = 0.16
-    dram_pj_per_bit: float = 20.0
+    sram_pj_per_bit: float = EnergyParams.sram_pj_per_bit
+    dram_pj_per_bit: float = EnergyParams.dram_pj_per_bit
 
     def to_record(self) -> dict:
         return {
@@ -91,56 +94,57 @@ def _json_dumps(record) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-class _Writer:
-    """Collects output files and removes everything already written on failure."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.written = []
-
-    def write(self, name: str, text: str) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        self.written.append(path)
-        return path
-
-    def rollback(self):
-        for path in self.written:
+def _write(out_dir: str, files: dict) -> dict:
+    """Write ``files`` ({output name: (file name, text)}), all rendered
+    beforehand, into ``out_dir``; return {output name: path}.  On an OSError
+    the files already written are removed before it propagates."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    try:
+        for key, (name, text) in files.items():
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                paths[key] = path
+                fh.write(text)
+    except OSError:
+        for path in paths.values():
             try:
                 os.remove(path)
             except OSError:
                 pass
-        self.written.clear()
+        raise
+    return paths
 
 
-def _candidate_space(config: RunConfig) -> CandidateSpace:
-    kwargs = {"total_bits": config.total_bits, "scope": config.scope}
-    if config.se_set is not None:
-        kwargs["se_set"] = config.se_set
-    if config.bs_set is not None:
-        kwargs["bs_set"] = config.bs_set
-    return CandidateSpace(**kwargs)
+def _plans(config: RunConfig, alphas) -> list:
+    """Load and check the inputs, build the mapping tables once and search
+    once per alpha; return the plans in the order of ``alphas``.  An empty
+    --se or --bs, or a format the codec cannot hold, fails before the model
+    is read."""
+    space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
+    model = load_model(config.model_path)
+    acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
+    if config.loss_source == "table" and acc_table is None:
+        raise UsageError("--loss-source table needs --acc-table")
 
-
-def _search_once(model, config: RunConfig, alpha: float, tables, acc_table):
-    plan = search(
-        model,
-        _candidate_space(config),
-        alpha=alpha,
-        mc_bits=config.mc_bits,
-        loss_source=config.loss_source,
-        mode=config.mode,
-        acc_table=acc_table,
-        tables=tables,
-        energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
-        count_first_load=config.count_first_load,
-        jobs=config.jobs,
-        seed=config.seed,
-        sample_dir=os.path.dirname(os.path.abspath(config.model_path)),
-    )
-    return plan
+    tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
+    return [
+        search(
+            model,
+            space,
+            alpha=alpha,
+            mc_bits=config.mc_bits,
+            loss_source=config.loss_source,
+            mode=config.mode,
+            acc_table=acc_table,
+            tables=tables,
+            energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
+            count_first_load=config.count_first_load,
+            seed=config.seed,
+            sample_dir=os.path.dirname(os.path.abspath(config.model_path)),
+        )
+        for alpha in alphas
+    ]
 
 
 def _summary_text(config: RunConfig, plan) -> str:
@@ -186,30 +190,19 @@ def _candidates_csv(plan) -> str:
 def run(config: RunConfig) -> tuple:
     """Execute load -> search -> energy and write the report files.
 
-    Returns (exit_code, {output name -> path}).  Any failure removes files
-    already written for this run.
+    Returns (exit_code, {output name -> path}).  A failed write leaves no
+    output file of this run behind.
     """
-    model = load_model(config.model_path)
-    acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
-    if config.loss_source == "table" and acc_table is None:
-        raise UsageError("--loss-source table needs --acc-table")
-
-    tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
-    plan = _search_once(model, config, config.alpha, tables, acc_table)
-
-    writer = _Writer(config.out_dir)
-    try:
-        outputs = {}
-        outputs["plan"] = writer.write("plan.json", _json_dumps(plan.to_record()))
-        report = {"config": config.to_record(), "plan": plan.to_record()}
-        outputs["report"] = writer.write("report.json", _json_dumps(report))
-        outputs["summary"] = writer.write("summary.txt", _summary_text(config, plan))
-        if config.write_csv:
-            outputs["candidates_csv"] = writer.write("candidates.csv", _candidates_csv(plan))
-    except OSError:
-        writer.rollback()
-        raise
-    return EXIT_OK, outputs
+    (plan,) = _plans(config, (config.alpha,))
+    record = plan.to_record()
+    files = {
+        "plan": ("plan.json", _json_dumps(record)),
+        "report": ("report.json", _json_dumps({"config": config.to_record(), "plan": record})),
+        "summary": ("summary.txt", _summary_text(config, plan)),
+    }
+    if config.write_csv:
+        files["candidates_csv"] = ("candidates.csv", _candidates_csv(plan))
+    return EXIT_OK, _write(config.out_dir, files)
 
 
 def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
@@ -222,43 +215,26 @@ def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
     alphas = tuple(alphas if alphas is not None else DEFAULT_SWEEP_ALPHAS)
     if not alphas:
         raise UsageError("alpha sweep needs at least one value")
-    model = load_model(config.model_path)
-    acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
-    if config.loss_source == "table" and acc_table is None:
-        raise UsageError("--loss-source table needs --acc-table")
-
-    tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
-    rows = []
-    plans = []
-    for alpha in alphas:
-        plan = _search_once(model, config, alpha, tables, acc_table)
-        plans.append(plan)
-        first = plan.assignments[0]
-        rows.append({
+    rows = [
+        {
             "alpha": alpha,
             "acc_loss": plan.acc_loss,
             "perf_loss": plan.perf_loss,
             "objective": plan.objective,
             "energy_joules": plan.energy_report.joules if plan.energy_report else None,
-            "se": first.config[0],
-            "bs": first.config[1],
-        })
-
-    writer = _Writer(config.out_dir)
-    try:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["alpha", "acc_loss", "perf_loss", "objective", "energy_joules", "se", "bs"])
-        for r in rows:
-            w.writerow([r["alpha"], r["acc_loss"], r["perf_loss"], r["objective"],
-                        r["energy_joules"], r["se"], r["bs"]])
-        outputs = {"sweep_csv": writer.write("sweep.csv", out.getvalue())}
-        outputs["sweep"] = writer.write(
-            "sweep.json", _json_dumps({"config": config.to_record(), "rows": rows})
-        )
-    except OSError:
-        writer.rollback()
-        raise
+            "se": plan.assignments[0].config[0],
+            "bs": plan.assignments[0].config[1],
+        }
+        for alpha, plan in zip(alphas, _plans(config, alphas))
+    ]
+    out = io.StringIO()
+    w = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    outputs = _write(config.out_dir, {
+        "sweep_csv": ("sweep.csv", out.getvalue()),
+        "sweep": ("sweep.json", _json_dumps({"config": config.to_record(), "rows": rows})),
+    })
     return EXIT_OK, outputs, rows
 
 
@@ -289,15 +265,15 @@ def _float_list(text: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="bfpsearch", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--model", required=True, help="model description file")
-    p.add_argument("--qb", type=int, default=8, choices=(8, 16), help="total bits per element")
+    p.add_argument("--qb", type=int, default=8, choices=VALID_TOTAL_BITS, help="total bits per element")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="trade-off factor (default 0.2)")
     p.add_argument("--mc", type=float, default=DEFAULT_MC_BITS, help="on-chip capacity in bits")
-    p.add_argument("--mode", default="full", choices=("full", "no_qat", "no_dm", "pareto"))
-    p.add_argument("--loss-source", default="proxy", choices=("proxy", "table"))
+    p.add_argument("--mode", default="full", choices=MODES)
+    p.add_argument("--loss-source", default="proxy", choices=LOSS_SOURCES)
     p.add_argument("--acc-table", default=None, help="measured accuracy table file")
     p.add_argument("--se", type=_int_list, default=None, help="shared-exponent candidates, e.g. 2,3,4")
     p.add_argument("--bs", type=_int_list, default=None, help="block-size candidates, e.g. 1,2,4,8")
-    p.add_argument("--scope", default="model", choices=("model", "layer"))
+    p.add_argument("--scope", default="model", choices=SCOPES)
     p.add_argument("--out", default=None, help="output directory (env BFPSEARCH_OUT_DIR)")
     p.add_argument("--seed", type=int, default=SYNTHETIC_SEED, help="seed for synthetic proxy samples")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers (env BFPSEARCH_JOBS)")
@@ -307,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-alpha", type=_float_list, default=None, metavar="LIST",
                    help="run one search per alpha; empty string uses the default seven values")
     p.add_argument("--sweep", action="store_true", help="alpha sweep with the default seven values")
-    p.add_argument("--e-sram", type=float, default=0.16, help="SRAM pJ/bit")
-    p.add_argument("--e-dram", type=float, default=20.0, help="DRAM pJ/bit")
+    p.add_argument("--e-sram", type=float, default=EnergyParams.sram_pj_per_bit, help="SRAM pJ/bit")
+    p.add_argument("--e-dram", type=float, default=EnergyParams.dram_pj_per_bit, help="DRAM pJ/bit")
     return p
 
 
@@ -335,7 +311,7 @@ def config_from_args(args) -> RunConfig:
         EnergyParams(args.e_sram, args.e_dram)
     except EnergyError as exc:
         raise UsageError(f"--e-sram/--e-dram: {exc}")
-    config = RunConfig(
+    return RunConfig(
         model_path=args.model,
         total_bits=args.qb,
         alpha=args.alpha,
@@ -355,8 +331,6 @@ def config_from_args(args) -> RunConfig:
         sram_pj_per_bit=args.e_sram,
         dram_pj_per_bit=args.e_dram,
     )
-    _candidate_space(config)  # an empty --se or --bs fails here, before any table is built
-    return config
 
 
 def main(argv=None) -> int:
@@ -372,10 +346,7 @@ def main(argv=None) -> int:
         for name, path in sorted(outputs.items()):
             print(f"  {name}: {path}")
         return code
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SearchError, MappingError, CodecError) as exc:
+    except (UsageError, SearchError, MappingError, CodecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

@@ -65,18 +65,20 @@ class CandidateSpace:
 
     total_bits: int = 8
     se_set: tuple = None
-    bs_set: tuple = DEFAULT_BS_SET
+    bs_set: tuple = None
     scope: str = "model"
 
     def __post_init__(self):
-        if self.se_set is None:
-            object.__setattr__(self, "se_set", default_se_set(self.total_bits))
-        if not self.se_set or not self.bs_set:
+        se_set = default_se_set(self.total_bits) if self.se_set is None else self.se_set
+        bs_set = DEFAULT_BS_SET if self.bs_set is None else self.bs_set
+        if not se_set or not bs_set:
             raise SearchError("candidate space must have nonempty SE and BS sets")
         if self.scope not in SCOPES:
             raise SearchError(f"scope must be one of {SCOPES}, got {self.scope!r}")
-        object.__setattr__(self, "se_set", tuple(sorted(self.se_set)))
-        object.__setattr__(self, "bs_set", tuple(sorted(self.bs_set)))
+        object.__setattr__(self, "se_set", tuple(sorted(se_set)))
+        object.__setattr__(self, "bs_set", tuple(sorted(bs_set)))
+        for config in self.configs():
+            specs_for_config(config)  # a format the codec cannot hold fails here
 
     def configs(self):
         for se in self.se_set:

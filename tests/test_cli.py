@@ -71,7 +71,9 @@ def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--se", ""], ["--bs", ""]], ids="=".join)
+@pytest.mark.parametrize("extra", [
+    ["--seed", "-1"], ["--se", ""], ["--bs", ""], ["--se", "7", "--qb", "8"], ["--se", "-1"], ["--bs", "0"],
+], ids="=".join)
 def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_path, capsys, monkeypatch, extra):
     def no_tables(*args, **kwargs):
         raise AssertionError("mapping tables built for an invalid run")
@@ -220,6 +222,22 @@ def test_failed_write_rolls_back_outputs(tiny4_path, tmp_path, monkeypatch):
         run(config)
     assert not os.path.exists(out) or os.listdir(out) == []
     monkeypatch.setattr(cli, "_summary_text", real)
+
+
+@pytest.mark.parametrize("extra, blocked, written", [
+    ([], "summary.txt", ["plan.json", "report.json"]),
+    (["--sweep"], "sweep.json", ["sweep.csv"]),
+], ids=["run", "sweep"])
+def test_failed_mid_write_removes_files_already_written(tiny4_path, tmp_path, capsys, extra, blocked, written):
+    # A directory in the way of one output makes its open fail after the
+    # outputs before it were written; those must not be left behind.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    rc = main(base_args(tiny4_path, str(out), *extra))
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert os.listdir(out) == [blocked]
+    assert not any((out / name).exists() for name in written)
 
 
 def write_sampled_model(tmp_path, act, weight):

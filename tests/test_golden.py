@@ -9,7 +9,9 @@ the mapping tables' memo: every pinned ``query`` call still happens, but the
 survivors are weighed and the breakdowns computed once per distinct answer.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -28,14 +30,32 @@ def golden_digests() -> dict:
         return json.load(fh)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_seed0(tmp_path, workload) -> dict:
-    """One CLI operation of the workload on its seed-0 inputs; its output paths."""
+    """One CLI operation of the workload on its seed-0 inputs; its output paths.
+
+    The outputs no digest covers must agree with the digested one: the
+    report's plan with ``plan.json``, and ``sweep.json``'s rows with
+    ``sweep.csv``.
+    """
     argv = workload.write_inputs(str(tmp_path), 0) + workload.flags() + ["--out", str(tmp_path / "out")]
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     if workload.sweep:
         code, outputs, _rows = cli.sweep_alpha(config, config.sweep_alphas)
+        with open(outputs["sweep_csv"], encoding="utf-8", newline="") as fh:
+            sweep_csv = fh.read()
+        rendered = io.StringIO()
+        writer = csv.DictWriter(rendered, sweep_csv.splitlines()[0].split(","), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(read_json(outputs["sweep"])["rows"])
+        assert rendered.getvalue() == sweep_csv
     else:
         code, outputs = cli.run(config)
+        assert read_json(outputs["report"])["plan"] == read_json(outputs["plan"])
     assert code == cli.EXIT_OK
     return outputs
 
