@@ -32,10 +32,8 @@ from .dm import (
     classify_reuse,
     dm_layer,
     dm_level_volume,
-    dm_sum,
     make_mapping,
     new_data_per_iteration,
-    perf_loss,
     tile_footprint,
 )
 from .accuracy import (
@@ -43,8 +41,6 @@ from .accuracy import (
     AccuracyTable,
     load_table,
     loads_table,
-    lookup_acc_loss,
-    proxy_acc_loss,
     synthetic_sample,
 )
 from .energy import EnergyParams, EnergyReport, energy, energy_from_bits, normalized_energy
@@ -60,8 +56,5 @@ from .search import (
 from .tiling import (
     InfeasibleError,
     LayerMappingTable,
-    TilingProblem,
-    optimize_layer,
-    optimize_tiling,
     tile_candidates,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import BfpSpec, load_tensor_f32, quantize_dequantize
-from .model import ConvLayer, ModelDesc, layer_volumes
+from .model import ConvLayer, layer_volumes
 
 TABLE_FORMAT_VERSION = 1
 
@@ -106,38 +106,6 @@ def load_table(path) -> AccuracyTable:
         raise AccuracyError(f"cannot read accuracy table {path}: {exc}") from exc
 
 
-def lookup_acc_loss(table: AccuracyTable, config: tuple, model: ModelDesc | None = None,
-                    compose: bool = True) -> float:
-    """Tabulated loss for one (exp_bits, block_size, total_bits) config.
-
-    Exact whole-model entries win; otherwise, with composition enabled and a
-    model given, per-layer entries are combined as an output-volume-weighted
-    sum (the same rule the proxy uses).  Per-layer rows are keyed by the layer
-    index written in the model file (``ConvLayer.source_index``).
-    """
-    if table.is_empty():
-        raise AccuracyError("accuracy table is empty")
-    key = tuple(int(v) for v in config)
-    if key in table.model_entries:
-        return table.model_entries[key]
-    if not compose:
-        raise AccuracyError(f"no whole-model entry for config {key} and composition is disabled")
-    if model is None:
-        raise AccuracyError(f"no whole-model entry for config {key}; need a model to compose per-layer entries")
-    total = 0.0
-    weight_sum = 0.0
-    for layer in model.layers:
-        layer_key = (layer.source_index,) + key
-        if layer_key not in table.layer_entries:
-            raise AccuracyError(
-                f"accuracy table covers neither model nor layer {layer.source_index} for config {key}"
-            )
-        w = float(layer_volumes(layer)[1])
-        total += w * table.layer_entries[layer_key]
-        weight_sum += w
-    return total / weight_sum
-
-
 # ---------------------------------------------------------------------------
 # Quantization-error proxy
 # ---------------------------------------------------------------------------
@@ -166,8 +134,7 @@ def _load_sample(what: str, path: str, volume: int) -> np.ndarray:
     return data
 
 
-def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SYNTHETIC_SEED,
-                  allow_synthetic: bool = True) -> dict:
+def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SYNTHETIC_SEED) -> dict:
     """Sample tensors for the proxy, one per role with data on disk, falling
     back to fixed-seed synthetic tensors.  A sample file that cannot be read,
     whose size does not match the operand volume or that holds NaN or inf
@@ -179,12 +146,8 @@ def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SY
         if ref:
             path = os.path.join(model_dir, ref) if model_dir else ref
             samples[role] = _load_sample(f"layer {layer.source_index} {role} sample {path}", path, volume)
-        elif allow_synthetic:
-            samples[role] = synthetic_sample(layer, role, seed=seed)
         else:
-            raise AccuracyError(
-                f"layer {layer.index} has no {role} sample and the synthetic fallback is disabled"
-            )
+            samples[role] = synthetic_sample(layer, role, seed=seed)
     return samples
 
 
@@ -228,19 +191,3 @@ def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None
     if not losses:
         raise AccuracyError(f"no usable samples for layer {layer.index}")
     return float(np.mean(losses))
-
-
-def proxy_acc_loss(model: ModelDesc, samples_per_layer, specs_per_layer) -> float:
-    """Raw (unnormalized) proxy loss: output-volume-weighted sum of per-layer
-    normalized round-trip MSE.  The search divides by the candidate-set
-    maximum so the reported loss lands in [0, 1]."""
-    if len(specs_per_layer) != len(model.layers):
-        raise AccuracyError(f"need specs for all {len(model.layers)} layers")
-    total = 0.0
-    weight_sum = 0.0
-    for layer, specs in zip(model.layers, specs_per_layer):
-        samples = samples_per_layer[layer.index] if isinstance(samples_per_layer, dict) else samples_per_layer(layer)
-        w = float(layer_volumes(layer)[1])
-        total += w * proxy_layer_loss(layer, specs, samples)
-        weight_sum += w
-    return total / weight_sum

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .search import (
     CandidateSpace,
     SearchError,
     build_mapping_tables,
+    check_search_args,
     search,
 )
 from .tiling import InfeasibleError
@@ -118,15 +118,14 @@ def _write(out_dir: str, files: dict) -> dict:
 
 def _plans(config: RunConfig, alphas) -> list:
     """Load and check the inputs, build the mapping tables once and search
-    once per alpha; return the plans in the order of ``alphas``.  An empty
-    --se or --bs, or a format the codec cannot hold, fails before the model
-    is read."""
+    once per alpha; return the plans in the order of ``alphas``.  Every
+    argument check, and a format the codec cannot hold, fails before the
+    model is read."""
     space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
-    model = load_model(config.model_path)
     acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
-    if config.loss_source == "table" and acc_table is None:
-        raise UsageError("--loss-source table needs --acc-table")
-
+    for alpha in (config.alpha, *alphas):  # a sweep's config record holds --alpha too
+        check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
+    model = load_model(config.model_path)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
@@ -139,7 +138,6 @@ def _plans(config: RunConfig, alphas) -> list:
             acc_table=acc_table,
             tables=tables,
             energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
-            count_first_load=config.count_first_load,
             seed=config.seed,
             sample_dir=os.path.dirname(os.path.abspath(config.model_path)),
         )
@@ -296,17 +294,12 @@ def config_from_args(args) -> RunConfig:
         raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if not (math.isfinite(args.mc) and args.mc > 0):
-        raise UsageError(f"--mc must be finite and positive, got {args.mc}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.acc_table is not None and args.loss_source != "table":
+        raise UsageError("--acc-table is read only with --loss-source table")
     if args.sweep_alpha is not None:
         sweep_alphas = args.sweep_alpha or DEFAULT_SWEEP_ALPHAS
     else:
         sweep_alphas = DEFAULT_SWEEP_ALPHAS if args.sweep else None
-    for alpha in (args.alpha,) + (sweep_alphas or ()):
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise UsageError(f"alpha must be finite and >= 0, got {alpha}")
     try:
         EnergyParams(args.e_sram, args.e_dram)
     except EnergyError as exc:

@@ -521,21 +521,3 @@ def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool =
         group_multiplier=layer.groups,
         count_first_load=count_first_load,
     ).finalize()
-
-
-def dm_sum(model, per_layer, count_first_load: bool = True) -> float:
-    """Total traffic over all layers; ``per_layer`` pairs each layer with its
-    (mapping, specs)."""
-    if len(per_layer) != len(model.layers):
-        raise MappingError(f"plan covers {len(per_layer)} layers, model has {len(model.layers)}")
-    total = 0.0
-    for layer, (mapping, specs) in zip(model.layers, per_layer):
-        total += dm_layer(layer, mapping, specs, count_first_load=count_first_load).dm_total_bits
-    return total
-
-
-def perf_loss(dm_sum_bits: float, dm_max_bits: float) -> float:
-    """Traffic normalized by the candidate-set maximum; 1.0 marks the worst candidate."""
-    if dm_max_bits <= 0:
-        raise MappingError(f"dm_max must be positive, got {dm_max_bits}")
-    return dm_sum_bits / dm_max_bits

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .accuracy import (
     AccuracyError,
     AccuracyTable,
     layer_samples,
-    lookup_acc_loss,
     proxy_layer_loss,
     signal_power,
 )
@@ -73,6 +73,9 @@ class CandidateSpace:
         bs_set = DEFAULT_BS_SET if self.bs_set is None else self.bs_set
         if not se_set or not bs_set:
             raise SearchError("candidate space must have nonempty SE and BS sets")
+        for name, values in (("SE", se_set), ("BS", bs_set)):
+            if len(set(values)) != len(values):
+                raise SearchError(f"{name} candidates repeat a value: {tuple(values)}")
         if self.scope not in SCOPES:
             raise SearchError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         object.__setattr__(self, "se_set", tuple(sorted(se_set)))
@@ -247,28 +250,24 @@ def knee_point(frontier, alpha: float) -> CandidateEval:
 # ---------------------------------------------------------------------------
 
 
-def _build_table(args):
-    layer, ceil_k, count_first_load = args
-    return LayerMappingTable(layer, ceil_k=ceil_k, count_first_load=count_first_load)
-
-
 def _shape_key(layer):
     """The layer with everything its mapping table does not depend on normalized away."""
     return replace(layer, index=0, source_index=0, input_sample=None, weight_sample=None)
 
 
-def build_mapping_tables(model: ModelDesc, ceil_k: int = 8, count_first_load: bool = True, jobs: int = 1) -> dict:
+def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: int = 1) -> dict:
     """Mapping tables by layer index, one table shared by all layers of one
-    shape; distinct shapes build in parallel."""
+    shape; distinct shapes build in parallel.  The tables fix the search's
+    first-load accounting: its traffic is theirs."""
     first_of_shape = {}
     for layer in model.layers:
         first_of_shape.setdefault(_shape_key(layer), layer)
-    args = [(layer, ceil_k, count_first_load) for layer in first_of_shape.values()]
-    if jobs > 1 and len(args) > 1:
+    build = partial(LayerMappingTable, count_first_load=count_first_load)
+    if jobs > 1 and len(first_of_shape) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tables = list(pool.map(_build_table, args))
+            tables = list(pool.map(build, first_of_shape.values()))
     else:
-        tables = [_build_table(a) for a in args]
+        tables = [build(layer) for layer in first_of_shape.values()]
     by_shape = dict(zip(first_of_shape, tables))
     return {layer.index: by_shape[_shape_key(layer)] for layer in model.layers}
 
@@ -295,32 +294,10 @@ def _acc_term(layer, config, specs, loss_source, samples, powers, acc_table) -> 
     return acc_table.layer_entries[key]
 
 
-def search(
-    model: ModelDesc,
-    space: CandidateSpace,
-    alpha: float = DEFAULT_ALPHA,
-    mc_bits: float = None,
-    loss_source: str = "proxy",
-    mode: str = "full",
-    acc_table: AccuracyTable | None = None,
-    tables: dict | None = None,
-    energy_params: EnergyParams = EnergyParams(),
-    count_first_load: bool = True,
-    jobs: int = 1,
-    seed: int | None = None,
-    sample_dir: str | None = None,
-) -> QuantPlan:
-    """Search the (layer, config) grid for the plan minimizing the trade-off objective.
-
-    ``space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
-    ``'layer'`` takes each layer's argmin, which IS the joint optimum because
-    both loss terms are additive over layers and either term's joint maximum
-    separates into per-layer maxima.  Layer sample references resolve against
-    ``sample_dir`` (usually the model file's directory); layers without
-    samples fall back to fixed-seed synthetic ones.  Samples are built after
-    every cell has been queried, one layer at a time, and each layer's are
-    freed before the next layer's are built.
-    """
+def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str = "proxy",
+                      mode: str = "full", acc_table: AccuracyTable | None = None, seed: int | None = None):
+    """Raise on arguments :func:`search` cannot run with.  It reads no model,
+    so a caller can check a run before it builds the mapping tables."""
     if mode not in MODES:
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
     if loss_source not in LOSS_SOURCES:
@@ -331,6 +308,8 @@ def search(
         raise SearchError(f"memory capacity (bits) must be finite and positive, got {mc_bits}")
     if loss_source == "table" and acc_table is None:
         raise SearchError("loss_source='table' needs an accuracy table")
+    if loss_source == "table" and acc_table.is_empty():
+        raise AccuracyError("accuracy table is empty")
     if seed is not None and seed < 0:
         raise SearchError(f"seed must be >= 0, got {seed}")
     if space.scope == "layer":
@@ -342,13 +321,37 @@ def search(
                 "this table only has whole-model rows -- use scope='model'"
             )
 
+
+def search(
+    model: ModelDesc,
+    space: CandidateSpace,
+    alpha: float = DEFAULT_ALPHA,
+    mc_bits: float = None,
+    loss_source: str = "proxy",
+    mode: str = "full",
+    acc_table: AccuracyTable | None = None,
+    tables: dict | None = None,
+    energy_params: EnergyParams = EnergyParams(),
+    seed: int | None = None,
+    sample_dir: str | None = None,
+) -> QuantPlan:
+    """Search the (layer, config) grid for the plan minimizing the trade-off objective.
+
+    ``space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
+    ``'layer'`` takes each layer's argmin, which IS the joint optimum because
+    both loss terms are additive over layers and either term's joint maximum
+    separates into per-layer maxima.  ``tables`` is
+    :func:`build_mapping_tables` output, which fixes the first-load
+    accounting; without it, tables that count first loads are built.  Layer
+    sample references resolve against ``sample_dir`` (usually the model
+    file's directory); layers without samples fall back to fixed-seed
+    synthetic ones.  Samples are built after every cell has been queried,
+    one layer at a time, and each layer's are freed before the next layer's
+    are built.
+    """
+    check_search_args(space, alpha, mc_bits, loss_source, mode, acc_table, seed)
     if tables is None:
-        tables = build_mapping_tables(model, count_first_load=count_first_load, jobs=jobs)
-    elif any(tables[layer.index].count_first_load != count_first_load for layer in model.layers):
-        raise SearchError(
-            f"mapping tables were built with count_first_load={not count_first_load}, "
-            f"the search asks for {count_first_load}"
-        )
+        tables = build_mapping_tables(model)
 
     configs = list(space.configs())
     specs = [specs_for_config(config) for config in configs]
@@ -372,27 +375,28 @@ def search(
             )
 
     # Raw accuracy terms acc[i][j] of the cells the selection can pick, one
-    # layer at a time: a layer's proxy samples live only while its row is scored.
-    acc = [{} for _ in model.layers]
-    if space.scope == "layer" or loss_source == "proxy":
-        seed_kw = {} if seed is None else {"seed": seed}
-        for i, layer in enumerate(model.layers):
-            samples = powers = None
-            if loss_source == "proxy":
-                samples = layer_samples(layer, model_dir=sample_dir, **seed_kw)
-                powers = {role: signal_power(tensor) for role, tensor in samples.items()}
-            row = groups[i] if space.scope == "layer" else groups[0]
-            acc[i] = {j: _acc_term(layer, configs[j], specs[j], loss_source, samples, powers, acc_table)
-                      for j, c in enumerate(row) if c.feasible}
-            del samples  # before the next layer's are built
+    # layer at a time: a layer's proxy samples live only while its row is
+    # scored.  In model scope a table's whole-model row stands for its column.
+    model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
+    seed_kw = {} if seed is None else {"seed": seed}
+    acc = []
+    for i, layer in enumerate(model.layers):
+        samples = powers = None
+        if loss_source == "proxy":
+            samples = layer_samples(layer, model_dir=sample_dir, **seed_kw)
+            powers = {role: signal_power(tensor) for role, tensor in samples.items()}
+        row = groups[i] if space.scope == "layer" else groups[0]
+        acc.append({j: _acc_term(layer, configs[j], specs[j], loss_source, samples, powers, acc_table)
+                    for j, c in enumerate(row) if c.feasible and configs[j] not in model_rows})
+        del samples  # before the next layer's are built
     for i, group in enumerate(groups):
         for j, c in enumerate(group):
             if not c.feasible:
                 continue
             if space.scope == "layer":
                 c.raw_acc = weights[i] / wsum * acc[i][j]
-            elif loss_source == "table":
-                c.raw_acc = lookup_acc_loss(acc_table, configs[j], model=model, compose=True)
+            elif configs[j] in model_rows:
+                c.raw_acc = model_rows[configs[j]]
             else:
                 c.raw_acc = sum(w * acc[k][j] for k, w in enumerate(weights)) / wsum
 

@@ -1,7 +1,7 @@
 """Tile-size and loop-order optimization under a buffer capacity constraint.
 
-For a fixed layer, loop order and per-role bitwidths, finds the tiling with
-the least off-chip traffic whose three tile footprints fit the on-chip
+For a layer and its per-role bitwidths, finds the loop order and tiling
+with the least off-chip traffic whose three tile footprints fit the on-chip
 capacity.  Tile candidates are divisors of each extent plus ceil(extent/k)
 for small k; kernel loops stay untiled and innermost (the loop order over the
 remaining four loops is searched, 24 orders by default).
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,33 +77,13 @@ class InfeasibleError(Exception):
     """No tiling in the candidate set satisfies the capacity constraint."""
 
 
-@dataclass(frozen=True)
-class TilingProblem:
-    layer: ConvLayer
-    permutation: tuple
-    specs: tuple
-    mc_bits: float
-
-    def __post_init__(self):
-        if not self.mc_bits > 0:
-            raise MappingError(f"memory capacity must be positive, got {self.mc_bits}")
-
-
-@dataclass
-class TilingChoice:
-    mapping: Mapping
-    breakdown: object
-    footprint_bits: float
-    dm_bits: float
-
-
-def tile_candidates(extent: int, ceil_k: int = DEFAULT_CEIL_K) -> tuple:
-    """Divisors of the extent plus ceil(extent/k) for k <= ceil_k, sorted."""
+def tile_candidates(extent: int) -> tuple:
+    """Divisors of the extent plus ceil(extent/k) for k <= DEFAULT_CEIL_K, sorted."""
     cands = {extent}
     for d in range(1, extent + 1):
         if extent % d == 0:
             cands.add(d)
-    for k in range(1, ceil_k + 1):
+    for k in range(1, DEFAULT_CEIL_K + 1):
         cands.add(-(-extent // k))
     return tuple(sorted(cands))
 
@@ -189,8 +168,7 @@ class LayerMappingTable:
     its answer memos, and pickles for parallel builds.
     """
 
-    def __init__(self, layer: ConvLayer, permutations=None, ceil_k: int = DEFAULT_CEIL_K,
-                 count_first_load: bool = True):
+    def __init__(self, layer: ConvLayer, permutations=None, count_first_load: bool = True):
         self.layer = layer
         self.permutations = tuple(tuple(p) for p in (permutations or default_permutations()))
         for perm in self.permutations:
@@ -199,7 +177,7 @@ class LayerMappingTable:
         self.count_first_load = count_first_load
         ext = loop_extents(layer)
         self.extents = ext
-        self.candidates = {d: tile_candidates(ext[d], ceil_k) for d in MOVING_DIMS}
+        self.candidates = {d: tile_candidates(ext[d]) for d in MOVING_DIMS}
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
         self._build()
@@ -343,51 +321,3 @@ class LayerMappingTable:
         if key not in self._breakdowns:
             self._breakdowns[key] = dm_layer(self.layer, mapping, specs, count_first_load=self.count_first_load)
         return self._breakdowns[key]
-
-
-# ---------------------------------------------------------------------------
-# Public optimizers
-# ---------------------------------------------------------------------------
-
-
-def _moving_order(permutation) -> tuple:
-    order = tuple(d for d in permutation if d in MOVING_DIMS)
-    if tuple(sorted(order)) != tuple(sorted(MOVING_DIMS)):
-        raise MappingError(f"permutation {permutation} must include {MOVING_DIMS}")
-    kernel = tuple(d for d in permutation if d in ("kh", "kw"))
-    if kernel and set(permutation) - set(MOVING_DIMS) - {"kh", "kw"}:
-        raise MappingError(f"unknown loop dims in {permutation}")
-    return order
-
-
-def optimize_tiling(
-    problem: TilingProblem,
-    ceil_k: int = DEFAULT_CEIL_K,
-    count_first_load: bool = True,
-) -> TilingChoice:
-    """Minimize one layer's traffic over tile sizes for a fixed loop order:
-    the exhaustive candidate-set optimum over the divisor/ceil lattice."""
-    return optimize_layer(
-        problem.layer, problem.specs, problem.mc_bits, permutations=[_moving_order(problem.permutation)],
-        ceil_k=ceil_k, count_first_load=count_first_load,
-    )
-
-
-def optimize_layer(
-    layer: ConvLayer,
-    specs,
-    mc_bits: float,
-    permutations=None,
-    ceil_k: int = DEFAULT_CEIL_K,
-    count_first_load: bool = True,
-) -> TilingChoice:
-    """Minimize one layer's traffic over loop orders and tile sizes jointly."""
-    table = LayerMappingTable(
-        layer, permutations=permutations, ceil_k=ceil_k, count_first_load=count_first_load
-    )
-    hit = table.query(specs, mc_bits)
-    if hit is None:
-        raise InfeasibleError(f"no candidate mapping fits {mc_bits} bits for layer {layer.index}")
-    mapping, _dm_bits, foot = hit
-    breakdown = table.breakdown(mapping, specs)
-    return TilingChoice(mapping=mapping, breakdown=breakdown, footprint_bits=foot, dm_bits=breakdown.dm_total_bits)

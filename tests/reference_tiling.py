@@ -24,15 +24,15 @@ from bfpsearch.dm import (
     level_traffic,
     loop_extents,
 )
-from bfpsearch.tiling import DEFAULT_CEIL_K, MOVING_DIMS, default_permutations, tile_candidates
+from bfpsearch.tiling import MOVING_DIMS, default_permutations, tile_candidates
 
 
-def reference_table_arrays(layer, permutations=None, ceil_k=DEFAULT_CEIL_K, count_first_load=True) -> dict:
+def reference_table_arrays(layer, permutations=None, count_first_load=True) -> dict:
     """The table's survivor arrays: ``perm``, ``flat``, ``traffic`` and
     ``footprint`` (the last two by role) plus the full-mesh ``footprint_elems``."""
     permutations = tuple(tuple(p) for p in (permutations or default_permutations()))
     ext = loop_extents(layer)
-    cands = {d: tile_candidates(ext[d], ceil_k) for d in MOVING_DIMS}
+    cands = {d: tile_candidates(ext[d]) for d in MOVING_DIMS}
     mesh_shape = tuple(len(cands[d]) for d in MOVING_DIMS)
     n_tilings = math.prod(mesh_shape)
     cands.update(kh=(ext["kh"],), kw=(ext["kw"],))

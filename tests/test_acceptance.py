@@ -35,7 +35,7 @@ from bfpsearch.search import (
     search,
     select_candidate,
 )
-from bfpsearch.tiling import MOVING_DIMS, TilingProblem, optimize_tiling, tile_candidates
+from bfpsearch.tiling import MOVING_DIMS, LayerMappingTable, tile_candidates
 
 from conftest import TINY4_TEXT, spec_triple
 
@@ -266,14 +266,17 @@ def test_c05_tiling_optimality_small_grid():
         fe = tile_footprint_elems(layer, min_tiles)
         bits = role_bits(layer, specs)
         min_foot = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
+        # The mapper search runs: one table query per capacity, then the
+        # winner's breakdown.
+        table = LayerMappingTable(layer, permutations=[order])
         for mc in (min_foot * 1.2, min_foot * 6.0, 1e12):
             ref, count = _brute_force(layer, order, specs, mc)
             assert ref is not None
-            choice = optimize_tiling(TilingProblem(layer, order, specs, mc))
-            assert choice.dm_bits == ref[0][0], (layer, mc)
-            assert choice.mapping == ref[1], (layer, mc)
+            mapping, dm_bits, _ = table.query(specs, mc)
+            assert dm_bits == table.breakdown(mapping, specs).dm_total_bits == ref[0][0], (layer, mc)
+            assert mapping == ref[1], (layer, mc)
             # capacity re-checked independently of the optimizer's own numbers
-            fe = tile_footprint_elems(layer, choice.mapping)
+            fe = tile_footprint_elems(layer, mapping)
             recheck = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
             assert recheck <= mc
             problems += 1

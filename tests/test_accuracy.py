@@ -6,15 +6,14 @@ from bfpsearch.accuracy import (
     AccuracyTable,
     layer_samples,
     loads_table,
-    lookup_acc_loss,
     normalized_mse,
-    proxy_acc_loss,
     proxy_layer_loss,
     signal_power,
     synthetic_sample,
 )
 from bfpsearch.codec import BfpSpec
-from bfpsearch.model import ModelDesc
+from bfpsearch.model import ModelDesc, layer_volumes
+from bfpsearch.search import CandidateSpace, search
 
 from conftest import small_layer, spec_triple
 
@@ -24,6 +23,15 @@ def two_layer_model():
         small_layer(index=1, c_in=2, c_out=2),
         small_layer(index=2, c_in=2, c_out=2),
     ])
+
+
+def table_acc_loss(table, config, model=None):
+    """The model-scope accuracy loss ``search`` takes from ``table`` for one
+    config (a table's losses are not normalized)."""
+    se, bs, qb = config
+    space = CandidateSpace(total_bits=qb, se_set=(se,), bs_set=(bs,))
+    plan = search(model or two_layer_model(), space, mc_bits=1e9, loss_source="table", acc_table=table)
+    return plan.acc_loss
 
 
 def samples_for(model, seed=7):
@@ -38,12 +46,14 @@ model 3 8 8 0.0029
 layer:1 3 8 8 0.001
 layer:2 3 8 8 0.004
 """)
-    assert lookup_acc_loss(table, (3, 8, 8)) == 0.0029
+    assert table.model_entries == {(3, 8, 8): 0.0029}
+    assert table.layer_entries == {(1, 3, 8, 8): 0.001, (2, 3, 8, 8): 0.004}
+    assert table_acc_loss(table, (3, 8, 8)) == 0.0029
 
 
 def test_table_negative_loss_clamped():
     table = loads_table("format_version 1\nmodel 3 8 8 -0.01\n")
-    assert lookup_acc_loss(table, (3, 8, 8)) == 0.0
+    assert table_acc_loss(table, (3, 8, 8)) == 0.0
     assert table.diagnostics
 
 
@@ -54,8 +64,8 @@ def test_table_non_finite_loss_rejected(loss):
 
 
 def test_table_empty_rejected():
-    with pytest.raises(AccuracyError):
-        lookup_acc_loss(AccuracyTable(), (3, 8, 8))
+    with pytest.raises(AccuracyError, match="empty"):
+        table_acc_loss(AccuracyTable(), (3, 8, 8))
 
 
 def test_table_composition_weighted_sum():
@@ -65,9 +75,7 @@ layer:1 3 8 8 0.001
 layer:2 3 8 8 0.004
 """)
     # Identical layers: equal output volumes, so the composition is the mean.
-    assert lookup_acc_loss(table, (3, 8, 8), model=model) == pytest.approx(0.0025)
-    with pytest.raises(AccuracyError):
-        lookup_acc_loss(table, (3, 8, 8), model=model, compose=False)
+    assert table_acc_loss(table, (3, 8, 8), model=model) == pytest.approx(0.0025)
 
 
 def test_table_exact_entry_overrides_composition():
@@ -77,13 +85,13 @@ model 3 8 8 0.5
 layer:1 3 8 8 0.001
 layer:2 3 8 8 0.004
 """)
-    assert lookup_acc_loss(table, (3, 8, 8), model=model) == 0.5
+    assert table_acc_loss(table, (3, 8, 8), model=model) == 0.5
 
 
 def test_table_uncovered_config_rejected():
     table = loads_table("format_version 1\nmodel 3 8 8 0.1\n")
     with pytest.raises(AccuracyError):
-        lookup_acc_loss(table, (4, 8, 8), model=two_layer_model())
+        table_acc_loss(table, (4, 8, 8))
 
 
 def test_table_format_errors():
@@ -129,21 +137,30 @@ def test_proxy_determinism_under_seed():
 
 
 def test_proxy_model_loss_weighted():
-    model = two_layer_model()
+    # Output-volume-weighted per-layer losses, normalized by the candidate
+    # set's largest; layer 2 has twice layer 1's output volume.
+    model = ModelDesc(name="two", layers=[
+        small_layer(index=1, c_in=2, c_out=2),
+        small_layer(index=2, c_in=2, c_out=4),
+    ])
     samples = samples_for(model)
-    specs = [spec_triple(qb=8, se=3, bs=8)] * 2
-    loss = proxy_acc_loss(model, samples, specs)
-    per_layer = [proxy_layer_loss(l, specs[i], samples[l.index]) for i, l in enumerate(model.layers)]
-    # equal output volumes -> plain mean
-    assert loss == pytest.approx(sum(per_layer) / 2)
+    space = CandidateSpace(total_bits=8, se_set=(2, 3), bs_set=(8,))
+    plan = search(model, space, mc_bits=1e9, seed=7)
+    weights = [float(layer_volumes(l)[1]) for l in model.layers]
+    assert weights[1] == 2 * weights[0]
+    raw = [
+        sum(w * proxy_layer_loss(l, spec_triple(qb=8, se=se, bs=8), samples[l.index])
+            for w, l in zip(weights, model.layers)) / sum(weights)
+        for se in (2, 3)
+    ]
+    assert [c["acc_loss"] for c in plan.candidates] == pytest.approx([r / max(raw) for r in raw])
 
 
 def test_layer_samples_fallback_control():
     layer = small_layer(c_in=2, c_out=2)
-    got = layer_samples(layer)
+    got = layer_samples(layer, seed=7)
     assert set(got) == {"input", "weight"}
-    with pytest.raises(AccuracyError):
-        layer_samples(layer, allow_synthetic=False)
+    assert np.array_equal(got["weight"], synthetic_sample(layer, "weight", 7))
 
 
 def test_layer_samples_from_file(tmp_path):

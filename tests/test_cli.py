@@ -73,6 +73,7 @@ def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path,
 
 @pytest.mark.parametrize("extra", [
     ["--seed", "-1"], ["--se", ""], ["--bs", ""], ["--se", "7", "--qb", "8"], ["--se", "-1"], ["--bs", "0"],
+    ["--se", "3,3", "--bs", "8"], ["--bs", "2,8,2"],
 ], ids="=".join)
 def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_path, capsys, monkeypatch, extra):
     def no_tables(*args, **kwargs):
@@ -84,6 +85,30 @@ def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_pat
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--acc-table", "model_rows.table"], EXIT_USAGE),
+    (["--loss-source", "table"], EXIT_USAGE),
+    (["--scope", "layer", "--mode", "no_qat"], EXIT_USAGE),
+    (["--scope", "layer", "--loss-source", "table", "--acc-table", "model_rows.table"], EXIT_IO),
+    (["--loss-source", "table", "--acc-table", "empty.table"], EXIT_IO),
+    (["--alpha", "nan", "--sweep"], EXIT_USAGE),
+], ids=lambda v: "=".join(v) if isinstance(v, list) else str(v))
+def test_invalid_run_fails_before_the_model_is_read(tiny4_path, tmp_path, capsys, monkeypatch, extra, code):
+    (tmp_path / "model_rows.table").write_text("format_version 1\nmodel 3 8 8 0.1\n")
+    (tmp_path / "empty.table").write_text("format_version 1\n")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("model read or mapping tables built for an invalid run")
+
+    monkeypatch.setattr(cli, "load_model", unreachable)
+    monkeypatch.setattr(cli, "build_mapping_tables", unreachable)
+    extra = [str(tmp_path / v) if v.endswith(".table") else v for v in extra]
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra))
+    assert rc == code
+    assert capsys.readouterr().err.startswith("usage error:" if code == EXIT_USAGE else "i/o error:")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", ""])

@@ -9,14 +9,13 @@ from bfpsearch.dm import (
     classify_reuse,
     dm_layer,
     dm_level_volume,
-    dm_sum,
     make_mapping,
     new_data_per_iteration,
-    perf_loss,
     tile_footprint,
     tile_footprint_elems,
 )
-from bfpsearch.model import ConvLayer, layer_volumes
+from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes
+from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables, search
 
 from conftest import small_layer, spec_triple
 
@@ -218,23 +217,23 @@ def test_grouped_layer_traffic_scales_subgroups():
 
 
 def test_dm_sum_single_layer(tiny4):
+    # A plan's traffic is its winners' breakdowns summed.
     layer = tiny4.layers[0]
-    specs = spec_triple()
-    m = make_mapping(layer)
-    one = dm_layer(layer, m, specs).dm_total_bits
-    from bfpsearch.model import ModelDesc
-
     sub = ModelDesc(name="one", layers=[layer])
-    assert dm_sum(sub, [(m, specs)]) == one
+    plan = search(sub, CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,)), mc_bits=65536.0)
+    (a,) = plan.assignments
+    assert plan.dm_sum_bits == a.breakdown.dm_total_bits == dm_layer(layer, a.mapping, a.specs).dm_total_bits
 
 
-def test_dm_sum_requires_full_plan(tiny4):
-    with pytest.raises(MappingError):
-        dm_sum(tiny4, [])
-
-
-def test_perf_loss_ratio():
-    assert perf_loss(100.0, 100.0) == 1.0
-    assert perf_loss(50.0, 100.0) == 0.5
-    with pytest.raises(MappingError):
-        perf_loss(10.0, 0.0)
+def test_perf_loss_ratio(tiny4):
+    # Traffic over the candidate-set maximum: 1.0 marks the worst candidate.
+    space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
+    plan = search(tiny4, space, mc_bits=65536.0)
+    rows = [r for r in plan.candidates if r["feasible"]]
+    assert plan.dm_max_bits == max(r["dm_sum_bits"] for r in rows)
+    assert plan.perf_loss == plan.dm_sum_bits / plan.dm_max_bits
+    assert all(r["perf_loss"] == r["dm_sum_bits"] / plan.dm_max_bits for r in rows)
+    assert max(r["perf_loss"] for r in rows) == 1.0
+    # Literal accounting with whole-layer residency moves zero bits everywhere.
+    with pytest.raises(SearchError, match="zero bits"):
+        search(tiny4, space, mc_bits=65536.0, tables=build_mapping_tables(tiny4, count_first_load=False))

@@ -7,6 +7,8 @@ inputs come from ``perfbench/workloads.py`` and the expected SHA-256 digests
 from ``perfbench/golden.json``; both are only read.  The sweep also guards
 the mapping tables' memo: every pinned ``query`` call still happens, but the
 survivors are weighed and the breakdowns computed once per distinct answer.
+Every name the benchmark's tracer (``perfbench/spans.py``, also only read)
+wraps must still resolve.
 """
 
 import csv
@@ -22,6 +24,7 @@ from bfpsearch import cli, tiling
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 sys.path.insert(0, PERFBENCH)
+from spans import Tracer, install  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -89,3 +92,16 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     run_seed0(tmp_path, workload)
     assert workload.query_calls == 5740
     assert calls == {"query": 5740, "weigh": 2 * 246, "dm_layer": 24}
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # The tracer looks up each name it wraps with getattr, so a rename or a
+    # deletion fails here, not only in a traced benchmark run.
+    before = (cli.search, tiling.LayerMappingTable.query)
+    undo = install(Tracer())
+    try:
+        assert cli.search is not before[0]
+        assert tiling.LayerMappingTable.query is not before[1]
+    finally:
+        undo()
+    assert (cli.search, tiling.LayerMappingTable.query) == before

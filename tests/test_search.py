@@ -265,8 +265,8 @@ def test_scope_layer_dispatches_to_decomposition(tiny4):
 
 def test_parallel_table_build_is_deterministic(tiny4):
     space = small_space()
-    serial = search(tiny4, space, alpha=0.2, mc_bits=MC, jobs=1)
-    parallel = search(tiny4, space, alpha=0.2, mc_bits=MC, jobs=2)
+    serial = search(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=1))
+    parallel = search(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=2))
     assert [a.config for a in serial.assignments] == [a.config for a in parallel.assignments]
     assert serial.objective == parallel.objective
     assert serial.dm_sum_bits == parallel.dm_sum_bits
@@ -287,18 +287,17 @@ def test_identical_shapes_share_one_table():
     assert len({id(t) for t in tables.values()}) == 3
 
 
-def test_tables_with_other_first_load_accounting_are_rejected():
-    # Tables that count first loads, under a search that does not: the plan
-    # reported dm_sum_bits 9367.0 while its layers' breakdowns summed to 0.0.
+def test_literal_first_load_tables_set_the_plans_traffic():
+    # The tables carry the first-load accounting: under literal tables the
+    # plan's traffic is its layers' literal breakdowns summed.
     model = ModelDesc(name="two", layers=[
         ConvLayer(1, 8, 8, 4, 4, 1, 1),
         ConvLayer(2, 8, 16, 4, 4, 3, 3, pad_h=1, pad_w=1),
     ])
     space = CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,))
-    with pytest.raises(SearchError, match="count_first_load"):
-        search(model, space, mc_bits=1e9, tables=build_mapping_tables(model), count_first_load=False)
     tables = build_mapping_tables(model, count_first_load=False)
-    plan = search(model, space, mc_bits=4096.0, tables=tables, count_first_load=False)
+    plan = search(model, space, mc_bits=4096.0, tables=tables)
+    assert all(not a.breakdown.count_first_load for a in plan.assignments)
     assert plan.dm_sum_bits == sum(a.breakdown.dm_total_bits for a in plan.assignments) > 0
 
 
@@ -314,8 +313,8 @@ def test_shared_tables_parallel_build_matches_serial():
         for layer in model.layers:
             assert parallel[layer.index].query(specs, MC) == serial[layer.index].query(specs, MC)
     space = small_space()
-    one = search(model, space, alpha=0.2, mc_bits=MC, jobs=1)
-    two = search(model, space, alpha=0.2, mc_bits=MC, jobs=2)
+    one = search(model, space, alpha=0.2, mc_bits=MC, tables=serial)
+    two = search(model, space, alpha=0.2, mc_bits=MC, tables=parallel)
     assert one.to_record() == two.to_record()
 
 

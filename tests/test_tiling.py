@@ -24,13 +24,9 @@ from bfpsearch.dm import (
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
     MOVING_DIMS,
-    InfeasibleError,
     LayerMappingTable,
-    TilingProblem,
     _candidate_dim_sums,
     default_permutations,
-    optimize_layer,
-    optimize_tiling,
     tile_candidates,
 )
 
@@ -71,14 +67,22 @@ def test_tile_candidates_divisors_and_ceils():
     assert tile_candidates(1) == (1,)
 
 
+def best_mapping(layer, specs, mc_bits, permutations=None):
+    """The winner ``search`` takes for one layer: the table's query answer
+    (mapping, dm_bits, footprint_bits) plus its breakdown, or None."""
+    table = LayerMappingTable(layer, permutations=permutations)
+    hit = table.query(specs, mc_bits)
+    return None if hit is None else (*hit, table.breakdown(hit[0], specs))
+
+
 def test_unconstrained_returns_whole_layer_tile():
     layer = small_layer(c_in=2, c_out=2)
     specs = spec_triple()
-    choice = optimize_tiling(TilingProblem(layer, ORDER, specs, 1e12))
+    mapping, _, _, breakdown = best_mapping(layer, specs, 1e12, permutations=[ORDER])
     ext = loop_extents(layer)
-    assert all(choice.mapping.tile(d) == ext[d] for d in MOVING_DIMS)
+    assert all(mapping.tile(d) == ext[d] for d in MOVING_DIMS)
     vin, vout, vw = layer_volumes(layer)
-    assert choice.breakdown.total_elems == {"input": vin, "output": vout, "weight": vw}
+    assert breakdown.total_elems == {"input": vin, "output": vout, "weight": vw}
 
 
 def test_capacity_constrained_matches_exhaustive_minimum():
@@ -89,11 +93,11 @@ def test_capacity_constrained_matches_exhaustive_minimum():
     fe = tile_footprint_elems(layer, row_tile)
     bits = role_bits(layer, specs)
     mc = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
-    choice = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
+    mapping, dm_bits, foot, breakdown = best_mapping(layer, specs, mc, permutations=[ORDER])
     ref = reference_query(layer, specs, mc, permutations=[ORDER])
-    assert choice.mapping == ref[0]
-    assert choice.dm_bits == ref[1]
-    assert choice.footprint_bits <= mc
+    assert mapping == ref[0]
+    assert dm_bits == breakdown.dm_total_bits == ref[1]
+    assert foot <= mc
 
 
 @pytest.mark.parametrize("mc", [300.0, 800.0, 5e3, 1e12])
@@ -101,19 +105,17 @@ def test_optimality_across_capacities(mc):
     layer = ConvLayer(1, 2, 3, 8, 8, 3, 3, pad_h=1, pad_w=1)
     specs = spec_triple()
     ref = reference_query(layer, specs, mc, permutations=[ORDER])
+    choice = best_mapping(layer, specs, mc, permutations=[ORDER])
     if ref is None:
-        with pytest.raises(InfeasibleError):
-            optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
+        assert choice is None
         return
-    choice = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
-    assert choice.mapping == ref[0]
-    assert choice.dm_bits == ref[1]
+    assert choice[0] == ref[0]
+    assert choice[3].dm_total_bits == ref[1]
 
 
 def test_infeasible_below_minimal_tile():
     layer = small_layer()
-    with pytest.raises(InfeasibleError):
-        optimize_tiling(TilingProblem(layer, ORDER, spec_triple(), 10.0))
+    assert best_mapping(layer, spec_triple(), 10.0, permutations=[ORDER]) is None
 
 
 def test_monotone_in_capacity():
@@ -121,22 +123,21 @@ def test_monotone_in_capacity():
     specs = spec_triple()
     prev = None
     for mc in (500.0, 1000.0, 4000.0, 1e5, 1e9):
-        try:
-            choice = optimize_layer(layer, specs, mc)
-        except InfeasibleError:
+        choice = best_mapping(layer, specs, mc)
+        if choice is None:
             continue
         if prev is not None:
-            assert choice.dm_bits <= prev
-        prev = choice.dm_bits
+            assert choice[1] <= prev
+        prev = choice[1]
 
 
 def test_determinism_repeated_runs():
     layer = ConvLayer(1, 2, 3, 8, 8, 3, 3, pad_h=1, pad_w=1)
     specs = spec_triple()
-    a = optimize_layer(layer, specs, 2000.0)
-    b = optimize_layer(layer, specs, 2000.0)
-    assert a.mapping == b.mapping
-    assert a.dm_bits == b.dm_bits
+    a = best_mapping(layer, specs, 2000.0)
+    b = best_mapping(layer, specs, 2000.0)
+    assert a[0] == b[0]
+    assert a[1] == b[1]
 
 
 def test_weight_dominant_layer_keeps_weights_resident():
@@ -147,46 +148,36 @@ def test_weight_dominant_layer_keeps_weights_resident():
     bits = role_bits(layer, specs)
     _, _, vw = layer_volumes(layer)
     # Tight enough that whole-layer tiles do not fit and tiling is forced.
-    choice = optimize_layer(layer, specs, 2500.0)
-    assert choice.breakdown.total_elems["weight"] == vw
-    assert choice.breakdown.total_bits["weight"] == vw * bits["weight"]
+    breakdown = best_mapping(layer, specs, 2500.0)[3]
+    assert breakdown.total_elems["weight"] == vw
+    assert breakdown.total_bits["weight"] == vw * bits["weight"]
 
 
 def test_pointwise_symmetric_tie_is_deterministic():
     layer = ConvLayer(1, 4, 4, 8, 8, 1, 1)
     specs = spec_triple()
-    a = optimize_layer(layer, specs, 1e9)
-    b = optimize_layer(layer, specs, 1e9)
-    assert a.mapping == b.mapping
-
-
-def test_single_permutation_reduces_to_optimize_tiling():
-    layer = ConvLayer(1, 2, 3, 8, 8, 3, 3, pad_h=1, pad_w=1)
-    specs = spec_triple()
-    mc = 2000.0
-    via_layer = optimize_layer(layer, specs, mc, permutations=[ORDER])
-    via_tiling = optimize_tiling(TilingProblem(layer, ORDER, specs, mc))
-    assert via_layer.mapping == via_tiling.mapping
-    assert via_layer.dm_bits == via_tiling.dm_bits
+    a = best_mapping(layer, specs, 1e9)
+    b = best_mapping(layer, specs, 1e9)
+    assert a[0] == b[0]
 
 
 def test_feasibility_rechecked_post_hoc():
     layer = ConvLayer(1, 2, 3, 12, 12, 3, 3, pad_h=1, pad_w=1)
     specs = spec_triple()
     mc = 1500.0
-    choice = optimize_layer(layer, specs, mc)
-    fe = tile_footprint_elems(layer, choice.mapping)
+    mapping, _, footprint_bits, _ = best_mapping(layer, specs, mc)
+    fe = tile_footprint_elems(layer, mapping)
     bits = role_bits(layer, specs)
     foot = (fe["input"] * bits["input"] + fe["output"] * bits["output"]) + fe["weight"] * bits["weight"]
     assert foot <= mc
-    assert foot == choice.footprint_bits
+    assert foot == footprint_bits
 
 
 def test_32bit_baseline_specs_supported():
     layer = small_layer(c_in=2, c_out=2)
-    choice = optimize_layer(layer, (32.0, 32.0, 32.0), 1e9)
+    _, dm_bits, _, breakdown = best_mapping(layer, (32.0, 32.0, 32.0), 1e9)
     vin, vout, vw = layer_volumes(layer)
-    assert choice.dm_bits == (vin + vout + vw) * 32.0
+    assert dm_bits == breakdown.dm_total_bits == (vin + vout + vw) * 32.0
 
 
 def test_table_query_matches_scalar_breakdowns():
