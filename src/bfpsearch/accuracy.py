@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BfpSpec, load_tensor_f32, quantize_dequantize
+from .codec import ROLES, BfpSpec, load_tensor_f32, quantize_dequantize
 from .model import ConvLayer, layer_volumes
 
 TABLE_FORMAT_VERSION = 1
@@ -53,6 +53,7 @@ def loads_table(text: str) -> AccuracyTable:
     table = AccuracyTable()
     errors = []
     version_seen = False
+    first_line = {}  # entry key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,16 +81,22 @@ def loads_table(text: str) -> AccuracyTable:
             table.diagnostics.append((lineno, f"negative loss {loss} clamped to 0"))
             loss = 0.0
         if scope == "model":
-            table.model_entries[key] = loss
+            entries = table.model_entries
         elif scope.startswith("layer:"):
             try:
-                layer_idx = int(scope.split(":", 1)[1])
+                key = (int(scope.split(":", 1)[1]),) + key
             except ValueError:
                 errors.append((lineno, f"bad layer scope {scope!r}"))
                 continue
-            table.layer_entries[(layer_idx,) + key] = loss
+            entries = table.layer_entries
         else:
             errors.append((lineno, f"unknown scope {scope!r}"))
+            continue
+        if key in first_line:
+            errors.append((lineno, f"repeats the {scope} row of line {first_line[key]}"))
+            continue
+        first_line[key] = lineno
+        entries[key] = loss
     if not version_seen:
         errors.append((0, "missing format_version line"))
     if errors:
@@ -113,10 +120,9 @@ def load_table(path) -> AccuracyTable:
 
 def synthetic_sample(layer: ConvLayer, role: str, seed: int = SYNTHETIC_SEED) -> np.ndarray:
     """Deterministic unit-variance sample tensor for one layer operand."""
-    vol_in, vol_out, vol_w = layer_volumes(layer)
-    size = {"input": vol_in, "output": vol_out, "weight": vol_w}[role]
-    rng = np.random.default_rng((seed, layer.index, {"input": 0, "output": 1, "weight": 2}[role]))
-    return rng.standard_normal(size)
+    index = ROLES.index(role)  # layer_volumes lists the operands in ROLES order
+    rng = np.random.default_rng((seed, layer.index, index))
+    return rng.standard_normal(layer_volumes(layer)[index])
 
 
 def _load_sample(what: str, path: str, volume: int) -> np.ndarray:

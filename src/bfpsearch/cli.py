@@ -5,6 +5,10 @@ sorted keys, so identical configs reproduce byte-identical files), a
 human-readable summary, and optional CSVs for plotting candidate scatters and
 alpha sweeps.
 
+Every setting is declared once, as a field of ``RunConfig`` with its default;
+each option stores into its field, and the report's config record is built
+from the fields.
+
 Exit codes: 0 success, 1 usage error, 2 infeasible search, 3 I/O error.
 Environment overrides: BFPSEARCH_OUT_DIR, BFPSEARCH_JOBS.
 """
@@ -17,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
 from .codec import VALID_TOTAL_BITS, CodecError
@@ -42,8 +46,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
-DEFAULT_MC_BITS = 2_097_152  # 256 KiB on-chip buffer
 DEFAULT_SWEEP_ALPHAS = (0.015, 0.05, 0.15, 0.2, 0.25, 1.5, 3.0)
+# Settings that say where and how to run, not what the answer is: the report leaves them out.
+_WHERE_AND_HOW = ("out_dir", "jobs", "write_csv", "sweep_alphas")
 
 
 class UsageError(ValueError):
@@ -55,7 +60,7 @@ class RunConfig:
     model_path: str
     total_bits: int = 8
     alpha: float = DEFAULT_ALPHA
-    mc_bits: float = DEFAULT_MC_BITS
+    mc_bits: float = 2_097_152  # 256 KiB on-chip buffer
     mode: str = "full"
     loss_source: str = "proxy"
     acc_table_path: str | None = None
@@ -72,22 +77,10 @@ class RunConfig:
     dram_pj_per_bit: float = EnergyParams.dram_pj_per_bit
 
     def to_record(self) -> dict:
-        return {
-            "model_path": self.model_path,
-            "qb": self.total_bits,
-            "alpha": self.alpha,
-            "mc_bits": self.mc_bits,
-            "mode": self.mode,
-            "loss_source": self.loss_source,
-            "acc_table_path": self.acc_table_path,
-            "se_set": list(self.se_set) if self.se_set is not None else None,
-            "bs_set": list(self.bs_set) if self.bs_set is not None else None,
-            "scope": self.scope,
-            "seed": self.seed,
-            "count_first_load": self.count_first_load,
-            "sram_pj_per_bit": self.sram_pj_per_bit,
-            "dram_pj_per_bit": self.dram_pj_per_bit,
-        }
+        """The settings that decide the answer; ``total_bits`` is written as ``qb``."""
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _WHERE_AND_HOW}
+        record["qb"] = record.pop("total_bits")
+        return record
 
 
 def _json_dumps(record) -> str:
@@ -158,7 +151,7 @@ def _summary_text(config: RunConfig, plan) -> str:
         e = plan.energy_report
         p(f"energy:    {e.joules:.6e} J   (sram {e.sram_bits:.3e} bits, dram {e.dram_bits:.3e} bits)")
         if e.normalized is not None:
-            p(f"           {e.normalized:.4f}x of the 32-bit '{e.baseline_name}' baseline")
+            p(f"           {e.normalized:.4f}x of the 32-bit 'original' baseline")
     p("")
     p("layer  se  bs  qb  order          tiles(oc,ic,oh,ow,kh,kw)      dm_bits")
     for a in plan.assignments:
@@ -246,84 +239,68 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}")
+def _list_of(cast, kind: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {kind} list, got {text!r}")
 
-
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option stores into its :class:`RunConfig` field and takes that field's
+    default; ``--out`` and ``--jobs`` default to None, so the environment decides."""
     p = _Parser(prog="bfpsearch", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--model", required=True, help="model description file")
-    p.add_argument("--qb", type=int, default=8, choices=VALID_TOTAL_BITS, help="total bits per element")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="trade-off factor (default 0.2)")
-    p.add_argument("--mc", type=float, default=DEFAULT_MC_BITS, help="on-chip capacity in bits")
-    p.add_argument("--mode", default="full", choices=MODES)
-    p.add_argument("--loss-source", default="proxy", choices=LOSS_SOURCES)
-    p.add_argument("--acc-table", default=None, help="measured accuracy table file")
-    p.add_argument("--se", type=_int_list, default=None, help="shared-exponent candidates, e.g. 2,3,4")
-    p.add_argument("--bs", type=_int_list, default=None, help="block-size candidates, e.g. 1,2,4,8")
-    p.add_argument("--scope", default="model", choices=SCOPES)
-    p.add_argument("--out", default=None, help="output directory (env BFPSEARCH_OUT_DIR)")
-    p.add_argument("--seed", type=int, default=SYNTHETIC_SEED, help="seed for synthetic proxy samples")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (env BFPSEARCH_JOBS)")
-    p.add_argument("--csv", action="store_true", help="also write candidates.csv")
-    p.add_argument("--no-first-load", action="store_true",
+    p.add_argument("--model", dest="model_path", required=True, help="model description file")
+    p.add_argument("--qb", dest="total_bits", type=int, choices=VALID_TOTAL_BITS, help="total bits per element")
+    p.add_argument("--alpha", type=float, help="trade-off factor (default %(default)s)")
+    p.add_argument("--mc", dest="mc_bits", type=float, help="on-chip capacity in bits")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--loss-source", choices=LOSS_SOURCES)
+    p.add_argument("--acc-table", dest="acc_table_path", help="measured accuracy table file")
+    p.add_argument("--se", dest="se_set", type=_list_of(int, "integer"), help="shared-exponent candidates, e.g. 2,3,4")
+    p.add_argument("--bs", dest="bs_set", type=_list_of(int, "integer"), help="block-size candidates, e.g. 1,2,4,8")
+    p.add_argument("--scope", choices=SCOPES)
+    p.add_argument("--out", dest="out_dir", help="output directory (env BFPSEARCH_OUT_DIR)")
+    p.add_argument("--seed", type=int, help="seed for synthetic proxy samples")
+    p.add_argument("--jobs", type=int, help="parallel workers (env BFPSEARCH_JOBS)")
+    p.add_argument("--csv", dest="write_csv", action="store_true", help="also write candidates.csv")
+    p.add_argument("--no-first-load", dest="count_first_load", action="store_false",
                    help="drop cold first loads of fully reused operands (literal reuse accounting)")
-    p.add_argument("--sweep-alpha", type=_float_list, default=None, metavar="LIST",
+    p.add_argument("--sweep-alpha", dest="sweep_alphas", type=_list_of(float, "float"), metavar="LIST",
                    help="run one search per alpha; empty string uses the default seven values")
     p.add_argument("--sweep", action="store_true", help="alpha sweep with the default seven values")
-    p.add_argument("--e-sram", type=float, default=EnergyParams.sram_pj_per_bit, help="SRAM pJ/bit")
-    p.add_argument("--e-dram", type=float, default=EnergyParams.dram_pj_per_bit, help="DRAM pJ/bit")
+    p.add_argument("--e-sram", dest="sram_pj_per_bit", type=float, help="SRAM pJ/bit")
+    p.add_argument("--e-dram", dest="dram_pj_per_bit", type=float, help="DRAM pJ/bit")
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    p.set_defaults(**{**defaults, "out_dir": None, "jobs": None})
     return p
 
 
 def config_from_args(args) -> RunConfig:
-    out_dir = args.out or os.environ.get("BFPSEARCH_OUT_DIR") or "bfpsearch_out"
-    try:
-        jobs = args.jobs if args.jobs is not None else int(os.environ.get("BFPSEARCH_JOBS", "1"))
-    except ValueError:
-        raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if args.acc_table is not None and args.loss_source != "table":
+    """The :class:`RunConfig` of parsed arguments, with the environment's
+    fallbacks for ``--out`` and ``--jobs`` and the checks that span options."""
+    values = vars(args).copy()
+    sweep = values.pop("sweep")
+    values["out_dir"] = values["out_dir"] or os.environ.get("BFPSEARCH_OUT_DIR") or RunConfig.out_dir
+    if values["jobs"] is None:
+        try:
+            values["jobs"] = int(os.environ.get("BFPSEARCH_JOBS", RunConfig.jobs))
+        except ValueError:
+            raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
+    if values["jobs"] < 1:
+        raise UsageError(f"--jobs must be >= 1, got {values['jobs']}")
+    if values["acc_table_path"] is not None and values["loss_source"] != "table":
         raise UsageError("--acc-table is read only with --loss-source table")
-    if args.sweep_alpha is not None:
-        sweep_alphas = args.sweep_alpha or DEFAULT_SWEEP_ALPHAS
-    else:
-        sweep_alphas = DEFAULT_SWEEP_ALPHAS if args.sweep else None
+    if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
+        values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
     try:
-        EnergyParams(args.e_sram, args.e_dram)
+        EnergyParams(values["sram_pj_per_bit"], values["dram_pj_per_bit"])
     except EnergyError as exc:
         raise UsageError(f"--e-sram/--e-dram: {exc}")
-    return RunConfig(
-        model_path=args.model,
-        total_bits=args.qb,
-        alpha=args.alpha,
-        mc_bits=args.mc,
-        mode=args.mode,
-        loss_source=args.loss_source,
-        acc_table_path=args.acc_table,
-        se_set=args.se,
-        bs_set=args.bs,
-        scope=args.scope,
-        out_dir=out_dir,
-        seed=args.seed,
-        jobs=jobs,
-        count_first_load=not args.no_first_load,
-        write_csv=args.csv,
-        sweep_alphas=sweep_alphas,
-        sram_pj_per_bit=args.e_sram,
-        dram_pj_per_bit=args.e_dram,
-    )
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

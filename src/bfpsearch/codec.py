@@ -103,7 +103,6 @@ class BfpTensor:
     """A tensor encoded block-by-block over its row-major flattening."""
 
     shape: tuple
-    layout: str
     blocks: list
     spec: BfpSpec
     last_block_fill: int
@@ -210,15 +209,13 @@ def _fold(op, grid: np.ndarray) -> np.ndarray:
     return grid[:, 0]
 
 
-def _encode_blocks(tensor, spec: BfpSpec, layout: str):
+def _encode_blocks(tensor, spec: BfpSpec):
     """The block kernel of :func:`encode_tensor` and :func:`quantize_dequantize`.
 
     Returns the input as float64, per-block int32 shared exponents, the
     rounded mantissas of the zero-padded (n_blocks, block_size) grid and
     per-block saturation flags, deciding each block from its extreme values.
     """
-    if layout != "flat":
-        raise CodecError(f"unsupported layout {layout!r} (supported: 'flat')")
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise CodecError("cannot encode an empty tensor")
@@ -249,13 +246,13 @@ def _encode_blocks(tensor, spec: BfpSpec, layout: str):
     return arr, shared, mant, saturated
 
 
-def encode_tensor(tensor, spec: BfpSpec, layout: str = "flat") -> BfpTensor:
+def encode_tensor(tensor, spec: BfpSpec) -> BfpTensor:
     """Encode a whole tensor, blocking its row-major flattening.
 
     The final block may be partial; its fill count is recorded so decoding
     restores the exact shape.
     """
-    arr, shared, mant, saturated = _encode_blocks(tensor, spec, layout)
+    arr, shared, mant, saturated = _encode_blocks(tensor, spec)
     fill = arr.size - (len(shared) - 1) * spec.block_size
     rows = mant.astype(np.int64).tolist()
     rows[-1] = rows[-1][:fill]
@@ -265,7 +262,6 @@ def encode_tensor(tensor, spec: BfpSpec, layout: str = "flat") -> BfpTensor:
     ]
     return BfpTensor(
         shape=tuple(arr.shape),
-        layout=layout,
         blocks=blocks,
         spec=spec,
         last_block_fill=fill,
@@ -287,9 +283,9 @@ def decode_tensor(enc: BfpTensor) -> np.ndarray:
     return out.reshape(enc.shape)
 
 
-def quantize_dequantize(tensor, spec: BfpSpec, layout: str = "flat") -> np.ndarray:
+def quantize_dequantize(tensor, spec: BfpSpec) -> np.ndarray:
     """encode + decode in one step, without materializing block objects."""
-    arr, shared, mant, _ = _encode_blocks(tensor, spec, layout)
+    arr, shared, mant, _ = _encode_blocks(tensor, spec)
     deq = np.ldexp(mant, (shared - spec.fraction_bits)[:, None], out=mant)
     return deq.reshape(-1)[: arr.size].reshape(arr.shape)
 
@@ -314,12 +310,12 @@ class QuantError:
     sqnr_db: float
 
 
-def quantization_error(tensor, spec: BfpSpec, layout: str = "flat") -> QuantError:
+def quantization_error(tensor, spec: BfpSpec) -> QuantError:
     """Error metrics between a tensor and its encode/decode round trip."""
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise CodecError("cannot measure an empty tensor")
-    deq = quantize_dequantize(arr, spec, layout=layout)
+    deq = quantize_dequantize(arr, spec)
     err = arr - deq
     mse = float(np.mean(err * err))
     signal = float(np.mean(arr * arr))

@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .codec import BfpSpec, effective_bitwidth
+from .codec import ROLES as OPERANDS, BfpSpec, effective_bitwidth
 from .model import ConvLayer
 
 LOOP_DIMS = ("oc", "ic", "oh", "ow", "kh", "kw")
-OPERANDS = ("input", "output", "weight")
 
 
 class MappingError(ValueError):

@@ -43,8 +43,7 @@ class EnergyReport:
     dram_bits: float
     joules: float
     per_layer: list = field(default_factory=list)
-    baseline_name: str | None = None
-    normalized: float | None = None
+    normalized: float | None = None  # joules as a ratio of the 32-bit "original" baseline's
 
     def to_record(self) -> dict:
         rec = {
@@ -53,8 +52,8 @@ class EnergyReport:
             "joules": self.joules,
             "per_layer": list(self.per_layer),
         }
-        if self.baseline_name is not None:
-            rec["baseline"] = self.baseline_name
+        if self.normalized is not None:
+            rec["baseline"] = "original"
             rec["normalized"] = self.normalized
         return rec
 
@@ -107,10 +106,9 @@ def energy(model: ModelDesc, per_layer, params: EnergyParams = EnergyParams()) -
     )
 
 
-def normalized_energy(report: EnergyReport, baseline: EnergyReport, baseline_name: str = "original") -> EnergyReport:
+def normalized_energy(report: EnergyReport, baseline: EnergyReport) -> EnergyReport:
     """Attach the energy ratio against a baseline report (1.0 = baseline)."""
     if baseline.joules <= 0:
         raise EnergyError("baseline energy must be positive")
-    report.baseline_name = baseline_name
     report.normalized = report.joules / baseline.joules
     return report

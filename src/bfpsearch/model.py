@@ -22,6 +22,7 @@ as ``source_index``, which per-layer accuracy-table rows refer to.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 FORMAT_VERSION = 1
@@ -143,7 +144,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     layers = []
     seen_indices = set()  # per-layer accuracy-table rows refer to these
     current = None
-    current_line = 0
+    block_lines = {}  # field -> the line of the current block that set it
 
     def finish_block():
         nonlocal current
@@ -200,19 +201,23 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
                 errors.append((lineno, f"duplicate layer index {idx}"))
             seen_indices.add(idx)
             current = (lineno, {"index": idx})
-            current_line = lineno
+            block_lines = {}
             continue
         if current is None:
             errors.append((lineno, f"field {key!r} outside any layer block"))
             continue
+        if key != "type" and key not in _PATH_KEYS and key not in _INT_KEYS:
+            diagnostics.append((lineno, f"ignoring unknown field {key!r}"))
+            continue
+        if key in block_lines:
+            errors.append((lineno, f"layer {current[1]['index']}: {key} repeats line {block_lines[key]}"))
+            continue
+        block_lines[key] = lineno
         if key == "type":
             current[1]["_type"] = args[0] if args else "conv"
             continue
         if key in _PATH_KEYS:
             current[1][_PATH_KEYS[key]] = args[0] if args else None
-            continue
-        if key not in _INT_KEYS:
-            diagnostics.append((lineno, f"ignoring unknown field {key!r}"))
             continue
         names = _INT_KEYS[key]
         try:
@@ -250,8 +255,6 @@ def load_model(path) -> ModelDesc:
             text = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    import os
-
     return loads_model(text, name_hint=os.path.splitext(os.path.basename(str(path)))[0])
 
 
@@ -273,8 +276,3 @@ def dumps_model(model: ModelDesc) -> str:
             lines.append(f"  weight_sample {layer.weight_sample}")
         lines.append("")
     return "\n".join(lines)
-
-
-def save_model(model: ModelDesc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model))

@@ -19,7 +19,6 @@ from .dm import (
     LOOP_DIMS,
     OPERANDS,
     Mapping,
-    MappingError,
     iteration_counts,
     loop_extents,
     role_bits,

@@ -187,7 +187,7 @@ class QuantPlan:
 # ---------------------------------------------------------------------------
 
 
-def selection_key(cand: CandidateEval, mode: str, alpha: float):
+def selection_key(cand: CandidateEval, mode: str):
     """Deterministic ranking: mode objective, then smaller traffic, larger
     block size, smaller shared-exponent width."""
     se, bs, _ = cand.config
@@ -200,19 +200,19 @@ def selection_key(cand: CandidateEval, mode: str, alpha: float):
     return (primary, cand.dm_sum_bits, -bs, se)
 
 
-def select_candidate(cands, mode: str, alpha: float) -> CandidateEval:
+def select_candidate(cands, mode: str) -> CandidateEval:
     feasible = [c for c in cands if c.feasible]
     if not feasible:
         raise InfeasibleError("every candidate is infeasible under the memory capacity")
     if mode == "pareto":
         frontier = pareto_frontier(feasible)
-        return knee_point(frontier, alpha)
-    return min(feasible, key=lambda c: selection_key(c, mode, alpha))
+        return knee_point(frontier)
+    return min(feasible, key=lambda c: selection_key(c, mode))
 
 
 def pareto_frontier(cands) -> list:
     """Non-dominated candidates in (acc_loss, perf_loss), sorted by acc_loss."""
-    ordered = sorted(cands, key=lambda c: (c.acc_loss, c.perf_loss, selection_key(c, "full", 0.0)))
+    ordered = sorted(cands, key=lambda c: (c.acc_loss, c.perf_loss, selection_key(c, "full")))
     frontier = []
     best_perf = math.inf
     for c in ordered:
@@ -222,24 +222,24 @@ def pareto_frontier(cands) -> list:
     return frontier
 
 
-def knee_point(frontier, alpha: float) -> CandidateEval:
+def knee_point(frontier) -> CandidateEval:
     """Frontier point farthest (perpendicular) from the endpoint chord;
     degenerate frontiers fall back to the weighted-objective minimum."""
     if not frontier:
         raise InfeasibleError("empty Pareto frontier")
     if len(frontier) <= 2:
-        return min(frontier, key=lambda c: selection_key(c, "full", alpha))
+        return min(frontier, key=lambda c: selection_key(c, "full"))
     a = frontier[0]
     b = frontier[-1]
     ax, ay = a.acc_loss, a.perf_loss
     bx, by = b.acc_loss, b.perf_loss
     chord = math.hypot(bx - ax, by - ay)
     if chord == 0.0:
-        return min(frontier, key=lambda c: selection_key(c, "full", alpha))
+        return min(frontier, key=lambda c: selection_key(c, "full"))
     best = None
     for c in frontier:
         dist = abs((bx - ax) * (ay - c.perf_loss) - (ax - c.acc_loss) * (by - ay)) / chord
-        key = (-dist,) + selection_key(c, "full", alpha)
+        key = (-dist,) + selection_key(c, "full")
         if best is None or key < best[0]:
             best = (key, c)
     return best[1]
@@ -294,8 +294,8 @@ def _acc_term(layer, config, specs, loss_source, samples, powers, acc_table) -> 
     return acc_table.layer_entries[key]
 
 
-def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str = "proxy",
-                      mode: str = "full", acc_table: AccuracyTable | None = None, seed: int | None = None):
+def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str, mode: str,
+                      acc_table: AccuracyTable | None, seed: int | None):
     """Raise on arguments :func:`search` cannot run with.  It reads no model,
     so a caller can check a run before it builds the mapping tables."""
     if mode not in MODES:
@@ -415,7 +415,7 @@ def search(
             c.acc_loss = c.raw_acc / acc_norm if acc_norm > 0 else 0.0
             c.objective = c.acc_loss + alpha * c.perf_loss
 
-    winners = [select_candidate(group, mode, alpha) for group in groups]
+    winners = [select_candidate(group, mode) for group in groups]
     dm_sum = sum(c.dm_sum_bits for c in winners)
     acc_loss = sum(c.raw_acc for c in winners) / acc_norm if acc_norm > 0 else 0.0
     perf_loss = dm_sum / dm_max
@@ -467,4 +467,4 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
             return
         baseline_rows.append((tables[layer.index].breakdown(hit[0], bits32), bits32))
     plan.baseline_energy_report = energy(model, baseline_rows, energy_params)
-    normalized_energy(plan.energy_report, plan.baseline_energy_report, baseline_name="original")
+    normalized_energy(plan.energy_report, plan.baseline_energy_report)

@@ -284,11 +284,9 @@ class LayerMappingTable:
         """Full-mesh tile footprint in bits for one bits-per-role triple."""
         return _weigh(self.footprint_elems, bits)
 
-    def tiles_at(self, tile_idx: tuple) -> dict:
-        return {d: self.candidates[d][tile_idx[i]] for i, d in enumerate(MOVING_DIMS)}
-
     def mapping_at(self, perm_idx: int, tile_idx: tuple) -> Mapping:
-        return make_mapping(self.layer, self.tiles_at(tile_idx), order=self.permutations[perm_idx])
+        tiles = {d: self.candidates[d][tile_idx[i]] for i, d in enumerate(MOVING_DIMS)}
+        return make_mapping(self.layer, tiles, order=self.permutations[perm_idx])
 
     def query(self, specs, mc_bits: float):
         """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible.

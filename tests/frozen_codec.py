@@ -65,7 +65,6 @@ def frozen_encode_tensor(tensor, spec) -> BfpTensor:
         )
     return BfpTensor(
         shape=tuple(arr.shape),
-        layout="flat",
         blocks=blocks,
         spec=spec,
         last_block_fill=fill,

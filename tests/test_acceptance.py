@@ -306,7 +306,7 @@ def test_c06_objective_degeneracy():
     b = CandidateEval(config=(4, 8, 8), feasible=True, dm_sum_bits=500.0,
                       acc_loss=0.3, perf_loss=0.5, objective=0.3 + 0.2 * 0.5)
     assert math.isclose(a.objective, 0.3) and math.isclose(b.objective, 0.4)
-    assert select_candidate([a, b], "full", 0.2) is a
+    assert select_candidate([a, b], "full") is a
     _report(6, "alpha=0, alpha=1e6 and the 0.3-vs-0.4 example all select correctly")
 
 
@@ -332,7 +332,7 @@ def test_c07_normalization_and_scaling_invariance():
         ]
 
     for scale in (1.0, 3.0, 1e6, 1e-6):
-        assert select_candidate(build(scale), "full", 0.2).config == select_candidate(build(1.0), "full", 0.2).config
+        assert select_candidate(build(scale), "full").config == select_candidate(build(1.0), "full").config
     _report(7, "max candidate's perf_loss is exactly 1.0; selection invariant under DM scaling")
 
 

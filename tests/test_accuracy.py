@@ -63,6 +63,15 @@ def test_table_non_finite_loss_rejected(loss):
         loads_table(f"format_version 1\nmodel 3 8 8 0.1\nlayer:1 3 8 8 {loss}\n")
 
 
+@pytest.mark.parametrize("row", ["model 3 8 8", "layer:1 3 8 8", "layer:01 3 8 8"])
+def test_table_repeated_row_rejected_naming_its_line(row):
+    first = "model 3 8 8" if row.startswith("model") else "layer:1 3 8 8"
+    text = f"format_version 1\n{first} 0.01\nmodel 4 8 8 0.2\n{row} 0.9\nblob 3 8 8 0.1\n"
+    scope = row.split()[0]
+    with pytest.raises(AccuracyError, match=f"line 4: repeats the {scope} row of line 2; line 5: unknown scope"):
+        loads_table(text)
+
+
 def test_table_empty_rejected():
     with pytest.raises(AccuracyError, match="empty"):
         table_acc_loss(AccuracyTable(), (3, 8, 8))

@@ -13,6 +13,8 @@ from bfpsearch.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    build_parser,
+    config_from_args,
     main,
     run,
     sweep_alpha,
@@ -109,6 +111,54 @@ def test_invalid_run_fails_before_the_model_is_read(tiny4_path, tmp_path, capsys
     assert rc == code
     assert capsys.readouterr().err.startswith("usage error:" if code == EXIT_USAGE else "i/o error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, kind", [("--se", "integer"), ("--bs", "integer"), ("--sweep-alpha", "float")])
+def test_malformed_list_flag_prints_its_own_message(tiny4_path, tmp_path, capsys, flag, kind):
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), flag, "x"))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: argument {flag}: expected a comma-separated {kind} list, got 'x'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_accuracy_table_row_is_io_error(tiny4_path, tmp_path, capsys):
+    table = tmp_path / "acc.table"
+    table.write_text("format_version 1\nmodel 3 8 8 0.01\nmodel 3 8 8 0.90\n")
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), "--loss-source", "table", "--acc-table", str(table)))
+    assert rc == EXIT_IO
+    assert "line 3: repeats the model row of line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_defaults_come_from_run_config(tiny4_path, monkeypatch):
+    monkeypatch.delenv("BFPSEARCH_OUT_DIR", raising=False)
+    monkeypatch.delenv("BFPSEARCH_JOBS", raising=False)
+    assert config_from_args(build_parser().parse_args(["--model", tiny4_path])) == RunConfig(model_path=tiny4_path)
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["--qb", "16"], "total_bits", 16),
+    (["--mc", "4096"], "mc_bits", 4096.0),
+    (["--no-first-load"], "count_first_load", False),
+    (["--csv"], "write_csv", True),
+    (["--e-sram", "0.5"], "sram_pj_per_bit", 0.5),
+    (["--sweep-alpha", "0.1,0.7"], "sweep_alphas", (0.1, 0.7)),
+], ids=lambda v: "=".join(v) if isinstance(v, list) else None)
+def test_each_flag_lands_in_its_field(tiny4_path, monkeypatch, argv, field, value):
+    monkeypatch.delenv("BFPSEARCH_OUT_DIR", raising=False)
+    monkeypatch.delenv("BFPSEARCH_JOBS", raising=False)
+    config = config_from_args(build_parser().parse_args(["--model", tiny4_path, *argv]))
+    assert config == RunConfig(model_path=tiny4_path, **{field: value})
+
+
+def test_report_config_record_keys(tiny4_path, tmp_path):
+    assert main(base_args(tiny4_path, str(tmp_path / "out"), "--jobs", "1", "--csv")) == EXIT_OK
+    record = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert sorted(record) == [
+        "acc_table_path", "alpha", "bs_set", "count_first_load", "dram_pj_per_bit", "loss_source", "mc_bits",
+        "mode", "model_path", "qb", "scope", "se_set", "seed", "sram_pj_per_bit",
+    ]
+    assert (record["qb"], record["se_set"], record["bs_set"]) == (8, [2, 3, 4], [2, 8])
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", ""])

@@ -190,6 +190,29 @@ def test_duplicate_layer_index_rejected():
         loads_model("format_version 1\n" + block + block)
 
 
+@pytest.mark.parametrize("field, first, again", [
+    ("c_in", "3", "16"), ("input", "6 6", "8 8"), ("stride", "1", "2"), ("type", "conv", "pool"),
+    ("output", "4 4", "4 4"), ("weight_sample", "a.f32", "b.f32"),
+])
+def test_repeated_layer_field_rejected_naming_its_line(field, first, again):
+    base = {"c_in": "3", "c_out": "1", "input": "6 6", "kernel": "3 3"}
+    lines = ["format_version 1", "layer 1", f"  {field} {first}"]
+    lines += [f"  {k} {v}" for k, v in base.items() if k != field]
+    lines += [f"  {field} {again}", "  groups 0 0"]
+    with pytest.raises(ModelFormatError) as err:
+        loads_model("\n".join(lines) + "\n")
+    msg = str(err.value)
+    assert f"line {len(lines) - 1}: layer 1: {field} repeats line 3" in msg
+    assert f"line {len(lines)}: groups: expected 1 value(s), got 2" in msg  # collected with the others
+
+
+def test_same_field_in_two_layer_blocks_and_repeated_unknown_field_are_accepted():
+    block = "layer {}\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 3 3\n  note a\n  note b\n"
+    model = loads_model("format_version 1\n" + block.format(1) + block.format(2))
+    assert [layer.index for layer in model.layers] == [1, 2]
+    assert sum("unknown field 'note'" in msg for _, msg in model.diagnostics) == 4
+
+
 @pytest.mark.parametrize("text", [
     "format_version 1\nmodel empty\n",
     "format_version 1\nlayer 1\n  type pool\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 2 2\n",

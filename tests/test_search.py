@@ -70,7 +70,7 @@ def test_two_candidate_arithmetic():
                       acc_loss=0.3, perf_loss=0.5, objective=0.3 + 0.2 * 0.5)
     assert a.objective == pytest.approx(0.3)
     assert b.objective == pytest.approx(0.4)
-    assert select_candidate([a, b], "full", 0.2) is a
+    assert select_candidate([a, b], "full") is a
 
 
 def test_normalization_max_candidate_is_one(tiny4):
@@ -92,7 +92,7 @@ def test_uniform_dm_scaling_keeps_selection():
                 perf_loss=dm_s / dm_max, objective=acc + 0.2 * dm_s / dm_max,
             ))
         return rows
-    assert select_candidate(build(1.0), "full", 0.2).config == select_candidate(build(7.25), "full", 0.2).config
+    assert select_candidate(build(1.0), "full").config == select_candidate(build(7.25), "full").config
 
 
 def test_tie_break_smaller_dm_then_larger_bs_then_smaller_se():
@@ -101,12 +101,12 @@ def test_tie_break_smaller_dm_then_larger_bs_then_smaller_se():
                              acc_loss=0.1, perf_loss=0.5, objective=0.2)
     a = cand((3, 8, 8), 500.0)
     b = cand((3, 16, 8), 400.0)
-    assert select_candidate([a, b], "full", 0.2) is b  # smaller dm wins
+    assert select_candidate([a, b], "full") is b  # smaller dm wins
     c = cand((3, 8, 8), 400.0)
     d = cand((3, 16, 8), 400.0)
-    assert select_candidate([c, d], "full", 0.2) is d  # larger bs wins
+    assert select_candidate([c, d], "full") is d  # larger bs wins
     e = cand((2, 16, 8), 400.0)
-    assert select_candidate([d, e], "full", 0.2) is e  # smaller se wins
+    assert select_candidate([d, e], "full") is e  # smaller se wins
 
 
 def test_all_infeasible_raises(tiny4):
@@ -145,7 +145,7 @@ def test_knee_point_geometry():
         cand((3, 8, 8), 0.1, 0.2),  # pronounced knee
         cand((4, 8, 8), 1.0, 0.0),
     ])
-    assert knee_point(frontier, 0.2).config == (3, 8, 8)
+    assert knee_point(frontier).config == (3, 8, 8)
 
 
 def test_table_loss_source(tiny4):
