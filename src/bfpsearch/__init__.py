@@ -31,9 +31,7 @@ from .dm import (
     ReuseClass,
     classify_reuse,
     dm_layer,
-    dm_level_volume,
     make_mapping,
-    new_data_per_iteration,
     tile_footprint,
 )
 from .accuracy import (

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import ROLES, BfpSpec, load_tensor_f32, quantize_dequantize
-from .model import ConvLayer, layer_volumes
-
-TABLE_FORMAT_VERSION = 1
+from .model import ConvLayer, layer_volumes, raise_errors, read_text, records
 
 SYNTHETIC_SEED = 0x5EED
 
@@ -52,30 +50,20 @@ class AccuracyTable:
 def loads_table(text: str) -> AccuracyTable:
     table = AccuracyTable()
     errors = []
-    version_seen = False
-    first_line = {}  # entry key -> the line that set it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    first = {}  # format_version -> its line
+    row_lines = {}  # entry key -> the line that set it
+    for lineno, scope, args in records(text, errors, first):
+        if len(args) != 4:
+            errors.append((lineno, f"expected 'scope SE BS qb loss', got {len(args) + 1} fields"))
             continue
-        parts = line.split()
-        if parts[0] == "format_version":
-            version_seen = True
-            if parts[1:] != [str(TABLE_FORMAT_VERSION)]:
-                errors.append((lineno, f"unsupported format_version {parts[1:]}"))
-            continue
-        if len(parts) != 5:
-            errors.append((lineno, f"expected 'scope SE BS qb loss', got {len(parts)} fields"))
-            continue
-        scope, se_s, bs_s, qb_s, loss_s = parts
         try:
-            key = (int(se_s), int(bs_s), int(qb_s))
-            loss = float(loss_s)
+            key = tuple(int(a) for a in args[:3])
+            loss = float(args[3])
         except ValueError:
-            errors.append((lineno, f"non-numeric record {parts[1:]}"))
+            errors.append((lineno, f"non-numeric record {args}"))
             continue
         if not math.isfinite(loss):
-            errors.append((lineno, f"non-finite loss {loss_s!r}"))
+            errors.append((lineno, f"non-finite loss {args[3]!r}"))
             continue
         if loss < 0.0:
             table.diagnostics.append((lineno, f"negative loss {loss} clamped to 0"))
@@ -92,25 +80,17 @@ def loads_table(text: str) -> AccuracyTable:
         else:
             errors.append((lineno, f"unknown scope {scope!r}"))
             continue
-        if key in first_line:
-            errors.append((lineno, f"repeats the {scope} row of line {first_line[key]}"))
+        if key in row_lines:
+            errors.append((lineno, f"repeats the {scope} row of line {row_lines[key]}"))
             continue
-        first_line[key] = lineno
+        row_lines[key] = lineno
         entries[key] = loss
-    if not version_seen:
-        errors.append((0, "missing format_version line"))
-    if errors:
-        msgs = "; ".join(f"line {ln}: {m}" for ln, m in errors)
-        raise AccuracyError(f"invalid accuracy table: {msgs}")
+    raise_errors(errors, first, "accuracy table", AccuracyError)
     return table
 
 
 def load_table(path) -> AccuracyTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads_table(fh.read())
-    except OSError as exc:
-        raise AccuracyError(f"cannot read accuracy table {path}: {exc}") from exc
+    return loads_table(read_text(path, "accuracy table", AccuracyError))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .energy import EnergyError, EnergyParams
 from .model import ModelFormatError, load_model
 from .search import (
     DEFAULT_ALPHA,
+    DEFAULT_LOSS_SOURCE,
+    DEFAULT_MODE,
     LOSS_SOURCES,
     MODES,
     SCOPES,
@@ -58,15 +60,15 @@ class UsageError(ValueError):
 @dataclass
 class RunConfig:
     model_path: str
-    total_bits: int = 8
+    total_bits: int = CandidateSpace.total_bits
     alpha: float = DEFAULT_ALPHA
     mc_bits: float = 2_097_152  # 256 KiB on-chip buffer
-    mode: str = "full"
-    loss_source: str = "proxy"
+    mode: str = DEFAULT_MODE
+    loss_source: str = DEFAULT_LOSS_SOURCE
     acc_table_path: str | None = None
     se_set: tuple | None = None
     bs_set: tuple | None = None
-    scope: str = "model"
+    scope: str = CandidateSpace.scope
     out_dir: str = "bfpsearch_out"
     seed: int = SYNTHETIC_SEED
     jobs: int = 1

@@ -264,7 +264,7 @@ def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mappin
 
 
 # ---------------------------------------------------------------------------
-# Tile footprints and slide volumes
+# Tile footprints
 # ---------------------------------------------------------------------------
 
 
@@ -293,45 +293,17 @@ def tile_footprint(layer: ConvLayer, tiling: Mapping, spec_i, spec_o, spec_w) ->
     return {role: elems[role] * bits[role] for role in OPERANDS}
 
 
-def new_data_per_iteration(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mapping) -> int:
-    """Elements newly required when one partially-reused loop advances a tile.
-
-    Only defined for partial reuse; the window slides by tile*stride along the
-    advancing dimension while the orthogonal tile extents stay fixed.
-    """
-    cls = classify_reuse(operand, loop_dim, layer, tiling)
-    if cls is not ReuseClass.PARTIAL_REUSE:
-        raise MappingError(f"new_data_per_iteration needs partial reuse, got {cls.value} for ({operand}, {loop_dim})")
-    t = {d: tiling.tile(d) for d in LOOP_DIMS}
-    in_rows = (t["oh"] - 1) * layer.stride_h + t["kh"]
-    in_cols = (t["ow"] - 1) * layer.stride_w + t["kw"]
-    if loop_dim == "oh":
-        return t["ic"] * (t["oh"] * layer.stride_h) * in_cols
-    if loop_dim == "ow":
-        return t["ic"] * in_rows * (t["ow"] * layer.stride_w)
-    if loop_dim == "kh":
-        return t["ic"] * t["kh"] * in_cols
-    return t["ic"] * in_rows * t["kw"]
-
-
-def dm_level_volume(reuse: ReuseClass, iterations: int, tile_volume, new_volume=None):
-    """The three-way per-level cost: no reuse streams the tile every
-    iteration, partial reuse streams it once plus the slide delta, full reuse
-    is free."""
-    if iterations < 1:
-        raise MappingError(f"iterations must be >= 1, got {iterations}")
-    if reuse is ReuseClass.NO_REUSE:
-        return iterations * tile_volume
-    if reuse is ReuseClass.PARTIAL_REUSE:
-        if new_volume is None:
-            raise MappingError("partial reuse needs the per-iteration new-data volume")
-        return tile_volume + (iterations - 1) * new_volume
-    return 0 * tile_volume
-
-
 # ---------------------------------------------------------------------------
 # Exact per-layer traffic
 # ---------------------------------------------------------------------------
+
+
+def weigh(elems: dict, bits: dict):
+    """Per-role element counts weighted by bits, summed as (input + output) +
+    weight.  ``elems`` are ints for one mapping or NumPy arrays over a mapping
+    table; the oracle sums in the same order on its own, as the reference, so
+    the totals of all three stay bit-identical."""
+    return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
 
 
 @dataclass
@@ -365,11 +337,7 @@ class DmBreakdown:
             elems *= self.group_multiplier
             self.total_elems[role] = elems
             self.total_bits[role] = elems * self.bits[role]
-        # Fixed input+output+weight addition order: keeps totals bit-identical
-        # across the scalar model, the vectorized search tables and the oracle.
-        self.dm_total_bits = (
-            self.total_bits["input"] + self.total_bits["output"]
-        ) + self.total_bits["weight"]
+        self.dm_total_bits = weigh(self.total_elems, self.bits)
         return self
 
     def to_record(self) -> dict:

@@ -13,6 +13,10 @@ A model file is a line-oriented key/value format with one block per layer::
       stride 1 1
       pad 1 1
 
+``#`` starts a comment.  ``format_version`` appears exactly once, ``model``
+at most once, and a repeat of either, or of a field in one layer block, is
+an error naming both lines; accuracy tables follow the same rules.
+
 Output dims are derived from the shape formula; explicitly given output dims
 must agree with it.  Non-conv layer blocks (``type pool`` etc.) are skipped
 with a warning since the cost model is defined over convolutions only; the
@@ -29,11 +33,7 @@ FORMAT_VERSION = 1
 
 
 class ModelFormatError(ValueError):
-    """Raised on malformed model files; carries line-level diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
+    """Raised on malformed model files."""
 
 
 def out_extent(in_extent: int, pad: int, kernel: int, stride: int) -> int:
@@ -132,15 +132,54 @@ _INT_KEYS = {
     "pad": ("pad_h", "pad_w"),
     "output": ("o_h", "o_w"),
 }
-_PATH_KEYS = {"input_sample": "input_sample", "weight_sample": "weight_sample"}
+_TEXT_KEYS = {"type": "_type", "input_sample": "input_sample", "weight_sample": "weight_sample"}
+
+
+def records(text: str, errors: list, first: dict, once=()):
+    """Yield ``(line, key, args)`` per record of either text input: ``#``
+    starts a comment, and the one ``format_version`` line is checked, not
+    yielded.  It and each key in ``once`` may appear once; ``first`` maps
+    each to its line, and a repeat goes to ``errors`` naming that line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        key, args = parts[0], parts[1:]
+        if key in first:
+            errors.append((lineno, f"{key} repeats line {first[key]}"))
+            continue
+        if key == "format_version" or key in once:
+            first[key] = lineno
+        if key != "format_version":
+            yield lineno, key, args
+        elif args != [str(FORMAT_VERSION)]:
+            errors.append((lineno, f"unsupported format_version {' '.join(args)}"))
+
+
+def raise_errors(errors: list, first: dict, what: str, error_cls):
+    """Raise ``error_cls`` listing the collected errors, then a missing version line."""
+    if "format_version" not in first:
+        errors.append((0, "missing format_version line"))
+    if errors:
+        msgs = "; ".join(f"line {ln}: {m}" for ln, m in errors)
+        raise error_cls(f"invalid {what}: {msgs}")
+
+
+def read_text(path, what: str, error_cls) -> str:
+    """The text of an input file; an OSError becomes ``error_cls``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error_cls(f"cannot read {what} {path}: {exc}") from exc
 
 
 def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     """Parse a model description from text.  See module docstring for format."""
     diagnostics = []
     errors = []
+    first = {}  # format_version and model -> the line that gave it
     name = name_hint
-    version_seen = False
     layers = []
     seen_indices = set()  # per-layer accuracy-table rows refer to these
     current = None
@@ -152,7 +191,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             return
         lineno, fields = current
         current = None
-        if fields.pop("_type", "conv") != "conv":
+        if fields.pop("_type", None) not in (None, "conv"):
             diagnostics.append((lineno, f"skipping non-conv layer {fields.get('index')}"))
             return
         declared = {k: fields.pop(k) for k in ("o_h", "o_w") if k in fields}
@@ -176,17 +215,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             diagnostics.append((lineno, f"layer {layer.index}: derived output {layer.o_h}x{layer.o_w}"))
         layers.append(layer)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
-        if key == "format_version":
-            version_seen = True
-            if args != [str(FORMAT_VERSION)]:
-                errors.append((lineno, f"unsupported format_version {' '.join(args)}"))
-            continue
+    for lineno, key, args in records(text, errors, first, once=("model",)):
         if key == "model":
             name = " ".join(args) or name
             continue
@@ -206,18 +235,15 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
         if current is None:
             errors.append((lineno, f"field {key!r} outside any layer block"))
             continue
-        if key != "type" and key not in _PATH_KEYS and key not in _INT_KEYS:
+        if key not in _TEXT_KEYS and key not in _INT_KEYS:
             diagnostics.append((lineno, f"ignoring unknown field {key!r}"))
             continue
         if key in block_lines:
             errors.append((lineno, f"layer {current[1]['index']}: {key} repeats line {block_lines[key]}"))
             continue
         block_lines[key] = lineno
-        if key == "type":
-            current[1]["_type"] = args[0] if args else "conv"
-            continue
-        if key in _PATH_KEYS:
-            current[1][_PATH_KEYS[key]] = args[0] if args else None
+        if key in _TEXT_KEYS:
+            current[1][_TEXT_KEYS[key]] = args[0] if args else None
             continue
         names = _INT_KEYS[key]
         try:
@@ -234,11 +260,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             current[1][n] = v
 
     finish_block()
-    if not version_seen:
-        errors.append((0, "missing format_version line"))
-    if errors:
-        msgs = "; ".join(f"line {ln}: {m}" for ln, m in errors)
-        raise ModelFormatError(f"invalid model description: {msgs}", diagnostics=errors)
+    raise_errors(errors, first, "model description", ModelFormatError)
     # Re-index sequentially: skipped non-conv blocks leave gaps by design.
     renumbered = []
     for i, layer in enumerate(layers, start=1):
@@ -250,11 +272,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
 
 
 def load_model(path) -> ModelDesc:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    text = read_text(path, "model file", ModelFormatError)
     return loads_model(text, name_hint=os.path.splitext(os.path.basename(str(path)))[0])
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .accuracy import (
+    SYNTHETIC_SEED,
     AccuracyError,
     AccuracyTable,
     layer_samples,
@@ -39,6 +40,8 @@ from .tiling import InfeasibleError, LayerMappingTable
 
 DEFAULT_BS_SET = (1, 2, 4, 8, 16, 24, 32, 48)
 DEFAULT_ALPHA = 0.2
+DEFAULT_MODE = "full"
+DEFAULT_LOSS_SOURCE = "proxy"
 
 MODES = ("full", "no_qat", "no_dm", "pareto")
 LOSS_SOURCES = ("proxy", "table")
@@ -295,7 +298,7 @@ def _acc_term(layer, config, specs, loss_source, samples, powers, acc_table) -> 
 
 
 def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str, mode: str,
-                      acc_table: AccuracyTable | None, seed: int | None):
+                      acc_table: AccuracyTable | None, seed: int):
     """Raise on arguments :func:`search` cannot run with.  It reads no model,
     so a caller can check a run before it builds the mapping tables."""
     if mode not in MODES:
@@ -310,7 +313,7 @@ def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_
         raise SearchError("loss_source='table' needs an accuracy table")
     if loss_source == "table" and acc_table.is_empty():
         raise AccuracyError("accuracy table is empty")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise SearchError(f"seed must be >= 0, got {seed}")
     if space.scope == "layer":
         if mode != "full":
@@ -327,12 +330,12 @@ def search(
     space: CandidateSpace,
     alpha: float = DEFAULT_ALPHA,
     mc_bits: float = None,
-    loss_source: str = "proxy",
-    mode: str = "full",
+    loss_source: str = DEFAULT_LOSS_SOURCE,
+    mode: str = DEFAULT_MODE,
     acc_table: AccuracyTable | None = None,
     tables: dict | None = None,
     energy_params: EnergyParams = EnergyParams(),
-    seed: int | None = None,
+    seed: int = SYNTHETIC_SEED,
     sample_dir: str | None = None,
 ) -> QuantPlan:
     """Search the (layer, config) grid for the plan minimizing the trade-off objective.
@@ -378,12 +381,11 @@ def search(
     # layer at a time: a layer's proxy samples live only while its row is
     # scored.  In model scope a table's whole-model row stands for its column.
     model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
-    seed_kw = {} if seed is None else {"seed": seed}
     acc = []
     for i, layer in enumerate(model.layers):
         samples = powers = None
         if loss_source == "proxy":
-            samples = layer_samples(layer, model_dir=sample_dir, **seed_kw)
+            samples = layer_samples(layer, model_dir=sample_dir, seed=seed)
             powers = {role: signal_power(tensor) for role, tensor in samples.items()}
         row = groups[i] if space.scope == "layer" else groups[0]
         acc.append({j: _acc_term(layer, configs[j], specs[j], loss_source, samples, powers, acc_table)

@@ -65,6 +65,7 @@ from .dm import (
     loop_extents,
     make_mapping,
     role_bits,
+    weigh,
 )
 from .model import ConvLayer
 
@@ -126,11 +127,6 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
         ADVANCING: (total - length[start], np.add.reduceat(step, start)),
         INSIDE: (length[start], overlap(start, start + n - 1)),
     }
-
-
-def _weigh(elems: dict, bits: dict):
-    """Per-role element counts weighted by bits, summed in the order ``dm_layer`` uses."""
-    return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
 
 
 class LayerMappingTable:
@@ -282,7 +278,7 @@ class LayerMappingTable:
 
     def footprint_bits(self, bits: dict) -> np.ndarray:
         """Full-mesh tile footprint in bits for one bits-per-role triple."""
-        return _weigh(self.footprint_elems, bits)
+        return weigh(self.footprint_elems, bits)
 
     def mapping_at(self, perm_idx: int, tile_idx: tuple) -> Mapping:
         tiles = {d: self.candidates[d][tile_idx[i]] for i, d in enumerate(MOVING_DIMS)}
@@ -303,8 +299,8 @@ class LayerMappingTable:
         return self._answers[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):
-        foot = _weigh(self._footprint, bits)
-        dm = np.where(foot <= mc_bits, _weigh(self._traffic, bits), np.inf)
+        foot = weigh(self._footprint, bits)
+        dm = np.where(foot <= mc_bits, weigh(self._traffic, bits), np.inf)
         best = int(np.argmin(dm))
         if dm[best] == np.inf:
             return None

@@ -19,7 +19,6 @@ from bfpsearch.dm import (
     ReuseClass,
     classify_reuse,
     dm_layer,
-    dm_level_volume,
     loop_extents,
     make_mapping,
     role_bits,
@@ -208,17 +207,32 @@ def test_c03_model_matches_oracle_on_grid():
 
 
 def test_c04_per_level_case_coverage():
-    assert dm_level_volume(ReuseClass.NO_REUSE, 4, 100.0) == 400.0
-    assert dm_level_volume(ReuseClass.PARTIAL_REUSE, 4, 100.0, 20.0) == 160.0
-    assert dm_level_volume(ReuseClass.FULL_REUSE, 4, 100.0) == 0.0
-    layer = ConvLayer(1, 1, 1, 6, 6, 3, 3)
-    m = make_mapping(layer, {"oh": 1, "ow": 1})
-    assert classify_reuse("weight", "oh", layer, m) is ReuseClass.FULL_REUSE
-    assert classify_reuse("input", "ow", layer, m) is ReuseClass.PARTIAL_REUSE
+    # dm_layer's exact per-level counts, with hand values, for one level's
+    # three cases: no reuse loads each new output tile whole, partial reuse
+    # moves the input window's first tile and then each slide's new
+    # elements, full reuse leaves the weights to their cold first load.
+    # 6x6 input, 3x3 kernel, unit output tiles, rows outer: at the ow level
+    # the output moves 4 rows x 3 new 1-element tiles plus the first, the
+    # input 4 x 3 slides of 3 plus the first 9-element tile.
+    # A 6x1 column under a 3x1 kernel: at the oh level the output moves 4,
+    # the input 3 + 3 x 1, and the weights 0 with 3 cold.
+    cases = [
+        (ConvLayer(1, 1, 1, 6, 6, 3, 3), {"oh": 1, "ow": 1}, "ow", (13, 45, 0), 9),
+        (ConvLayer(1, 1, 1, 6, 1, 3, 1), {"oh": 1}, "oh", (4, 6, 0), 3),
+    ]
+    for layer, tiles, level, moved, cold_weight in cases:
+        m = make_mapping(layer, tiles)
+        bd = dm_layer(layer, m, spec_triple())
+        j = m.permutation.index(level)
+        assert classify_reuse("output", level, layer, m) is ReuseClass.NO_REUSE
+        assert classify_reuse("input", level, layer, m) is ReuseClass.PARTIAL_REUSE
+        assert classify_reuse("weight", level, layer, m) is ReuseClass.FULL_REUSE
+        assert tuple(bd.level_elems[r][j] for r in ("output", "input", "weight")) == moved
+        assert bd.cold_elems["weight"] == cold_weight
     strided = ConvLayer(1, 1, 1, 9, 9, 3, 3, stride_h=3, stride_w=3)
     ms = make_mapping(strided, {"oh": 1, "ow": 1})
     assert classify_reuse("input", "ow", strided, ms) is ReuseClass.NO_REUSE
-    _report(4, "no/partial/full branches hit with hand values 400/160/0")
+    _report(4, "no/partial/full branches hit with exact level values 13/45/0 and 4/6/0")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from bfpsearch.accuracy import (
     synthetic_sample,
 )
 from bfpsearch.codec import BfpSpec
-from bfpsearch.model import ModelDesc, layer_volumes
+from bfpsearch.model import ModelDesc, ModelFormatError, layer_volumes, loads_model
 from bfpsearch.search import CandidateSpace, search
 
 from conftest import small_layer, spec_triple
@@ -70,6 +70,21 @@ def test_table_repeated_row_rejected_naming_its_line(row):
     scope = row.split()[0]
     with pytest.raises(AccuracyError, match=f"line 4: repeats the {scope} row of line 2; line 5: unknown scope"):
         loads_table(text)
+
+
+def test_table_repeated_format_version_rejected_naming_both_lines():
+    with pytest.raises(AccuracyError) as err:
+        loads_table("format_version 1\nmodel 3 8 8 0.1\nformat_version 1\n")
+    assert str(err.value) == "invalid accuracy table: line 3: format_version repeats line 1"
+
+
+def test_unsupported_version_reads_the_same_in_both_formats():
+    with pytest.raises(AccuracyError) as table_err:
+        loads_table("format_version 2\nmodel 3 8 8 0.1\n")
+    with pytest.raises(ModelFormatError) as model_err:
+        loads_model("format_version 2\nlayer 1\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 3 3\n")
+    assert str(table_err.value) == "invalid accuracy table: line 1: unsupported format_version 2"
+    assert str(model_err.value) == "invalid model description: line 1: unsupported format_version 2"
 
 
 def test_table_empty_rejected():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -19,6 +20,7 @@ from bfpsearch.cli import (
     run,
     sweep_alpha,
 )
+from bfpsearch.search import CandidateSpace, search
 
 
 def base_args(tiny4_path, out_dir, *extra):
@@ -130,10 +132,30 @@ def test_repeated_accuracy_table_row_is_io_error(tiny4_path, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_repeated_format_version_is_io_error(tiny4_path, tmp_path, capsys):
+    path = tmp_path / "twice.model"
+    with open(tiny4_path, encoding="utf-8") as fh:
+        path.write_text("format_version 1\n" + fh.read())
+    rc = main(["--model", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    assert "format_version repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_defaults_come_from_run_config(tiny4_path, monkeypatch):
     monkeypatch.delenv("BFPSEARCH_OUT_DIR", raising=False)
     monkeypatch.delenv("BFPSEARCH_JOBS", raising=False)
     assert config_from_args(build_parser().parse_args(["--model", tiny4_path])) == RunConfig(model_path=tiny4_path)
+
+
+def test_run_config_defaults_are_the_library_defaults(tiny4_path):
+    config = RunConfig(model_path=tiny4_path)
+    params = inspect.signature(search).parameters
+    for name in ("alpha", "loss_source", "mode", "seed"):
+        assert getattr(config, name) == params[name].default, name
+    space, energy = CandidateSpace(), params["energy_params"].default
+    assert (config.total_bits, config.scope) == (space.total_bits, space.scope)
+    assert (config.sram_pj_per_bit, config.dram_pj_per_bit) == (energy.sram_pj_per_bit, energy.dram_pj_per_bit)
 
 
 @pytest.mark.parametrize("argv, field, value", [

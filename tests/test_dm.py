@@ -8,9 +8,7 @@ from bfpsearch.dm import (
     ReuseClass,
     classify_reuse,
     dm_layer,
-    dm_level_volume,
     make_mapping,
-    new_data_per_iteration,
     tile_footprint,
     tile_footprint_elems,
 )
@@ -98,41 +96,31 @@ def test_pointwise_kernel_no_halo():
     assert elems["input"] == 6  # equals the output tile extent
 
 
-# -- new data per iteration ---------------------------------------------------
+# -- the three per-level cases, on the exact level counts --------------------
 
 
-def test_new_data_sliding_window():
-    layer = small_layer()
-    m = make_mapping(layer, {"oh": 1, "ow": 1})
-    assert new_data_per_iteration("input", "ow", layer, m) == 3
-
-
-def test_new_data_stride_two():
-    layer = ConvLayer(1, 1, 1, 7, 7, 3, 3, stride_h=2, stride_w=2)
-    m = make_mapping(layer, {"oh": 1, "ow": 1})
-    assert new_data_per_iteration("input", "ow", layer, m) == 6
-
-
-def test_new_data_rejects_non_partial():
-    layer = ConvLayer(1, 1, 1, 9, 9, 3, 3, stride_h=3, stride_w=3)
-    m = make_mapping(layer, {"oh": 1, "ow": 1})
-    with pytest.raises(MappingError):
-        new_data_per_iteration("input", "ow", layer, m)
-
-
-# -- the three per-level cases ------------------------------------------------
-
-
-def test_level_volume_no_reuse():
-    assert dm_level_volume(ReuseClass.NO_REUSE, 4, 100.0) == 400.0
-
-
-def test_level_volume_partial_reuse():
-    assert dm_level_volume(ReuseClass.PARTIAL_REUSE, 4, 100.0, 20.0) == 160.0
-
-
-def test_level_volume_full_reuse():
-    assert dm_level_volume(ReuseClass.FULL_REUSE, 4, 100.0) == 0.0
+@pytest.mark.parametrize("layer, tiles, level, moved, cold_weight", [
+    # 6x6 input, 3x3 kernel, unit output tiles: 4 rows x 3 new output tiles
+    # plus the first; 4 x 3 input slides of 3 plus the first 9-element tile.
+    (ConvLayer(1, 1, 1, 6, 6, 3, 3), {"oh": 1, "ow": 1}, "ow", (4 * 3 + 1, 4 * 3 * 3 + 9, 0), 9),
+    # A 6x1 column under a 3x1 kernel: 3 slides of 1 after a 3-element tile.
+    (ConvLayer(1, 1, 1, 6, 1, 3, 1), {"oh": 1}, "oh", (4, 3 + 3 * 1, 0), 3),
+    # Stride 2 slides the 3x3 window by 3 x 2 new elements: 3 rows x 2 slides.
+    (ConvLayer(1, 1, 1, 7, 7, 3, 3, stride_h=2, stride_w=2), {"oh": 1, "ow": 1}, "ow",
+     (3 * 2 + 1, 3 * 2 * 6 + 9, 0), 9),
+], ids=["6x6-unit-tiles", "6x1-column", "stride-2"])
+def test_level_elems_no_partial_full_reuse(layer, tiles, level, moved, cold_weight):
+    # No reuse: each new output tile moves whole.  Partial reuse: the input
+    # window moves its new elements only.  Full reuse: the weights stay put
+    # and are only their cold first load.
+    m = make_mapping(layer, tiles)
+    bd = dm_layer(layer, m, spec_triple())
+    j = m.permutation.index(level)
+    assert classify_reuse("output", level, layer, m) is ReuseClass.NO_REUSE
+    assert classify_reuse("input", level, layer, m) is ReuseClass.PARTIAL_REUSE
+    assert classify_reuse("weight", level, layer, m) is ReuseClass.FULL_REUSE
+    assert tuple(bd.level_elems[r][j] for r in ("output", "input", "weight")) == moved
+    assert bd.cold_elems["weight"] == cold_weight
 
 
 # -- per-layer traffic --------------------------------------------------------
@@ -144,18 +132,6 @@ def test_whole_layer_tile_moves_each_operand_once():
     bd = dm_layer(layer, make_mapping(layer), specs)
     vin, vout, vw = layer_volumes(layer)
     assert bd.total_elems == {"input": vin, "output": vout, "weight": vw}
-
-
-def test_single_moving_loop_matches_level_formula():
-    # Only ow moves: the input should cost one tile plus slide deltas.
-    layer = small_layer()
-    m = make_mapping(layer, {"ow": 1})
-    bd = dm_layer(layer, m, spec_triple())
-    tile = bd.tile_elems["input"]
-    new = new_data_per_iteration("input", "ow", layer, m)
-    assert sum(bd.level_elems["input"]) == dm_level_volume(
-        ReuseClass.PARTIAL_REUSE, bd.iters["ow"], tile, new
-    )
 
 
 def test_sliding_window_hand_case():

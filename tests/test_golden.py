@@ -86,7 +86,7 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(tiling.LayerMappingTable, "query", counting("query", tiling.LayerMappingTable.query))
-    monkeypatch.setattr(tiling, "_weigh", counting("weigh", tiling._weigh))
+    monkeypatch.setattr(tiling, "weigh", counting("weigh", tiling.weigh))
     monkeypatch.setattr(tiling, "dm_layer", counting("dm_layer", tiling.dm_layer))
     workload = WORKLOADS["stack20-sweep-table"]
     run_seed0(tmp_path, workload)

@@ -206,6 +206,15 @@ def test_repeated_layer_field_rejected_naming_its_line(field, first, again):
     assert f"line {len(lines)}: groups: expected 1 value(s), got 2" in msg  # collected with the others
 
 
+@pytest.mark.parametrize("repeat, first", [("format_version 1", 1), ("model b", 2)])
+def test_repeated_file_level_line_rejected_naming_both_lines(repeat, first):
+    block = "layer 1\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 3 3\n"
+    with pytest.raises(ModelFormatError) as err:
+        loads_model(f"format_version 1\nmodel a\n{repeat}\n{block}")
+    key = repeat.split()[0]
+    assert str(err.value) == f"invalid model description: line 3: {key} repeats line {first}"
+
+
 def test_same_field_in_two_layer_blocks_and_repeated_unknown_field_are_accepted():
     block = "layer {}\n  c_in 1\n  c_out 1\n  input 4 4\n  kernel 3 3\n  note a\n  note b\n"
     model = loads_model("format_version 1\n" + block.format(1) + block.format(2))
