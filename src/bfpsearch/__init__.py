@@ -12,6 +12,7 @@ from .codec import (
     BfpBlock,
     BfpSpec,
     BfpTensor,
+    Blocks,
     CodecError,
     QuantError,
     decode_block,
@@ -21,6 +22,7 @@ from .codec import (
     encode_tensor,
     quantization_error,
     quantize_dequantize,
+    scan_blocks,
 )
 from .dm import (
     LOOP_DIMS,

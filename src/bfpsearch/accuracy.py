@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import ROLES, BfpSpec, load_tensor_f32, quantize_dequantize
+from .codec import ROLES, BfpSpec, Blocks, load_tensor_f32, quantize_dequantize
 from .model import ConvLayer, layer_volumes, raise_errors, read_text, records
 
 SYNTHETIC_SEED = 0x5EED
@@ -143,18 +143,24 @@ def signal_power(tensor: np.ndarray) -> float:
     return float(np.mean(arr * arr))
 
 
-def normalized_mse(tensor: np.ndarray, spec: BfpSpec, power: float | None = None) -> float:
+def normalized_mse(sample, spec: BfpSpec, power: float | None = None) -> float:
     """MSE of the encode/decode round trip, normalized by signal power.
 
-    ``power`` is the tensor's :func:`signal_power`, for callers that score one
-    sample under many specs; it is computed here when not given.
+    ``sample`` is a tensor or its :class:`~bfpsearch.codec.Blocks` scanned at
+    ``spec.block_size``.  ``power`` is the tensor's :func:`signal_power`.
+    Callers that score one sample under many specs pass both, so the scan
+    and the power are computed once; the power is computed here when not
+    given.
     """
-    arr = np.asarray(tensor, dtype=np.float64)
+    if isinstance(sample, Blocks):
+        arr = sample.values
+    else:
+        arr = sample = np.asarray(sample, dtype=np.float64)
     # Power first, so its temporary is gone before the round trip; the
     # squared error is built in place in the fresh dequantized buffer.
     if power is None:
         power = signal_power(arr)
-    err = quantize_dequantize(arr, spec)
+    err = quantize_dequantize(sample, spec)
     np.subtract(arr, err, out=err)
     np.square(err, out=err)
     if power == 0.0:
@@ -165,15 +171,17 @@ def normalized_mse(tensor: np.ndarray, spec: BfpSpec, power: float | None = None
 def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None = None) -> float:
     """Mean normalized round-trip MSE over the roles with samples.
 
+    ``samples`` maps each role to its tensor or to that tensor's
+    :class:`~bfpsearch.codec.Blocks` scanned at the specs' block size.
     ``powers`` maps each role to its sample's :func:`signal_power`, computed
     once per layer by callers that score the layer under many configs.
     """
     spec_by_role = {s.role: s for s in specs if isinstance(s, BfpSpec)}
     losses = []
-    for role, tensor in sorted(samples.items()):
+    for role, sample in sorted(samples.items()):
         if role not in spec_by_role:
             continue
-        losses.append(normalized_mse(tensor, spec_by_role[role], None if powers is None else powers[role]))
+        losses.append(normalized_mse(sample, spec_by_role[role], None if powers is None else powers[role]))
     if not losses:
         raise AccuracyError(f"no usable samples for layer {layer.index}")
     return float(np.mean(losses))

@@ -5,12 +5,19 @@ stores a two's-complement mantissa of ``total_bits - exp_bits`` bits (sign
 included).  Encoding picks the largest binary exponent in the block, shifts
 every element's significand down to that scale and rounds to nearest-even.
 
-:func:`encode_tensor` and :func:`quantize_dequantize` share one block kernel.
-It keeps one rule that :func:`encode_block` lacks: a block holding a zero
-(padding included) takes exponent ``max(e, 0)``, so an all-zero block gets 0,
-not ``exp_min``.  It comes from an ``int64``-min zero sentinel that NumPy 2's
-``int32`` ``frexp`` exponents wrap to 0; the benchmark's recorded plans were
-made with it, and dropping it changes some of them.
+:func:`encode_tensor` and :func:`quantize_dequantize` share one block kernel
+in two steps.  :func:`scan_blocks` does the work that depends only on the
+tensor and the block size: it lays the tensor out as zero-padded blocks and
+finds each block's largest value and exponent.  The per-format step then
+applies the rounding bump, clamps the exponent to the format's window and
+rounds the mantissas.  Both entries accept a :class:`Blocks` in place of the
+tensor, so one scan serves every shared-exponent width of its block size.
+
+The scan keeps one rule that :func:`encode_block` lacks: a block holding a
+zero (padding included) takes exponent ``max(e, 0)``, so an all-zero block
+gets 0, not ``exp_min``.  It comes from an ``int64``-min zero sentinel that
+NumPy 2's ``int32`` ``frexp`` exponents wrap to 0; the benchmark's recorded
+plans were made with it, and dropping it changes some of them.
 """
 
 from __future__ import annotations
@@ -209,18 +216,32 @@ def _fold(op, grid: np.ndarray) -> np.ndarray:
     return grid[:, 0]
 
 
-def _encode_blocks(tensor, spec: BfpSpec):
-    """The block kernel of :func:`encode_tensor` and :func:`quantize_dequantize`.
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """One tensor scanned at one block size: what every format of that block
+    size rounds from (see :func:`scan_blocks`)."""
 
-    Returns the input as float64, per-block int32 shared exponents, the
-    rounded mantissas of the zero-padded (n_blocks, block_size) grid and
-    per-block saturation flags, deciding each block from its extreme values.
-    """
+    values: np.ndarray  # the tensor as float64, in its own shape
+    grid: np.ndarray  # its row-major flattening as (n_blocks, block_size) rows, the last zero-padded
+    hi: np.ndarray  # each block's largest signed value, as a fraction of 2^(exp + 1)
+    exp: np.ndarray  # each block's int32 shared exponent before the rounding bump
+    exp_range: tuple  # (smallest, largest) of ``exp``
+
+    @property
+    def block_size(self) -> int:
+        return self.grid.shape[1]
+
+
+def scan_blocks(tensor, block_size: int) -> Blocks:
+    """The per-block work every format of one block size shares: block
+    extremes, their exponents and the zero rule."""
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise CodecError("cannot encode an empty tensor")
+    if block_size < 1:
+        raise CodecError(f"block_size must be >= 1, got {block_size}")
     flat = arr.reshape(-1)
-    bs = spec.block_size
+    bs = block_size
     n_blocks = -(-flat.size // bs)
     if flat.size % bs:
         flat = np.concatenate([flat, np.zeros(n_blocks * bs - flat.size)])
@@ -231,38 +252,62 @@ def _encode_blocks(tensor, spec: BfpSpec):
     _check_finite(amax)  # np.maximum and np.minimum propagate NaN
     _, exp = np.frexp(amax)  # the largest element exponent, plus one
     exp -= 1
-    small = np.flatnonzero(amax < 1.0)
     # A zero-holding block takes max(e, 0): the zero sentinel wraps to 0 (module docstring).
-    exp[small] = np.where(_fold(np.logical_or, grid[small] == 0.0), np.maximum(exp[small], 0), exp[small])
-    # Rounding overflow at the positive boundary raises the shared scale;
-    # rint and ldexp are monotone, so the block's largest value decides.
-    exp += np.rint(np.ldexp(hi, spec.fraction_bits - exp)) > spec.mantissa_max
+    zero = np.flatnonzero(grid == 0.0) // bs
+    exp[zero] = np.maximum(exp[zero], 0)
+    # Scaling by a power of two is exact wherever the rounding bump can happen.
+    hi = np.ldexp(hi, -1 - exp)
+    return Blocks(arr, grid, hi, exp, (int(exp.min()), int(exp.max())))
 
-    saturated = (exp < spec.exp_min) | (exp > spec.exp_max)
-    shared = np.clip(exp, spec.exp_min, spec.exp_max)
-    mant = np.ldexp(grid, (spec.fraction_bits - shared)[:, None])
+
+def _round_blocks(blocks: Blocks, spec: BfpSpec):
+    """The per-format step of the block kernel: the rounding bump, the
+    exponent clamp and the rounded mantissas of ``blocks.grid``, with
+    per-block int32 shared exponents and saturation flags."""
+    if blocks.block_size != spec.block_size:
+        raise CodecError(f"blocks scanned at block_size={blocks.block_size} cannot take {spec}")
+    # Rounding overflow at the positive boundary raises the shared scale;
+    # rint and ldexp are monotone, so the block's largest value decides: it
+    # rounds to 2^(fraction_bits + 1) once at least 1 - 2^-(fraction_bits + 2)
+    # of 2^(exp + 1) (ties go to that even value).
+    exp = blocks.exp + (blocks.hi >= 1.0 - 2.0 ** -(spec.fraction_bits + 2))
+    lo, top = blocks.exp_range
+    if spec.exp_min <= lo and top + 1 <= spec.exp_max:  # no block can leave the window
+        saturated = np.zeros(len(exp), dtype=bool)
+        shared = exp
+    else:
+        saturated = (exp < spec.exp_min) | (exp > spec.exp_max)
+        shared = np.clip(exp, spec.exp_min, spec.exp_max)
+    mant = np.ldexp(blocks.grid, (spec.fraction_bits - shared)[:, None])
     np.rint(mant, out=mant)
-    mant[saturated] = np.clip(mant[saturated], spec.mantissa_min, spec.mantissa_max)
-    return arr, shared, mant, saturated
+    if saturated.any():
+        mant[saturated] = np.clip(mant[saturated], spec.mantissa_min, spec.mantissa_max)
+    return shared, mant, saturated
+
+
+def _blocks_for(tensor, spec: BfpSpec) -> Blocks:
+    return tensor if isinstance(tensor, Blocks) else scan_blocks(tensor, spec.block_size)
 
 
 def encode_tensor(tensor, spec: BfpSpec) -> BfpTensor:
     """Encode a whole tensor, blocking its row-major flattening.
 
-    The final block may be partial; its fill count is recorded so decoding
+    ``tensor`` may be a :class:`Blocks` scanned at ``spec.block_size``.  The
+    final block may be partial; its fill count is recorded so decoding
     restores the exact shape.
     """
-    arr, shared, mant, saturated = _encode_blocks(tensor, spec)
+    blocks = _blocks_for(tensor, spec)
+    shared, mant, saturated = _round_blocks(blocks, spec)
+    arr = blocks.values
     fill = arr.size - (len(shared) - 1) * spec.block_size
     rows = mant.astype(np.int64).tolist()
     rows[-1] = rows[-1][:fill]
-    blocks = [
-        BfpBlock(shared_exponent=e, mantissas=tuple(m), saturated=s)
-        for e, m, s in zip(shared.tolist(), rows, saturated.tolist())
-    ]
     return BfpTensor(
         shape=tuple(arr.shape),
-        blocks=blocks,
+        blocks=[
+            BfpBlock(shared_exponent=e, mantissas=tuple(m), saturated=s)
+            for e, m, s in zip(shared.tolist(), rows, saturated.tolist())
+        ],
         spec=spec,
         last_block_fill=fill,
         saturated_blocks=int(saturated.sum()),
@@ -284,9 +329,15 @@ def decode_tensor(enc: BfpTensor) -> np.ndarray:
 
 
 def quantize_dequantize(tensor, spec: BfpSpec) -> np.ndarray:
-    """encode + decode in one step, without materializing block objects."""
-    arr, shared, mant, _ = _encode_blocks(tensor, spec)
+    """encode + decode in one step, without materializing block objects.
+
+    ``tensor`` may be a :class:`Blocks` scanned at ``spec.block_size``, so
+    one scan serves every format of that block size.
+    """
+    blocks = _blocks_for(tensor, spec)
+    shared, mant, _ = _round_blocks(blocks, spec)
     deq = np.ldexp(mant, (shared - spec.fraction_bits)[:, None], out=mant)
+    arr = blocks.values
     return deq.reshape(-1)[: arr.size].reshape(arr.shape)
 
 

@@ -32,7 +32,7 @@ from .accuracy import (
     proxy_layer_loss,
     signal_power,
 )
-from .codec import BfpSpec
+from .codec import BfpSpec, scan_blocks
 from .dm import OPERANDS
 from .energy import EnergyParams, energy, normalized_energy
 from .model import ModelDesc, layer_volumes
@@ -282,13 +282,29 @@ def _candidate(config, hits) -> CandidateEval:
     return CandidateEval(config=config, feasible=True, dm_sum_bits=sum(hit[1] for hit in hits))
 
 
-def _acc_term(layer, config, specs, loss_source, samples, powers, acc_table) -> float:
-    """Raw accuracy term of one (layer, config) cell: the proxy's normalized
-    MSE over the layer's ``samples`` (whose signal ``powers`` are computed
-    once per layer) or the table's per-layer entry, keyed by the model file's
-    layer index."""
-    if loss_source == "proxy":
-        return proxy_layer_loss(layer, specs, samples, powers)
+def _proxy_row(layer, configs, specs, scored, sample_dir, seed) -> dict:
+    """Proxy terms of one layer's ``scored`` cells, by config index: the
+    normalized MSE over the layer's samples, whose signal powers are computed
+    once.  Cells are scored block-size-major: each sample is scanned once per
+    block size, every shared-exponent width rounds from that scan, and one
+    block size's scans are dropped before the next block size's are made."""
+    samples = layer_samples(layer, model_dir=sample_dir, seed=seed)
+    powers = {role: signal_power(tensor) for role, tensor in samples.items()}
+    by_bs = {}
+    for j in scored:
+        by_bs.setdefault(configs[j][1], []).append(j)
+    row = {}
+    for bs, cells in by_bs.items():
+        scans = {role: scan_blocks(tensor, bs) for role, tensor in samples.items()}
+        for j in cells:
+            row[j] = proxy_layer_loss(layer, specs[j], scans, powers)
+        del scans  # before the next block size's are made
+    return row
+
+
+def _table_term(layer, config, acc_table) -> float:
+    """The table's per-layer entry for one (layer, config) cell, keyed by the
+    model file's layer index."""
     key = (layer.source_index,) + tuple(config)
     if key not in acc_table.layer_entries:
         raise AccuracyError(
@@ -350,7 +366,9 @@ def search(
     file's directory); layers without samples fall back to fixed-seed
     synthetic ones.  Samples are built after every cell has been queried,
     one layer at a time, and each layer's are freed before the next layer's
-    are built.
+    are built.  Within a layer, each sample is scanned once per block size
+    that has a cell to score; only one block size's scans are alive at a
+    time.
     """
     check_search_args(space, alpha, mc_bits, loss_source, mode, acc_table, seed)
     if tables is None:
@@ -383,14 +401,12 @@ def search(
     model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
     acc = []
     for i, layer in enumerate(model.layers):
-        samples = powers = None
-        if loss_source == "proxy":
-            samples = layer_samples(layer, model_dir=sample_dir, seed=seed)
-            powers = {role: signal_power(tensor) for role, tensor in samples.items()}
         row = groups[i] if space.scope == "layer" else groups[0]
-        acc.append({j: _acc_term(layer, configs[j], specs[j], loss_source, samples, powers, acc_table)
-                    for j, c in enumerate(row) if c.feasible and configs[j] not in model_rows})
-        del samples  # before the next layer's are built
+        scored = [j for j, c in enumerate(row) if c.feasible and configs[j] not in model_rows]
+        if loss_source == "proxy":
+            acc.append(_proxy_row(layer, configs, specs, scored, sample_dir, seed))
+        else:
+            acc.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
     for i, group in enumerate(groups):
         for j, c in enumerate(group):
             if not c.feasible:
@@ -408,7 +424,8 @@ def search(
     if dm_max <= 0:
         raise SearchError(
             "every candidate moves zero bits (literal reuse accounting with whole-layer "
-            "residency); performance loss cannot be normalized"
+            "residency); performance loss cannot be normalized: use a smaller memory "
+            "capacity (--mc) or count first loads (drop --no-first-load)"
         )
     acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if loss_source == "proxy" else 1.0
     for f in feasible:

@@ -389,9 +389,13 @@ def test_literal_reuse_flag(tiny4_path, tmp_path):
     assert rc == EXIT_OK
 
 
-def test_literal_reuse_with_ample_capacity_is_degenerate(tiny4_path, tmp_path):
+def test_literal_reuse_with_ample_capacity_is_degenerate(tiny4_path, tmp_path, capsys):
     # With whole-layer residency the literal accounting moves zero bits for
-    # every candidate, and the normalization is rejected as unusable.
+    # every candidate, and the normalization is rejected as unusable; the
+    # message names both ways out.
     out = str(tmp_path / "out")
     rc = main(base_args(tiny4_path, out, "--no-first-load"))
     assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "every candidate moves zero bits" in err
+    assert "use a smaller memory capacity (--mc) or count first loads (drop --no-first-load)" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bfpsearch.codec import (
     quantization_error,
     quantize_dequantize,
     roundtrip_error_bound,
+    scan_blocks,
 )
 from frozen_codec import frozen_encode_tensor, frozen_quantize_dequantize
 from reference_codec import ref_encode
@@ -247,21 +249,57 @@ def codec_cases(draw):
     return spec, data
 
 
-@settings(settings.get_profile("seeded"), max_examples=200, suppress_health_check=[HealthCheck.too_slow])
-@given(codec_cases())
-def test_kernel_matches_frozen_vectorized_codec_bitwise(case):
-    spec, data = case
+def assert_matches_frozen(got, data, spec):
+    """``got`` is a scan of ``data`` at ``spec.block_size`` or ``data`` itself;
+    both entries must reproduce the frozen codec bit for bit."""
     with np.errstate(over="ignore", under="ignore"):
-        got = quantize_dequantize(data, spec)
-        want = frozen_quantize_dequantize(data, spec)
-        enc, ref = encode_tensor(data, spec), frozen_encode_tensor(data, spec)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # -0.0 and 0.0 differ here
+        deq, want = quantize_dequantize(got, spec), frozen_quantize_dequantize(data, spec)
+        enc, ref = encode_tensor(got, spec), frozen_encode_tensor(data, spec)
+    assert deq.shape == want.shape
+    assert np.array_equal(deq.view(np.int64), want.view(np.int64))  # -0.0 and 0.0 differ here
     assert [b.shared_exponent for b in enc.blocks] == [b.shared_exponent for b in ref.blocks]
     assert [b.mantissas for b in enc.blocks] == [b.mantissas for b in ref.blocks]
     assert [b.saturated for b in enc.blocks] == [b.saturated for b in ref.blocks]
     assert enc.saturated_blocks == ref.saturated_blocks
     assert enc == ref
+
+
+@settings(settings.get_profile("seeded"), max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(codec_cases())
+def test_kernel_matches_frozen_vectorized_codec_bitwise(case):
+    spec, data = case
+    assert_matches_frozen(data, data, spec)
+    # One scan serves every shared-exponent width of its block size.
+    blocks = scan_blocks(data, spec.block_size)
+    for se in range(1, spec.total_bits - 1):
+        assert_matches_frozen(blocks, data, replace(spec, exp_bits=se))
+
+
+@pytest.mark.parametrize("bs", [1, 3, 8, 48])
+def test_scan_edge_cases_match_frozen_codec(bs):
+    rng = np.random.default_rng(bs)
+    relu = np.maximum(rng.standard_normal(10 * bs + 1), 0.0) * 0.25
+    zeros = np.zeros(3 * bs)
+    tiny = np.array([5e-324, -2.0**-1070, 0.0, 1e-310] * bs)
+    huge = np.array([1e30, -1e30, 0.0, 3.0] * bs)
+    # At SE 2 the largest exponent sits at the window's top and 3.99 bumps past it.
+    top = np.array([3.99, 0.3, -0.26, 1.0] * bs)
+    for data in (relu, zeros, tiny, huge, top):
+        blocks = scan_blocks(data, bs)
+        for qb in (8, 16):
+            for se in range(1, qb - 1):
+                for bias in (0, -1000, 1000):
+                    assert_matches_frozen(blocks, data, BfpSpec(qb, se, bs, exp_bias=bias))
+
+
+def test_blocks_of_another_block_size_are_rejected():
+    blocks = scan_blocks(np.linspace(-1.0, 1.0, 16), 4)
+    assert quantize_dequantize(blocks, BfpSpec(8, 3, 4)).shape == (16,)
+    for bs in (2, 8):
+        with pytest.raises(CodecError, match="block_size=4"):
+            quantize_dequantize(blocks, BfpSpec(8, 3, bs))
+        with pytest.raises(CodecError, match="block_size=4"):
+            encode_tensor(blocks, BfpSpec(8, 3, bs))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

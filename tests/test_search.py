@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -441,3 +442,43 @@ def test_proxy_takes_each_samples_power_once_per_layer(tiny4, monkeypatch):
     assert len(calls) == 2 * len(tiny4.layers)  # roles x layers, not x configs
     monkeypatch.undo()
     assert search(tiny4, space, alpha=0.2, mc_bits=MC).to_record() == plan.to_record()
+
+
+def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
+    # (se 4, bs 8) fits every layer; (se 4, bs 1) carries more bits per
+    # element and misses the capacity on the last, larger-kernel layer only.
+    layers = [small_layer(index=i, c_in=2, c_out=2) for i in (1, 2, 3)]
+    layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
+    model = ModelDesc(name="edge", layers=layers)
+    tables = build_mapping_tables(model)
+    mc = float(tables[4].footprint_bits(role_bits(layers[-1], specs_for_config((4, 8, 8)))).min())
+    assert tables[4].query(specs_for_config((4, 1, 8)), mc) is None
+    assert all(tables[i].query(specs_for_config((4, 1, 8)), mc) is not None for i in (1, 2, 3))
+
+    module = sys.modules["bfpsearch.search"]
+    samples, scans, alive = {}, [], []
+    make_samples, scan = module.layer_samples, module.scan_blocks
+
+    def sampling(layer, **kw):
+        samples[layer.index] = make_samples(layer, **kw)
+        return samples[layer.index]
+
+    def scanning(tensor, block_size):
+        # Every scan made at another block size is gone by now.
+        assert all(ref() is None for ref, bs in alive if bs != block_size)
+        (layer, role), = [(i, r) for i, got in samples.items() for r, t in got.items() if t is tensor]
+        scans.append((layer, role, block_size))
+        blocks = scan(tensor, block_size)
+        alive.append((weakref.ref(blocks), block_size))
+        return blocks
+
+    monkeypatch.setattr(module, "layer_samples", sampling)
+    monkeypatch.setattr(module, "scan_blocks", scanning)
+    space = CandidateSpace(total_bits=8, se_set=(4,), bs_set=(1, 8))
+    search(model, space, alpha=0.2, mc_bits=mc, tables=tables)
+    # Model scope: the bs 1 column is infeasible, so only bs 8 is scanned.
+    assert sorted(scans) == [(i, role, 8) for i in (1, 2, 3, 4) for role in ("input", "weight")]
+    scans.clear()
+    search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
+    want = [(i, role, bs) for i in (1, 2, 3, 4) for role in ("input", "weight") for bs in (1, 8)]
+    assert sorted(scans) == [cell for cell in want if cell[::2] != (4, 1)]
