@@ -9,7 +9,8 @@ Every setting is declared once, as a field of ``RunConfig`` with its default;
 each option stores into its field, and the report's config record is built
 from the fields.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible search, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 infeasible search, 3 I/O error,
+4 out of memory (an allocation failed, or a --jobs worker died).
 Environment overrides: BFPSEARCH_OUT_DIR, BFPSEARCH_JOBS.
 """
 
@@ -21,6 +22,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields
 
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+EXIT_OOM = 4
 
 DEFAULT_SWEEP_ALPHAS = (0.015, 0.05, 0.15, 0.2, 0.25, 1.5, 3.0)
 # Settings that say where and how to run, not what the answer is: the report leaves them out.
@@ -327,6 +330,10 @@ def main(argv=None) -> int:
     except (ModelFormatError, AccuracyError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (MemoryError, BrokenProcessPool) as exc:
+        # A worker the kernel kills for its memory breaks the pool.
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_OOM
 
 
 if __name__ == "__main__":

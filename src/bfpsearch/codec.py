@@ -7,8 +7,9 @@ every element's significand down to that scale and rounds to nearest-even.
 
 :func:`encode_tensor` and :func:`quantize_dequantize` share one block kernel
 in two steps.  :func:`scan_blocks` does the work that depends only on the
-tensor and the block size: it lays the tensor out as zero-padded blocks and
-finds each block's largest value and exponent.  The per-format step then
+tensor and the block size: it views the tensor as blocks (only a ragged
+last block is copied, zero-padded) and finds each block's largest value and
+exponent.  The per-format step then
 applies the rounding bump, clamps the exponent to the format's window and
 rounds the mantissas.  Both entries accept a :class:`Blocks` in place of the
 tensor, so one scan serves every shared-exponent width of its block size.
@@ -222,19 +223,28 @@ class Blocks:
     size rounds from (see :func:`scan_blocks`)."""
 
     values: np.ndarray  # the tensor as float64, in its own shape
-    grid: np.ndarray  # its row-major flattening as (n_blocks, block_size) rows, the last zero-padded
+    full: np.ndarray  # its row-major flattening's whole blocks, as (n, block_size) rows (a view if it can be)
+    tail: np.ndarray | None  # the last, partial block zero-padded to block_size, or None
     hi: np.ndarray  # each block's largest signed value, as a fraction of 2^(exp + 1)
     exp: np.ndarray  # each block's int32 shared exponent before the rounding bump
     exp_range: tuple  # (smallest, largest) of ``exp``
 
     @property
     def block_size(self) -> int:
-        return self.grid.shape[1]
+        return self.full.shape[1]
+
+
+def _fold_blocks(op, full: np.ndarray, tail) -> np.ndarray:
+    """``_fold`` of the whole blocks, then of the padded tail row."""
+    folded = _fold(op, full)
+    return folded if tail is None else np.append(folded, _fold(op, tail[None]))
 
 
 def scan_blocks(tensor, block_size: int) -> Blocks:
     """The per-block work every format of one block size shares: block
-    extremes, their exponents and the zero rule."""
+    extremes, their exponents and the zero rule.  Only a ragged tail is
+    copied, and the per-block temporaries share one buffer: the negated
+    minima, then the largest magnitudes, their mantissas and the scaled ``hi``."""
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise CodecError("cannot encode an empty tensor")
@@ -242,46 +252,62 @@ def scan_blocks(tensor, block_size: int) -> Blocks:
         raise CodecError(f"block_size must be >= 1, got {block_size}")
     flat = arr.reshape(-1)
     bs = block_size
-    n_blocks = -(-flat.size // bs)
+    n_full = flat.size // bs
+    full = flat[: n_full * bs].reshape(n_full, bs)
+    tail = None
     if flat.size % bs:
-        flat = np.concatenate([flat, np.zeros(n_blocks * bs - flat.size)])
-    grid = flat.reshape(n_blocks, bs)
+        tail = np.zeros(bs)
+        tail[: flat.size - n_full * bs] = flat[n_full * bs :]
 
-    hi = _fold(np.maximum, grid)
-    amax = np.maximum(hi, -_fold(np.minimum, grid))
+    hi = _fold_blocks(np.maximum, full, tail)
+    buf = _fold_blocks(np.minimum, full, tail)
+    # At block size 1 the folds are views of the tensor, which stays as it is.
+    buf = np.negative(buf) if bs == 1 else np.negative(buf, out=buf)
+    amax = np.maximum(hi, buf, out=buf)
     _check_finite(amax)  # np.maximum and np.minimum propagate NaN
-    _, exp = np.frexp(amax)  # the largest element exponent, plus one
+    _, exp = np.frexp(amax, out=(buf, None))  # the largest element exponent, plus one
     exp -= 1
-    # A zero-holding block takes max(e, 0): the zero sentinel wraps to 0 (module docstring).
-    zero = np.flatnonzero(grid == 0.0) // bs
+    # A zero-holding block takes max(e, 0): the zero sentinel wraps to 0
+    # (module docstring).  A padded tail always holds one.
+    zero = np.flatnonzero(full == 0.0) // bs
+    if tail is not None:
+        zero = np.append(zero, n_full)
     exp[zero] = np.maximum(exp[zero], 0)
     # Scaling by a power of two is exact wherever the rounding bump can happen.
-    hi = np.ldexp(hi, -1 - exp)
-    return Blocks(arr, grid, hi, exp, (int(exp.min()), int(exp.max())))
+    hi = np.ldexp(hi, -1 - exp, out=buf)
+    return Blocks(arr, full, tail, hi, exp, (int(exp.min()), int(exp.max())))
 
 
 def _round_blocks(blocks: Blocks, spec: BfpSpec):
     """The per-format step of the block kernel: the rounding bump, the
-    exponent clamp and the rounded mantissas of ``blocks.grid``, with
-    per-block int32 shared exponents and saturation flags."""
+    exponent clamp and the rounded mantissas of the scanned blocks, as
+    (n_blocks, block_size) rows, with per-block int32 shared exponents and
+    saturation flags (None when no block can leave the exponent window).
+
+    One int32 buffer holds, in turn, the bumped exponent, the clamped
+    exponent, the mantissas' shift and the shared exponent it returns."""
     if blocks.block_size != spec.block_size:
         raise CodecError(f"blocks scanned at block_size={blocks.block_size} cannot take {spec}")
     # Rounding overflow at the positive boundary raises the shared scale;
     # rint and ldexp are monotone, so the block's largest value decides: it
     # rounds to 2^(fraction_bits + 1) once at least 1 - 2^-(fraction_bits + 2)
     # of 2^(exp + 1) (ties go to that even value).
-    exp = blocks.exp + (blocks.hi >= 1.0 - 2.0 ** -(spec.fraction_bits + 2))
+    shared = np.add(blocks.exp, blocks.hi >= 1.0 - 2.0 ** -(spec.fraction_bits + 2), dtype=np.int32)
     lo, top = blocks.exp_range
-    if spec.exp_min <= lo and top + 1 <= spec.exp_max:  # no block can leave the window
-        saturated = np.zeros(len(exp), dtype=bool)
-        shared = exp
-    else:
-        saturated = (exp < spec.exp_min) | (exp > spec.exp_max)
-        shared = np.clip(exp, spec.exp_min, spec.exp_max)
-    mant = np.ldexp(blocks.grid, (spec.fraction_bits - shared)[:, None])
+    saturated = None
+    if not (spec.exp_min <= lo and top + 1 <= spec.exp_max):  # some block may leave the window
+        saturated = (shared < spec.exp_min) | (shared > spec.exp_max)
+        np.clip(shared, spec.exp_min, spec.exp_max, out=shared)
+    shift = np.subtract(spec.fraction_bits, shared, out=shared)
+    n_full = len(blocks.full)
+    mant = np.empty((len(shift), spec.block_size))
+    np.ldexp(blocks.full, shift[:n_full, None], out=mant[:n_full])
+    if blocks.tail is not None:
+        np.ldexp(blocks.tail, shift[n_full], out=mant[n_full])
     np.rint(mant, out=mant)
-    if saturated.any():
-        mant[saturated] = np.clip(mant[saturated], spec.mantissa_min, spec.mantissa_max)
+    if saturated is not None and saturated.any():
+        np.clip(mant, spec.mantissa_min, spec.mantissa_max, out=mant, where=saturated[:, None])
+    shared = np.subtract(spec.fraction_bits, shift, out=shift)
     return shared, mant, saturated
 
 
@@ -298,6 +324,8 @@ def encode_tensor(tensor, spec: BfpSpec) -> BfpTensor:
     """
     blocks = _blocks_for(tensor, spec)
     shared, mant, saturated = _round_blocks(blocks, spec)
+    if saturated is None:
+        saturated = np.zeros(len(shared), dtype=bool)
     arr = blocks.values
     fill = arr.size - (len(shared) - 1) * spec.block_size
     rows = mant.astype(np.int64).tolist()
@@ -336,7 +364,8 @@ def quantize_dequantize(tensor, spec: BfpSpec) -> np.ndarray:
     """
     blocks = _blocks_for(tensor, spec)
     shared, mant, _ = _round_blocks(blocks, spec)
-    deq = np.ldexp(mant, (shared - spec.fraction_bits)[:, None], out=mant)
+    shared -= spec.fraction_bits  # in place: the decoding shift
+    deq = np.ldexp(mant, shared[:, None], out=mant)
     arr = blocks.values
     return deq.reshape(-1)[: arr.size].reshape(arr.shape)
 

@@ -30,6 +30,11 @@ The build does each distinct piece of that arithmetic once:
   live (keep some tiling); that is exact because dominance is transitive.
 * The survivors are ordered by one ``sort`` of a packed int64 key and
   gathered with ``take`` from flat arrays.
+* A survivor holds only what a query reads: its permutation and flat tiling
+  indices in the narrowest unsigned types and its three traffic counts as
+  uint32 (float64 in a table whose largest count reaches 2^32), 15 bytes
+  below 65,536 tilings.  Tile footprints depend only on the tiling, so a
+  query weighs them once per tiling and gathers them at the survivors.
 
 A table also memoizes its answers for its lifetime (one CLI run, or one
 alpha sweep over all its alphas).  A query's answer depends only on the
@@ -139,10 +144,13 @@ class LayerMappingTable:
     survivors are sorted once into the deterministic tie-break order (larger
     tile volume, earlier permutation, lexicographically larger tile vector;
     the last relies on each dimension's candidates ascending, which
-    :func:`tile_candidates` guarantees).  A query weights the survivors'
-    counts by the three effective bitwidths, applies the capacity constraint
-    and takes the first ``np.argmin``, which is the smallest traffic with
-    that tie-break.
+    :func:`tile_candidates` guarantees) and hold their permutation index
+    (``_perm``), flat tiling index (``_flat``) and per-role traffic counts
+    (``_traffic``), no footprint.  A query weighs every tiling's footprint
+    (:meth:`footprint_bits`) and gathers it at ``_flat``, weights the
+    survivors' counts by the three effective bitwidths, applies the capacity
+    constraint and takes the first ``np.argmin``, which is the smallest
+    traffic with that tie-break.
 
     How the build stays exact while doing less:
 
@@ -268,11 +276,15 @@ class LayerMappingTable:
         key = (rank[flat] * n_perms + perm) * n_tilings + (n_tilings - 1 - flat)
         del keep, perm, flat, rank  # the build's memory peaks from here on
         key.sort()
-        self._perm = key // n_tilings % n_perms
-        self._flat = n_tilings - 1 - key % n_tilings
-        at = self._perm * n_tilings + self._flat
-        self._traffic = {role: counts[r].reshape(-1).take(at) for r, role in enumerate(OPERANDS)}
-        self._footprint = {role: self.footprint_elems[role].reshape(-1).take(self._flat) for role in OPERANDS}
+        perm = key // n_tilings % n_perms
+        flat = n_tilings - 1 - key % n_tilings
+        at = perm * n_tilings + flat
+        traffic = {role: counts[r].reshape(-1).take(at) for r, role in enumerate(OPERANDS)}
+        # Narrow survivor types (module docstring); integer counts convert back exactly.
+        count_type = np.uint32 if max(t.max() for t in traffic.values()) < 2**32 else np.float64
+        self._traffic = {role: t.astype(count_type) for role, t in traffic.items()}
+        self._perm = perm.astype(np.min_scalar_type(n_perms - 1))
+        self._flat = flat.astype(np.min_scalar_type(n_tilings - 1))
 
     # -- queries -------------------------------------------------------------
 
@@ -299,7 +311,8 @@ class LayerMappingTable:
         return self._answers[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):
-        foot = weigh(self._footprint, bits)
+        # The same elementwise ops as weighing per survivor, once per tiling.
+        foot = self.footprint_bits(bits).take(self._flat)
         dm = np.where(foot <= mc_bits, weigh(self._traffic, bits), np.inf)
         best = int(np.argmin(dm))
         if dm[best] == np.inf:

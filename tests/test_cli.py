@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bfpsearch.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
+    EXIT_OOM,
     EXIT_USAGE,
     RunConfig,
     UsageError,
@@ -196,6 +199,34 @@ def test_infeasible_exit_code(tiny4_path, tmp_path):
     # 16 bits cannot hold even a unit tile set at the smallest bitwidths.
     rc = main(["--model", tiny4_path, "--mc", "16", "--out", str(tmp_path / "o")])
     assert rc == EXIT_INFEASIBLE
+
+
+def _fail(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("target, name, exc", [
+    # At build time, in the mapping table's lattice arrays.
+    ("bfpsearch.tiling", "LayerMappingTable._build", MemoryError("Unable to allocate 6.95 GiB for an array")),
+    # At proxy time, in a sample's block scan.
+    ("bfpsearch.search", "scan_blocks", MemoryError("Unable to allocate 18.0 MiB for an array")),
+    # A --jobs worker killed for its memory.
+    ("bfpsearch.cli", "build_mapping_tables", BrokenProcessPool("a process in the pool was terminated abruptly")),
+])
+def test_out_of_memory_exit_code(tiny4_path, tmp_path, capsys, monkeypatch, target, name, exc):
+    owner = sys.modules[target]
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    monkeypatch.setattr(owner, attr, _fail(exc))
+    rc = main(base_args(tiny4_path, str(tmp_path / "o")))
+    assert rc == EXIT_OOM
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory:") and str(exc) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_pareto_mode_reports_frontier(tiny4_path, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bfpsearch.accuracy import normalized_mse
 from bfpsearch.codec import (
     BfpSpec,
     CodecError,
@@ -314,3 +316,41 @@ def test_non_finite_anywhere_is_rejected(bad, bs):
                 quantize_dequantize(data, spec)
             with pytest.raises(CodecError):
                 encode_tensor(data, spec)
+
+
+@pytest.mark.parametrize("se", [2, 5])
+def test_block_size_one_temporaries_stay_bounded(se):
+    # At block size 1 every per-block array is as long as the sample, so each
+    # temporary the scan or the round trip allocates costs a sample-sized
+    # buffer.  Measured above the sample itself; SE 2 saturates some blocks.
+    sample = np.random.default_rng(0).standard_normal(1 << 20)
+    before = sample.copy()
+    tracemalloc.start()
+    try:
+        blocks = scan_blocks(sample, 1)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+        normalized_mse(blocks, BfpSpec(8, se, 1, "input"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan_peak <= 2.25 * sample.nbytes, scan_peak / sample.nbytes
+    assert peak <= 3.75 * sample.nbytes, peak / sample.nbytes
+    assert np.array_equal(sample, before)  # built in place, but never in the sample
+
+
+def test_ragged_scan_holds_no_second_copy():
+    # Only the partial last block is copied; the whole blocks are a view.
+    rng = np.random.default_rng(1)
+    peaks = {}
+    for n in (48 * 6_666, 48 * 6_666 + 7):
+        sample = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            blocks = scan_blocks(sample, 48)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(blocks.full, sample)
+    ragged = 8 * (48 * 6_666 + 7)
+    assert peaks[48 * 6_666 + 7] <= peaks[48 * 6_666] + 0.05 * ragged
+    assert peaks[48 * 6_666 + 7] < 0.9 * ragged

@@ -20,6 +20,7 @@ from bfpsearch.dm import (
     make_mapping,
     role_bits,
     tile_footprint_elems,
+    weigh,
 )
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
@@ -250,6 +251,9 @@ def test_pruning_survivor_count_on_stack20_shape():
     table = LayerMappingTable(ConvLayer(1, 16, 16, 32, 32, 3, 3, pad_h=1, pad_w=1))
     assert len(table.permutations) * table.n_tilings == 117_600
     assert len(table._perm) == 16_643
+    # A survivor holds a uint8 order, a uint16 tiling and three uint32 counts.
+    survivor_bytes = table._perm.itemsize + table._flat.itemsize + sum(t.itemsize for t in table._traffic.values())
+    assert survivor_bytes <= 16
 
 
 @pytest.mark.parametrize("mc", [math.nan, 0.0, -1.0])
@@ -342,6 +346,22 @@ def table_cases(draw):
     return layer, perms[: draw(st.integers(1, len(perms)))], draw(st.booleans())
 
 
+def assert_table_matches_reference(table, want, count_type):
+    """The table's survivors, their order, counts and gathered footprints
+    equal the loop reference's values, held in the narrow survivor types."""
+    assert table._perm.dtype == np.min_scalar_type(len(table.permutations) - 1)
+    assert table._flat.dtype == np.min_scalar_type(table.n_tilings - 1)
+    assert np.array_equal(table._perm, want["perm"]) and np.array_equal(table._flat, want["flat"])
+    for role in OPERANDS:
+        assert table._traffic[role].dtype == count_type
+        assert np.array_equal(table._traffic[role], want["traffic"][role])
+        assert table.footprint_elems[role].dtype == want["footprint_elems"][role].dtype
+        assert np.array_equal(table.footprint_elems[role], want["footprint_elems"][role])
+    bits = {"input": 5.25, "output": 9.0, "weight": 3.125}
+    got = table.footprint_bits(bits).take(table._flat)
+    assert np.array_equal(got.view(np.int64), weigh(want["footprint"], bits).view(np.int64))
+
+
 @settings(settings.get_profile("seeded"), max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(table_cases())
 def test_table_arrays_match_loop_reference_build(case):
@@ -350,12 +370,27 @@ def test_table_arrays_match_loop_reference_build(case):
     layer, perms, count_first_load = case
     table = LayerMappingTable(layer, permutations=perms, count_first_load=count_first_load)
     want = reference_table_arrays(layer, permutations=perms, count_first_load=count_first_load)
+    assert_table_matches_reference(table, want, np.uint32)
 
-    def same(a, b):
-        return a.dtype == b.dtype and np.array_equal(a, b)
 
-    assert same(table._perm, want["perm"]) and same(table._flat, want["flat"])
-    for role in OPERANDS:
-        assert same(table._traffic[role], want["traffic"][role])
-        assert same(table._footprint[role], want["footprint"][role])
-        assert same(table.footprint_elems[role], want["footprint_elems"][role])
+def test_counts_past_uint32_stay_float64():
+    # 2048 -> 2048 channels at 64 x 64 with a 3 x 3 kernel moves up to
+    # 36 x 2^32 elements of one operand under some mapping.
+    layer = ConvLayer(1, 2048, 2048, 64, 64, 3, 3, pad_h=1, pad_w=1)
+    table = LayerMappingTable(layer)
+    assert max(t.max() for t in table._traffic.values()) >= 2**32
+    assert_table_matches_reference(table, reference_table_arrays(layer), np.float64)
+
+
+def test_grouped_counts_past_uint32_answer_like_brute_force():
+    # 2^22 groups of 2 -> 2 channels: a lattice small enough to brute-force,
+    # counts past 2^32 through the group multiplier.
+    groups = 1 << 22
+    layer = ConvLayer(1, 2 * groups, 2 * groups, 8, 8, 3, 3, pad_h=1, pad_w=1, groups=groups)
+    table = LayerMappingTable(layer)
+    assert table._traffic["input"].dtype == np.float64
+    assert max(t.max() for t in table._traffic.values()) >= 2**32
+    specs = spec_triple()
+    foot = table.footprint_bits(role_bits(layer, specs))
+    for mc_bits in (float(foot.min()), float(np.median(foot)), float(foot.max())):
+        assert table.query(specs, mc_bits) == reference_query(layer, specs, mc_bits)
