@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import ROLES, BfpSpec, Blocks, load_tensor_f32, quantize_dequantize
+from .codec import ROLES, BfpSpec, Blocks, load_tensor_f32, quantize_dequantize, scan_blocks
 from .model import ConvLayer, layer_volumes, raise_errors, read_text, records
 
 SYNTHETIC_SEED = 0x5EED
@@ -37,6 +37,8 @@ class AccuracyTable:
     ``model_entries`` maps (exp_bits, block_size, total_bits) to a whole-model
     loss; ``layer_entries`` adds a leading layer index for per-layer values.
     Missing keys are genuinely missing (never implicit zeros).
+    ``diagnostics`` holds a (line, message) warning per negative loss clamped
+    to 0, which the command line prints.
     """
 
     model_entries: dict = field(default_factory=dict)
@@ -152,20 +154,21 @@ def normalized_mse(sample, spec: BfpSpec, power: float | None = None) -> float:
     and the power are computed once; the power is computed here when not
     given.
     """
-    if isinstance(sample, Blocks):
-        arr = sample.values
-    else:
-        arr = sample = np.asarray(sample, dtype=np.float64)
+    if not isinstance(sample, Blocks):
+        sample = scan_blocks(sample, spec.block_size)
+    arr = sample.values
     # Power first, so its temporary is gone before the round trip; the
-    # squared error is built in place in the fresh dequantized buffer.
+    # squared error is built in place in the scan's round-trip buffer, which
+    # every spec of its block size reuses.
     if power is None:
         power = signal_power(arr)
-    err = quantize_dequantize(sample, spec)
+    err = quantize_dequantize(sample, spec, out=sample.roundtrip)
     np.subtract(arr, err, out=err)
     np.square(err, out=err)
     if power == 0.0:
         return 0.0
-    return float(np.mean(err)) / power
+    # np.mean's sum and division, without its per-call overhead.
+    return float(np.add.reduce(err, axis=None)) / err.size / power
 
 
 def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None = None) -> float:
@@ -177,11 +180,15 @@ def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None
     once per layer by callers that score the layer under many configs.
     """
     spec_by_role = {s.role: s for s in specs if isinstance(s, BfpSpec)}
-    losses = []
+    # A left fold and one division: np.mean's bits for these few terms (its
+    # pairwise sum folds left below 8), without its per-call overhead.  The
+    # terms are never -0.0, so starting from 0.0 changes no bit.
+    total, count = 0.0, 0
     for role, sample in sorted(samples.items()):
         if role not in spec_by_role:
             continue
-        losses.append(normalized_mse(sample, spec_by_role[role], None if powers is None else powers[role]))
-    if not losses:
+        total += normalized_mse(sample, spec_by_role[role], None if powers is None else powers[role])
+        count += 1
+    if not count:
         raise AccuracyError(f"no usable samples for layer {layer.index}")
-    return float(np.mean(losses))
+    return total / count

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields
 
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
@@ -114,6 +113,12 @@ def _write(out_dir: str, files: dict) -> dict:
     return paths
 
 
+def _warn(path: str, notes):
+    """One stderr line per (line, message) note of the input file at ``path``."""
+    for lineno, message in notes:
+        print(f"warning: {path}:{lineno}: {message}", file=sys.stderr)
+
+
 def _plans(config: RunConfig, alphas) -> list:
     """Load and check the inputs, build the mapping tables once and search
     once per alpha; return the plans in the order of ``alphas``.  Every
@@ -121,9 +126,12 @@ def _plans(config: RunConfig, alphas) -> list:
     model is read."""
     space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
     acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
+    if acc_table is not None:
+        _warn(config.acc_table_path, acc_table.diagnostics)
     for alpha in (config.alpha, *alphas):  # a sweep's config record holds --alpha too
         check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
     model = load_model(config.model_path)
+    _warn(config.model_path, model.warnings)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
@@ -308,6 +316,14 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _pool_errors() -> tuple:
+    """``BrokenProcessPool`` if the process pool was imported: the pool is
+    imported only for ``--jobs`` > 1, so a run without it cannot raise this,
+    and evaluating ``main``'s except clause imports nothing."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process is not None else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -330,7 +346,7 @@ def main(argv=None) -> int:
     except (ModelFormatError, AccuracyError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (MemoryError, BrokenProcessPool) as exc:
+    except (MemoryError, *_pool_errors()) as exc:
         # A worker the kernel kills for its memory breaks the pool.
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_OOM

@@ -96,9 +96,15 @@ class ConvLayer:
 
 @dataclass
 class ModelDesc:
+    """A parsed model.  ``diagnostics`` holds every (line, message) note the
+    parser made, informational ones (derived output sizes, renumbered
+    layers) included; ``warnings`` holds those that drop something the file
+    says, ignored fields and skipped blocks, which the command line prints."""
+
     name: str
     layers: list
     diagnostics: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.layers:
@@ -177,6 +183,7 @@ def read_text(path, what: str, error_cls) -> str:
 def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     """Parse a model description from text.  See module docstring for format."""
     diagnostics = []
+    warnings = []  # the diagnostics that drop something the file says
     errors = []
     first = {}  # format_version and model -> the line that gave it
     name = name_hint
@@ -185,6 +192,10 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
     current = None
     block_lines = {}  # field -> the line of the current block that set it
 
+    def warn(lineno, message):
+        diagnostics.append((lineno, message))
+        warnings.append((lineno, message))
+
     def finish_block():
         nonlocal current
         if current is None:
@@ -192,7 +203,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
         lineno, fields = current
         current = None
         if fields.pop("_type", None) not in (None, "conv"):
-            diagnostics.append((lineno, f"skipping non-conv layer {fields.get('index')}"))
+            warn(lineno, f"skipping non-conv layer {fields.get('index')}")
             return
         declared = {k: fields.pop(k) for k in ("o_h", "o_w") if k in fields}
         missing = [k for k in ("c_in", "c_out", "i_h", "i_w", "k_h", "k_w") if k not in fields]
@@ -236,7 +247,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             errors.append((lineno, f"field {key!r} outside any layer block"))
             continue
         if key not in _TEXT_KEYS and key not in _INT_KEYS:
-            diagnostics.append((lineno, f"ignoring unknown field {key!r}"))
+            warn(lineno, f"ignoring unknown field {key!r}")
             continue
         if key in block_lines:
             errors.append((lineno, f"layer {current[1]['index']}: {key} repeats line {block_lines[key]}"))
@@ -268,7 +279,7 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
             diagnostics.append((0, f"renumbered layer {layer.index} -> {i}"))
             layer = replace(layer, index=i)
         renumbered.append(layer)
-    return ModelDesc(name=name, layers=renumbered, diagnostics=diagnostics)
+    return ModelDesc(name=name, layers=renumbered, diagnostics=diagnostics, warnings=warnings)
 
 
 def load_model(path) -> ModelDesc:

@@ -20,7 +20,6 @@ the two losses independently and picks the frontier's knee.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -267,6 +266,8 @@ def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: 
         first_of_shape.setdefault(_shape_key(layer), layer)
     build = partial(LayerMappingTable, count_first_load=count_first_load)
     if jobs > 1 and len(first_of_shape) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import costs every run
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             tables = list(pool.map(build, first_of_shape.values()))
     else:

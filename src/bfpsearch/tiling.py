@@ -40,11 +40,12 @@ A table also memoizes its answers for its lifetime (one CLI run, or one
 alpha sweep over all its alphas).  A query's answer depends only on the
 three effective bitwidths and the capacity, so the survivors are weighed once
 per distinct (bits, capacity); spec triples that are different objects but
-share bits hit the same entry.  The traffic breakdown of a winning mapping is
-likewise computed once per distinct (mapping, bits).  Every caller gets the
-same objects, so they are read-only: a query answer is a tuple of a frozen
-``Mapping`` and two floats, and nothing changes a ``DmBreakdown`` after
-``finalize``.
+share bits hit the same entry.  In front of that memo, a repeated (spec
+triple, capacity) is answered by one lookup, before its bits are computed.
+The traffic breakdown of a winning mapping is likewise computed once per
+distinct (mapping, bits).  Every caller gets the same objects, so they are
+read-only: a query answer is a tuple of a frozen ``Mapping`` and two floats,
+and nothing changes a ``DmBreakdown`` after ``finalize``.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ class LayerMappingTable:
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
         self._build()
+        self._by_specs = {}  # (spec triple, mc_bits) -> query's answer
         self._answers = {}  # (input, output, weight bits, mc_bits) -> query's answer
         self._breakdowns = {}  # (mapping, input, output, weight bits) -> DmBreakdown
 
@@ -299,16 +301,27 @@ class LayerMappingTable:
     def query(self, specs, mc_bits: float):
         """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible.
 
-        The specs are validated on every call; the survivors are weighed only
-        the first time the table sees their effective bits with ``mc_bits``.
+        Two memos answer repeats.  The first is keyed by ``(tuple(specs),
+        mc_bits)``: a spec triple equal to one seen before with that capacity
+        (built separately or not) is answered by one dict lookup, before the
+        arguments are validated again or the bits computed.  Otherwise the
+        arguments are validated and the second memo, keyed by the effective
+        bits and ``mc_bits``, weighs the survivors only the first time the
+        table sees those bits with that capacity.
         """
+        key = (tuple(specs), mc_bits)
+        try:
+            return self._by_specs[key]
+        except KeyError:
+            pass
         if not mc_bits > 0:
             raise MappingError(f"memory capacity must be positive, got {mc_bits}")
         bits = role_bits(self.layer, specs)
-        key = (*(bits[r] for r in OPERANDS), mc_bits)
-        if key not in self._answers:
-            self._answers[key] = self._weigh_survivors(bits, mc_bits)
-        return self._answers[key]
+        bits_key = (*(bits[r] for r in OPERANDS), mc_bits)
+        if bits_key not in self._answers:
+            self._answers[bits_key] = self._weigh_survivors(bits, mc_bits)
+        self._by_specs[key] = self._answers[bits_key]
+        return self._by_specs[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):
         # The same elementwise ops as weighing per survivor, once per tiling.

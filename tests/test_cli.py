@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -366,6 +367,53 @@ def test_failed_mid_write_removes_files_already_written(tiny4_path, tmp_path, ca
     assert capsys.readouterr().err.startswith("i/o error:")
     assert os.listdir(out) == [blocked]
     assert not any((out / name).exists() for name in written)
+
+
+ONE_LAYER = "format_version 1\nmodel one\nlayer 1\n  c_in 3\n  c_out 8\n  input 8 8\n  kernel 3 3\n"
+
+
+def test_dropped_model_input_warns_with_file_and_line(tmp_path, capsys):
+    clean, typo = tmp_path / "one.model", tmp_path / "typo.model"
+    clean.write_text(ONE_LAYER)
+    typo.write_text(ONE_LAYER + "  strdie 2 2\nlayer 2\n  type pool\n")
+    assert main(["--model", str(clean), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert capsys.readouterr().err == ""  # a derived output size is not a warning
+    assert main(["--model", str(typo), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {typo}:8: ignoring unknown field 'strdie'",
+        f"warning: {typo}:9: skipping non-conv layer 2",
+    ]
+    # The warnings reach stderr only: the reports are those of the clean model.
+    assert (tmp_path / "a" / "plan.json").read_bytes() == (tmp_path / "b" / "plan.json").read_bytes()
+    reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in "ab"]
+    for report in reports:
+        report["config"].pop("model_path")
+    assert reports[0] == reports[1]
+
+
+def test_renumbered_layers_stay_silent(tmp_path, capsys):
+    path = tmp_path / "gap.model"
+    path.write_text(ONE_LAYER + "layer 3\n  c_in 8\n  c_out 8\n  input 6 6\n  kernel 1 1\n")
+    assert main(["--model", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_clamped_table_loss_warns_with_file_and_line(tiny4_path, tmp_path, capsys):
+    table = tmp_path / "acc.table"
+    rows = ["format_version 1"] + [f"model {se} {bs} 8 {0.01 * se}" for se in (2, 3, 4) for bs in (2, 8)]
+    rows[3] = "model 3 2 8 -0.5"
+    table.write_text("\n".join(rows) + "\n")
+    rc = main(base_args(tiny4_path, str(tmp_path / "o"), "--loss-source", "table", "--acc-table", str(table)))
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == f"warning: {table}:4: negative loss -0.5 clamped to 0\n"
+
+
+def test_import_leaves_the_process_pool_unimported():
+    # The pool is imported only for --jobs > 1, so every other run skips its import cost.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bfpsearch.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def write_sampled_model(tmp_path, act, weight):

@@ -318,6 +318,78 @@ def test_non_finite_anywhere_is_rejected(bad, bs):
                 encode_tensor(data, spec)
 
 
+@st.composite
+def small_block_cases(draw):
+    """Block sizes 1-4 (the column passes and the first broadcast size) with
+    ragged tails, and a narrow exponent window centred in the data, so blocks
+    leave it in both directions; some zeros and whole zero blocks."""
+    qb = draw(st.sampled_from((8, 16)))
+    bs = draw(st.integers(1, 4))
+    centre = draw(st.integers(-1000, 1000))
+    spec = BfpSpec(qb, draw(st.integers(1, 3)), bs, "input", exp_bias=centre)
+    n = draw(st.integers(1, 6 * bs + 3))
+    element = st.one_of(
+        st.just(0.0),
+        st.builds(lambda s, m, e: s * math.ldexp(m, centre + e), st.sampled_from((1.0, -1.0)),
+                  st.floats(1.0, 2.0, exclude_max=True), st.integers(-20, 20)),
+    )
+    data = np.array(draw(st.lists(element, min_size=n, max_size=n)))
+    zero_block = draw(st.integers(-1, (n - 1) // bs))
+    if zero_block >= 0:
+        data[zero_block * bs : (zero_block + 1) * bs] = 0.0
+    return spec, data
+
+
+@settings(settings.get_profile("seeded"), max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(small_block_cases())
+def test_small_block_sizes_and_reused_buffer_match_frozen_codec(case):
+    spec, data = case
+    blocks = scan_blocks(data, spec.block_size)
+    with np.errstate(over="ignore", under="ignore"):
+        want = frozen_quantize_dequantize(data, spec)
+        power = float(np.mean(data * data))
+        sq = (data - want) ** 2
+        want_mse = 0.0 if power == 0.0 else float(np.mean(sq)) / power  # the np.mean formula
+        for se in (spec.exp_bits, 1):  # the buffer holds the previous format's round trip
+            assert_matches_frozen(blocks, data, replace(spec, exp_bits=se))
+            deq = quantize_dequantize(blocks, replace(spec, exp_bits=se), out=blocks.roundtrip)
+            assert np.shares_memory(deq, blocks.roundtrip)
+            assert np.array_equal(deq.view(np.int64), frozen_quantize_dequantize(data, replace(spec, exp_bits=se)).view(np.int64))
+        got_mse = normalized_mse(blocks, spec, power)
+        fresh_mse = normalized_mse(data, spec)  # a tensor gets a fresh buffer
+    bits = lambda x: np.float64(x).view(np.int64)
+    assert bits(got_mse) == bits(want_mse) and bits(fresh_mse) == bits(want_mse)
+
+
+def test_round_trip_buffer_must_fit_the_scan():
+    blocks = scan_blocks(np.linspace(-1.0, 1.0, 10), 4)
+    for bad in (np.empty((2, 4)), np.empty((3, 4), dtype=np.float32), np.empty(12)):
+        with pytest.raises(CodecError, match="out must be"):
+            quantize_dequantize(blocks, BfpSpec(8, 3, 4), out=bad)
+
+
+@pytest.mark.parametrize("bs", [2, 8])
+def test_formats_of_one_scan_reuse_its_round_trip_buffer(bs):
+    # Every format after the first rounds into the scan's buffer, so it
+    # allocates only per-block temporaries, and a scan plus five formats
+    # peaks no higher than a scan plus one.  Measured above the sample.
+    sample = np.random.default_rng(0).standard_normal(1 << 18)
+    specs = [BfpSpec(8, se, bs, "input") for se in range(2, 7)]
+    tracemalloc.start()
+    try:
+        blocks = scan_blocks(sample, bs)
+        normalized_mse(blocks, specs[0], 1.0)
+        one, held = tracemalloc.get_traced_memory()[1], tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for spec in specs[1:]:
+            normalized_mse(blocks, spec, 1.0)
+        five = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert five <= one + 1024, (five, one)  # 1 KiB for interpreter objects; a buffer is 256 KiB or more
+    assert five - held < 0.5 * sample.nbytes, (five - held) / sample.nbytes
+
+
 @pytest.mark.parametrize("se", [2, 5])
 def test_block_size_one_temporaries_stay_bounded(se):
     # At block size 1 every per-block array is as long as the sample, so each

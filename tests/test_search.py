@@ -414,9 +414,9 @@ def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
     calls = []
     qdq = accuracy.quantize_dequantize
 
-    def counting(tensor, spec):
+    def counting(tensor, spec, *args, **kwargs):
         calls.append(spec)
-        return qdq(tensor, spec)
+        return qdq(tensor, spec, *args, **kwargs)
 
     monkeypatch.setattr(accuracy, "quantize_dequantize", counting)
     space = CandidateSpace(total_bits=8, se_set=(2, 4), bs_set=(8,))

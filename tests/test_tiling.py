@@ -22,6 +22,7 @@ from bfpsearch.dm import (
     tile_footprint_elems,
     weigh,
 )
+import bfpsearch.tiling as tiling
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
     MOVING_DIMS,
@@ -298,6 +299,26 @@ def test_memoized_answers_match_fresh_tables(case):
     # One weighing per distinct (bits, capacity), whatever objects carried the bits.
     keys = {(*(role_bits(layer, specs)[r] for r in OPERANDS), mc_bits) for specs, mc_bits in picks}
     assert len(table._answers) == len(keys)
+
+
+def test_repeated_spec_triple_is_one_lookup(monkeypatch):
+    layer = small_layer(c_in=4, c_out=4)
+    table = LayerMappingTable(layer)
+    mc = 4096.0
+    first = table.query(spec_triple(qb=8, se=3, bs=4), mc)
+    assert first is not None
+    calls = []
+    monkeypatch.setattr(tiling, "role_bits", lambda *args: calls.append(args) or role_bits(*args))
+    again = spec_triple(qb=8, se=3, bs=4)  # equal, built separately
+    assert table.query(again, mc) is first
+    assert table.query(list(again), mc) is first
+    assert calls == []
+    # A new capacity or triple computes its bits; a bad capacity still raises.
+    table.query(again, 2 * mc)
+    table.query(spec_triple(qb=8, se=4, bs=4), mc)
+    assert len(calls) == 2
+    with pytest.raises(MappingError):
+        table.query(again, -mc)
 
 
 @st.composite
