@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import ROLES, BfpSpec, Blocks, load_tensor_f32, quantize_dequantize, scan_blocks
+from .codec import ROLES, BfpSpec, Blocks, load_tensor_f32, quantize_dequantize
 from .model import ConvLayer, layer_volumes, raise_errors, read_text, records
 
 SYNTHETIC_SEED = 0x5EED
@@ -145,25 +145,17 @@ def signal_power(tensor: np.ndarray) -> float:
     return float(np.mean(arr * arr))
 
 
-def normalized_mse(sample, spec: BfpSpec, power: float | None = None) -> float:
+def normalized_mse(blocks: Blocks, spec: BfpSpec, power: float) -> float:
     """MSE of the encode/decode round trip, normalized by signal power.
 
-    ``sample`` is a tensor or its :class:`~bfpsearch.codec.Blocks` scanned at
-    ``spec.block_size``.  ``power`` is the tensor's :func:`signal_power`.
-    Callers that score one sample under many specs pass both, so the scan
-    and the power are computed once; the power is computed here when not
-    given.
+    ``blocks`` is a sample scanned at ``spec.block_size`` (see
+    :func:`~bfpsearch.codec.scan_blocks`) and ``power`` is the sample's
+    :func:`signal_power`; a caller that scores one sample under many specs
+    computes both once.  The squared error is built in place in the scan's
+    round-trip buffer, which every spec of its block size reuses.
     """
-    if not isinstance(sample, Blocks):
-        sample = scan_blocks(sample, spec.block_size)
-    arr = sample.values
-    # Power first, so its temporary is gone before the round trip; the
-    # squared error is built in place in the scan's round-trip buffer, which
-    # every spec of its block size reuses.
-    if power is None:
-        power = signal_power(arr)
-    err = quantize_dequantize(sample, spec, out=sample.roundtrip)
-    np.subtract(arr, err, out=err)
+    err = quantize_dequantize(blocks, spec, out=blocks.roundtrip)
+    np.subtract(blocks.values, err, out=err)
     np.square(err, out=err)
     if power == 0.0:
         return 0.0
@@ -171,24 +163,22 @@ def normalized_mse(sample, spec: BfpSpec, power: float | None = None) -> float:
     return float(np.add.reduce(err, axis=None)) / err.size / power
 
 
-def proxy_layer_loss(layer: ConvLayer, specs, samples: dict, powers: dict | None = None) -> float:
+def proxy_layer_loss(layer: ConvLayer, specs, scans: dict, powers: dict) -> float:
     """Mean normalized round-trip MSE over the roles with samples.
 
-    ``samples`` maps each role to its tensor or to that tensor's
-    :class:`~bfpsearch.codec.Blocks` scanned at the specs' block size.
-    ``powers`` maps each role to its sample's :func:`signal_power`, computed
-    once per layer by callers that score the layer under many configs.
+    ``scans`` maps each role with a sample to that sample's
+    :class:`~bfpsearch.codec.Blocks` scanned at the specs' block size, and
+    ``powers`` maps it to the sample's :func:`signal_power`.  A caller that
+    scores the layer under many configs computes the powers once per layer
+    and the scans once per block size.
     """
-    spec_by_role = {s.role: s for s in specs if isinstance(s, BfpSpec)}
+    if not scans:
+        raise AccuracyError(f"no usable samples for layer {layer.index}")
+    spec_by_role = {s.role: s for s in specs}
     # A left fold and one division: np.mean's bits for these few terms (its
     # pairwise sum folds left below 8), without its per-call overhead.  The
     # terms are never -0.0, so starting from 0.0 changes no bit.
-    total, count = 0.0, 0
-    for role, sample in sorted(samples.items()):
-        if role not in spec_by_role:
-            continue
-        total += normalized_mse(sample, spec_by_role[role], None if powers is None else powers[role])
-        count += 1
-    if not count:
-        raise AccuracyError(f"no usable samples for layer {layer.index}")
-    return total / count
+    total = 0.0
+    for role, blocks in sorted(scans.items()):
+        total += normalized_mse(blocks, spec_by_role[role], powers[role])
+    return total / len(scans)

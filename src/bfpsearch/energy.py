@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dm import role_bits
 from .model import ConvLayer, ModelDesc, layer_macs
 
 PJ_PER_JOULE = 1e12
@@ -65,29 +64,28 @@ def energy_from_bits(sram_bits: float, dram_bits: float, params: EnergyParams = 
     return (sram_bits * params.sram_pj_per_bit + dram_bits * params.dram_pj_per_bit) / PJ_PER_JOULE
 
 
-def sram_bits_for_layer(layer: ConvLayer, specs) -> float:
-    """Compute-side operand stream: MACs x (input + output + weight bitwidths)."""
-    bits = role_bits(layer, specs)
+def sram_bits_for_layer(layer: ConvLayer, bits: dict) -> float:
+    """Compute-side operand stream: MACs x (input + output + weight bits per element)."""
     macs = layer_macs(layer)
     return macs * ((bits["input"] + bits["output"]) + bits["weight"])
 
 
-def energy(model: ModelDesc, per_layer, params: EnergyParams = EnergyParams()) -> EnergyReport:
-    """Energy report for a plan; ``per_layer`` pairs (breakdown, specs) per layer.
+def energy(model: ModelDesc, breakdowns, params: EnergyParams = EnergyParams()) -> EnergyReport:
+    """Energy report for a plan from its traffic breakdowns, one per layer.
 
-    The breakdown supplies the DRAM traffic; the specs supply the bitwidths
-    for the SRAM-side stream.
+    A breakdown supplies the DRAM traffic, and its bits per element
+    (``DmBreakdown.bits``) the bitwidths of the SRAM-side stream.
     """
-    if len(per_layer) != len(model.layers):
-        raise EnergyError(f"plan covers {len(per_layer)} layers, model has {len(model.layers)}")
+    if len(breakdowns) != len(model.layers):
+        raise EnergyError(f"plan covers {len(breakdowns)} layers, model has {len(model.layers)}")
     sram_total = 0.0
     dram_total = 0.0
     rows = []
-    for layer, (breakdown, specs) in zip(model.layers, per_layer):
+    for layer, breakdown in zip(model.layers, breakdowns):
         if breakdown is None:
             raise EnergyError(f"layer {layer.index} is missing its traffic breakdown")
         dram = breakdown.dm_total_bits
-        sram = sram_bits_for_layer(layer, specs)
+        sram = sram_bits_for_layer(layer, breakdown.bits)
         sram_total += sram
         dram_total += dram
         rows.append(

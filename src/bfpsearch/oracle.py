@@ -12,7 +12,7 @@ directly comparable, bit for bit, with :func:`bfpsearch.dm.dm_layer`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .dm import (
@@ -30,16 +30,6 @@ from .model import ConvLayer
 
 class CapacityError(ValueError):
     pass
-
-
-@dataclass
-class BufferState:
-    """Resident footprint boxes per operand plus occupancy accounting."""
-
-    capacity_bits: float
-    boxes: dict = field(default_factory=dict)
-    occupancy_bits: float = 0.0
-    peak_occupancy_bits: float = 0.0
 
 
 @dataclass
@@ -97,29 +87,23 @@ def _footprint_boxes(layer: ConvLayer, mapping: Mapping, extents: dict, pos: dic
     }
 
 
-RETENTION_POLICY = "slide-and-retain"
-
-
 def simulate(
     layer: ConvLayer,
     mapping: Mapping,
     specs,
     mc_bits: float = math.inf,
-    retention_policy: str = RETENTION_POLICY,
     count_first_load: bool = True,
     collect_trace: bool = False,
 ) -> SimResult:
     """Run the tile schedule and count exact off-chip transfers per operand.
 
-    The one supported retention policy, "slide-and-retain": each operand
-    keeps its current footprint resident; when a step needs a different
-    footprint, only the non-resident part transfers and the non-overlapping
-    remainder is evicted (so an operand is effectively pinned across loops it
-    does not depend on, until its own loops wrap around).  A single tile set
-    larger than ``mc_bits`` is rejected up front.
+    Retention is "slide-and-retain": each operand keeps its current
+    footprint resident; when a step needs a different footprint, only the
+    non-resident part transfers and the non-overlapping remainder is
+    evicted (so an operand is effectively pinned across loops it does not
+    depend on, until its own loops wrap around).  A single tile set larger
+    than ``mc_bits`` is rejected up front.
     """
-    if retention_policy != RETENTION_POLICY:
-        raise ValueError(f"unsupported retention policy {retention_policy!r} (supported: {RETENTION_POLICY!r})")
     validate_mapping(layer, mapping)
     bits = role_bits(layer, specs)
     tile_total = sum(tile_footprint(layer, mapping, *specs).values())
@@ -132,7 +116,8 @@ def simulate(
     iters = iteration_counts(layer, mapping)
     perm = mapping.permutation
 
-    buffer = BufferState(capacity_bits=mc_bits)
+    resident = {}  # each operand's resident footprint box
+    peak_occupancy_bits = 0.0
     moved = {role: 0 for role in OPERANDS}
     changes = {role: 0 for role in OPERANDS}
     first = {role: 0 for role in OPERANDS}
@@ -147,7 +132,7 @@ def simulate(
         for role in OPERANDS:
             new_box = boxes[role]
             vol = _box_volume(new_box)
-            old_box = buffer.boxes.get(role)
+            old_box = resident.get(role)
             if old_box is None:
                 delta = vol
                 first[role] = vol
@@ -157,10 +142,9 @@ def simulate(
                     changes[role] += 1
             moved[role] += delta
             deltas[role] = delta
-            buffer.boxes[role] = new_box
+            resident[role] = new_box
             occupancy += vol * bits[role]
-        buffer.occupancy_bits = occupancy
-        buffer.peak_occupancy_bits = max(buffer.peak_occupancy_bits, occupancy)
+        peak_occupancy_bits = max(peak_occupancy_bits, occupancy)
         steps += 1
         if trace is not None:
             trace.append(
@@ -179,7 +163,7 @@ def simulate(
         transfer_elems=transfer_elems,
         transfer_bits=transfer_bits,
         total_bits=(transfer_bits["input"] + transfer_bits["output"]) + transfer_bits["weight"],
-        peak_occupancy_bits=buffer.peak_occupancy_bits,
+        peak_occupancy_bits=peak_occupancy_bits,
         steps=steps,
         trace=trace,
     )

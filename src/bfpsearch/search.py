@@ -124,7 +124,6 @@ class CandidateEval:
 class LayerAssignment:
     layer_index: int
     config: tuple
-    specs: tuple
     mapping: object
     breakdown: object
 
@@ -448,7 +447,6 @@ def search(
         assignments.append(LayerAssignment(
             layer_index=layer.index,
             config=c.config,
-            specs=specs[j],
             mapping=row[j][0],
             breakdown=tables[layer.index].breakdown(row[j][0], specs[j]),
         ))
@@ -475,16 +473,14 @@ def search(
 def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
     """Energy for the plan plus the unquantized 32-bit baseline under the
     same mapping optimizer."""
-    plan.energy_report = energy(
-        model, [(a.breakdown, a.specs) for a in plan.assignments], energy_params
-    )
-    baseline_rows = []
+    plan.energy_report = energy(model, [a.breakdown for a in plan.assignments], energy_params)
+    baseline_breakdowns = []
     for layer in model.layers:
         bits32 = (ORIGINAL_BITS, ORIGINAL_BITS, ORIGINAL_BITS)
         hit = tables[layer.index].query(bits32, mc_bits)
         if hit is None:
             plan.baseline_energy_report = None
             return
-        baseline_rows.append((tables[layer.index].breakdown(hit[0], bits32), bits32))
-    plan.baseline_energy_report = energy(model, baseline_rows, energy_params)
+        baseline_breakdowns.append(tables[layer.index].breakdown(hit[0], bits32))
+    plan.baseline_energy_report = energy(model, baseline_breakdowns, energy_params)
     normalized_energy(plan.energy_report, plan.baseline_energy_report)

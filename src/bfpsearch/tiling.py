@@ -10,42 +10,17 @@ The whole candidate lattice is evaluated once per layer by the same
 level formula that :func:`bfpsearch.dm.dm_layer` uses for one mapping,
 :func:`bfpsearch.dm.level_traffic`, run over per-candidate arrays that
 broadcast along each loop's axis of the tiling mesh (integer element counts,
-exact in float64, one bit-weighting per operand).  Points that an
-earlier permutation at the same tiling dominates in all three traffic counts
-can never win, so they are pruned at build time; the survivors are stored in
-tie-break order, and a query is one masked ``np.argmin`` over them that
-returns the true optimum of the candidate set.
+exact in float64, one bit-weighting per operand).  Dominated points are
+pruned at build time, and a query is one masked ``np.argmin`` over the
+survivors that returns the true optimum of the candidate set;
+:class:`LayerMappingTable` says how the build stays exact and small.
 
-The build does each distinct piece of that arithmetic once:
-
-* A tensor dim's summed interval lengths and overlaps are computed for
-  every tile candidate of its driving loop in one flat pass over the
-  (candidate, position) pairs, for all three places of the loop relative to
-  a level (outside, advancing, inside).
-* A level's term depends only on the operand, the set of loops outside the
-  level and the level's own loop, so each operand computes it once per such
-  key (at most 32 keys, against 24 orders x 4 levels) and the orders share
-  it.
-* Pruning compares each permutation only against the earlier ones that are
-  live (keep some tiling); that is exact because dominance is transitive.
-* The survivors are ordered by one ``sort`` of a packed int64 key and
-  gathered with ``take`` from flat arrays.
-* A survivor holds only what a query reads: its permutation and flat tiling
-  indices in the narrowest unsigned types and its three traffic counts as
-  uint32 (float64 in a table whose largest count reaches 2^32), 15 bytes
-  below 65,536 tilings.  Tile footprints depend only on the tiling, so a
-  query weighs them once per tiling and gathers them at the survivors.
-
-A table also memoizes its answers for its lifetime (one CLI run, or one
-alpha sweep over all its alphas).  A query's answer depends only on the
-three effective bitwidths and the capacity, so the survivors are weighed once
-per distinct (bits, capacity); spec triples that are different objects but
-share bits hit the same entry.  In front of that memo, a repeated (spec
-triple, capacity) is answered by one lookup, before its bits are computed.
-The traffic breakdown of a winning mapping is likewise computed once per
-distinct (mapping, bits).  Every caller gets the same objects, so they are
-read-only: a query answer is a tuple of a frozen ``Mapping`` and two floats,
-and nothing changes a ``DmBreakdown`` after ``finalize``.
+A table memoizes for its lifetime (one CLI run, or one alpha sweep over all
+its alphas): one query answer per distinct (spec triple, capacity) and one
+traffic breakdown per distinct (mapping, spec triple).  Every caller gets
+the same objects, so they are read-only: a query answer is a tuple of a
+frozen ``Mapping`` and two floats, and nothing changes a ``DmBreakdown``
+after ``finalize``.
 """
 
 from __future__ import annotations
@@ -145,32 +120,42 @@ class LayerMappingTable:
     survivors are sorted once into the deterministic tie-break order (larger
     tile volume, earlier permutation, lexicographically larger tile vector;
     the last relies on each dimension's candidates ascending, which
-    :func:`tile_candidates` guarantees) and hold their permutation index
-    (``_perm``), flat tiling index (``_flat``) and per-role traffic counts
-    (``_traffic``), no footprint.  A query weighs every tiling's footprint
-    (:meth:`footprint_bits`) and gathers it at ``_flat``, weights the
+    :func:`tile_candidates` guarantees) and hold only what a query reads:
+    their permutation index (``_perm``) and flat tiling index (``_flat``) in
+    the narrowest unsigned types and their per-role traffic counts
+    (``_traffic``) as uint32 (float64 in a table whose largest count reaches
+    2^32), 15 bytes below 65,536 tilings.  Tile footprints depend only on
+    the tiling, so a query weighs every tiling's footprint
+    (:meth:`footprint_bits`) once and gathers it at ``_flat``, weights the
     survivors' counts by the three effective bitwidths, applies the capacity
     constraint and takes the first ``np.argmin``, which is the smallest
     traffic with that tie-break.
 
-    How the build stays exact while doing less:
+    How the build does each piece of arithmetic once and stays exact:
 
+    * A tensor dim's summed interval lengths and overlaps are computed for
+      every tile candidate of its driving loop in one flat pass over the
+      (candidate, position) pairs, for all three places of the loop relative
+      to a level (outside, advancing, inside).
     * Level terms are keyed per operand by (set of loops outside the level,
-      level loop).  That key fixes the outer non-movers' iterations, each
-      driver's place and the skip rule, and integer products are exact in
-      float64 in any order, so the term is the same for every order that
-      has the key.  Each order's counts still add its levels in level order.
-    * Only live permutations prune.  If an earlier q dominates p at tiling t
-      but is itself pruned at t, some earlier q' dominates q there, and by
-      transitivity of <= also p; following that chain ends at a permutation
-      that keeps t, which is live.  Permutation 0 keeps every tiling.
+      level loop), at most 32 keys against 24 orders x 4 levels.  That key
+      fixes the outer non-movers' iterations, each driver's place and the
+      skip rule, and integer products are exact in float64 in any order, so
+      the term is the same for every order that has the key.  Each order's
+      counts still add its levels in level order.
+    * Only live permutations (those that keep some tiling) prune.  If an
+      earlier q dominates p at tiling t but is itself pruned at t, some
+      earlier q' dominates q there, and by transitivity of <= also p;
+      following that chain ends at a permutation that keeps t, which is
+      live.  Permutation 0 keeps every tiling.
     * The tie-break order is one ascending sort of the key
       (dense rank of -volume, permutation, T-1-flat), packed into one int64
       as ``(rank * P + perm) * T + (T - 1 - flat)``: unique, and below
-      P*T^2, so it fits for any table that fits in memory.
+      P*T^2, so it fits for any table that fits in memory.  The survivors
+      are gathered with ``take`` from flat arrays.
 
     No build-time memo outlives the build: a table holds only its arrays and
-    its answer memos, and pickles for parallel builds.
+    its two memos, and pickles for parallel builds.
     """
 
     def __init__(self, layer: ConvLayer, permutations=None, count_first_load: bool = True):
@@ -186,9 +171,8 @@ class LayerMappingTable:
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
         self._build()
-        self._by_specs = {}  # (spec triple, mc_bits) -> query's answer
-        self._answers = {}  # (input, output, weight bits, mc_bits) -> query's answer
-        self._breakdowns = {}  # (mapping, input, output, weight bits) -> DmBreakdown
+        self._answers = {}  # (spec triple, mc_bits) -> query's answer
+        self._breakdowns = {}  # (mapping, spec triple) -> DmBreakdown
 
     # -- construction -------------------------------------------------------
 
@@ -301,27 +285,21 @@ class LayerMappingTable:
     def query(self, specs, mc_bits: float):
         """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible.
 
-        Two memos answer repeats.  The first is keyed by ``(tuple(specs),
-        mc_bits)``: a spec triple equal to one seen before with that capacity
-        (built separately or not) is answered by one dict lookup, before the
-        arguments are validated again or the bits computed.  Otherwise the
-        arguments are validated and the second memo, keyed by the effective
-        bits and ``mc_bits``, weighs the survivors only the first time the
-        table sees those bits with that capacity.
+        Answers are memoized by ``(tuple(specs), mc_bits)``: a spec triple
+        equal to one seen before with that capacity (built separately or
+        not) is answered by one dict lookup, before the arguments are
+        validated again or the bits computed.
         """
         key = (tuple(specs), mc_bits)
         try:
-            return self._by_specs[key]
+            return self._answers[key]
         except KeyError:
             pass
         if not mc_bits > 0:
             raise MappingError(f"memory capacity must be positive, got {mc_bits}")
         bits = role_bits(self.layer, specs)
-        bits_key = (*(bits[r] for r in OPERANDS), mc_bits)
-        if bits_key not in self._answers:
-            self._answers[bits_key] = self._weigh_survivors(bits, mc_bits)
-        self._by_specs[key] = self._answers[bits_key]
-        return self._by_specs[key]
+        self._answers[key] = self._weigh_survivors(bits, mc_bits)
+        return self._answers[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):
         # The same elementwise ops as weighing per survivor, once per tiling.
@@ -335,9 +313,8 @@ class LayerMappingTable:
 
     def breakdown(self, mapping: Mapping, specs):
         """``dm_layer`` of the table's layer under ``mapping`` and the table's
-        first-load accounting, computed once per distinct (mapping, bits)."""
-        bits = role_bits(self.layer, specs)
-        key = (mapping, *(bits[r] for r in OPERANDS))
+        first-load accounting, computed once per distinct (mapping, spec triple)."""
+        key = (mapping, tuple(specs))
         if key not in self._breakdowns:
             self._breakdowns[key] = dm_layer(self.layer, mapping, specs, count_first_load=self.count_first_load)
         return self._breakdowns[key]

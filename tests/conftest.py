@@ -5,13 +5,42 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from bfpsearch.codec import BfpSpec
+from bfpsearch.accuracy import proxy_layer_loss, signal_power
+from bfpsearch.codec import BfpSpec, scan_blocks
 from bfpsearch.model import ConvLayer, loads_model
 
 # Property tests use this profile: the same examples on every run, and no
 # example database written to disk.
 settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def edited_text(draw, records, odd_keys, odd_values):
+    """Input-file text from well-formed ``records`` (lists of fields, the key
+    first) after up to two edits to one record each: its key replaced by one
+    of ``odd_keys``, another field by one of ``odd_values`` (drawn counting
+    from the last field, which carries each format's value checks), its last
+    field dropped, or the record dropped or repeated at the end."""
+    records = [list(record) for record in records]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(records) - 1))
+        record = records[i]
+        change = draw(st.sampled_from(("key", "value", "value", "truncate", "drop", "repeat")))
+        if change == "key":
+            record[0] = draw(st.sampled_from(odd_keys))
+        elif change == "value" and len(record) > 1:
+            record[-draw(st.integers(1, len(record) - 1))] = draw(st.sampled_from(odd_values))
+        elif change == "truncate":
+            record.pop()
+        elif change == "drop":
+            del records[i]
+        elif change == "repeat":
+            records.append(list(record))
+        if not records:
+            break
+    return "\n".join(" ".join(record) for record in records)
 
 
 def spec_triple(qb=8, se=3, bs=2):
@@ -20,6 +49,14 @@ def spec_triple(qb=8, se=3, bs=2):
         BfpSpec(qb, se, bs, "output"),
         BfpSpec(qb, se, bs, "weight"),
     )
+
+
+def proxy_loss(layer, specs, samples):
+    """``proxy_layer_loss`` of one config over sample tensors by role, with
+    the scans and signal powers that ``search`` gives it."""
+    scans = {role: scan_blocks(tensor, specs[0].block_size) for role, tensor in samples.items()}
+    powers = {role: signal_power(tensor) for role, tensor in samples.items()}
+    return proxy_layer_loss(layer, specs, scans, powers)
 
 
 TINY4_TEXT = """format_version 1

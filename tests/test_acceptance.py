@@ -370,8 +370,8 @@ def test_c09_eight_bit_strictly_below_sixteen():
     model = loads_model(TINY4_TEXT)
     tables = build_mapping_tables(model)
     dm8 = dm16 = 0.0
-    rows8 = []
-    rows16 = []
+    breakdowns8 = []
+    breakdowns16 = []
     for layer in model.layers:
         specs16 = spec_triple(qb=16, se=3, bs=8)
         specs8 = spec_triple(qb=8, se=3, bs=8)
@@ -382,11 +382,11 @@ def test_c09_eight_bit_strictly_below_sixteen():
         b8 = dm_layer(layer, mapping, specs8)
         dm16 += b16.dm_total_bits
         dm8 += b8.dm_total_bits
-        rows16.append((b16, specs16))
-        rows8.append((b8, specs8))
+        breakdowns16.append(b16)
+        breakdowns8.append(b8)
     assert dm8 < dm16
-    e8 = energy(model, rows8).joules
-    e16 = energy(model, rows16).joules
+    e8 = energy(model, breakdowns8).joules
+    e16 = energy(model, breakdowns16).joules
     assert e8 < e16
     _report(9, f"dm8={dm8:.0f} < dm16={dm16:.0f} bits; energy {e8:.3e} < {e16:.3e} J")
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfpsearch.accuracy import (
     AccuracyError,
@@ -7,15 +11,14 @@ from bfpsearch.accuracy import (
     layer_samples,
     loads_table,
     normalized_mse,
-    proxy_layer_loss,
     signal_power,
     synthetic_sample,
 )
-from bfpsearch.codec import BfpSpec
+from bfpsearch.codec import BfpSpec, scan_blocks
 from bfpsearch.model import ModelDesc, ModelFormatError, layer_volumes, loads_model
 from bfpsearch.search import CandidateSpace, search
 
-from conftest import small_layer, spec_triple
+from conftest import edited_text, proxy_loss, small_layer, spec_triple
 
 
 def two_layer_model():
@@ -132,13 +135,13 @@ def test_proxy_zero_for_exactly_representable_constant():
     samples = {"input": np.full(72, 2.0), "weight": np.full(36, -0.5)}
     for se in (2, 4, 6):
         specs = spec_triple(qb=8, se=se, bs=4)
-        assert proxy_layer_loss(layer, specs, samples) == 0.0
+        assert proxy_loss(layer, specs, samples) == 0.0
 
 
 def test_proxy_monotone_in_mantissa_bits():
     layer = small_layer(c_in=2, c_out=2)
     samples = samples_for(ModelDesc(name="m", layers=[layer]))[1]
-    losses = [proxy_layer_loss(layer, spec_triple(qb=8, se=se, bs=4), samples) for se in (2, 3, 4, 5, 6)]
+    losses = [proxy_loss(layer, spec_triple(qb=8, se=se, bs=4), samples) for se in (2, 3, 4, 5, 6)]
     assert all(a <= b for a, b in zip(losses, losses[1:]))
     assert losses[0] < losses[-1]
 
@@ -146,8 +149,8 @@ def test_proxy_monotone_in_mantissa_bits():
 def test_proxy_block_size_2_vs_48():
     layer = small_layer(c_in=4, c_out=4, i_h=12, i_w=12)
     samples = samples_for(ModelDesc(name="m", layers=[layer]))[1]
-    small_bs = proxy_layer_loss(layer, spec_triple(qb=8, se=3, bs=2), samples)
-    large_bs = proxy_layer_loss(layer, spec_triple(qb=8, se=3, bs=48), samples)
+    small_bs = proxy_loss(layer, spec_triple(qb=8, se=3, bs=2), samples)
+    large_bs = proxy_loss(layer, spec_triple(qb=8, se=3, bs=48), samples)
     assert large_bs > small_bs
 
 
@@ -173,7 +176,7 @@ def test_proxy_model_loss_weighted():
     weights = [float(layer_volumes(l)[1]) for l in model.layers]
     assert weights[1] == 2 * weights[0]
     raw = [
-        sum(w * proxy_layer_loss(l, spec_triple(qb=8, se=se, bs=8), samples[l.index])
+        sum(w * proxy_loss(l, spec_triple(qb=8, se=se, bs=8), samples[l.index])
             for w, l in zip(weights, model.layers)) / sum(weights)
         for se in (2, 3)
     ]
@@ -197,15 +200,37 @@ def test_layer_samples_from_file(tmp_path):
 
 def test_normalized_mse_zero_signal():
     spec = BfpSpec(8, 3, 2, "weight")
-    assert normalized_mse(np.zeros(8), spec) == 0.0
+    zeros = np.zeros(8)
+    assert normalized_mse(scan_blocks(zeros, 2), spec, signal_power(zeros)) == 0.0
 
 
-def test_given_power_is_the_computed_one():
-    layer = small_layer(c_in=3, c_out=2)
-    samples = {role: synthetic_sample(layer, role) for role in ("input", "weight")}
-    powers = {role: signal_power(t) for role, t in samples.items()}
-    for specs in (spec_triple(qb=8, se=3, bs=4), spec_triple(qb=16, se=5, bs=16)):
-        assert proxy_layer_loss(layer, specs, samples, powers) == proxy_layer_loss(layer, specs, samples)
-        for spec in specs[::2]:
-            tensor = samples[spec.role]
-            assert normalized_mse(tensor, spec, powers[spec.role]) == normalized_mse(tensor, spec)
+# Scopes and values the parser must turn into its own error or a clamp
+# warning: scopes unknown, malformed or empty; values missing, too many,
+# negative, non-finite, overflowing, hexadecimal, non-ASCII, words or a
+# comment.
+ODD_SCOPES = ("layer:x", "layer:", "layer:-1", "blob", "format_version", "#", "")
+ODD_VALUES = ("", "1 2", "-0.5", "nan", "inf", "1e309", "0x10", "\u0663", "x", "#")
+
+
+@st.composite
+def table_texts(draw):
+    """Accuracy-table text: a well-formed table of up to six distinct rows
+    after up to two odd edits."""
+    keys = st.tuples(st.sampled_from(("model", "layer:1", "layer:2")), st.sampled_from(("2", "3")),
+                     st.sampled_from(("8", "16")), st.sampled_from(("8", "16")))
+    rows = draw(st.lists(keys, max_size=6, unique=True))
+    losses = draw(st.lists(st.sampled_from(("0", "0.1", "2.5")), min_size=len(rows), max_size=len(rows)))
+    records = [["format_version", "1"]] + [[*key, loss] for key, loss in zip(rows, losses)]
+    return draw(edited_text(records, ODD_SCOPES, ODD_VALUES))
+
+
+@settings(settings.get_profile("seeded"), max_examples=300)
+@given(st.one_of(table_texts(), st.text(max_size=120)))
+def test_any_table_text_gives_a_table_or_an_accuracy_error(text):
+    try:
+        table = loads_table(text)
+    except AccuracyError:
+        return
+    assert isinstance(table, AccuracyTable)
+    for entries in (table.model_entries, table.layer_entries):
+        assert all(math.isfinite(loss) and loss >= 0.0 for loss in entries.values())

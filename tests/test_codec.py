@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfpsearch.accuracy import normalized_mse
+from bfpsearch.accuracy import normalized_mse, signal_power
 from bfpsearch.codec import (
     BfpSpec,
     CodecError,
@@ -356,7 +356,7 @@ def test_small_block_sizes_and_reused_buffer_match_frozen_codec(case):
             assert np.shares_memory(deq, blocks.roundtrip)
             assert np.array_equal(deq.view(np.int64), frozen_quantize_dequantize(data, replace(spec, exp_bits=se)).view(np.int64))
         got_mse = normalized_mse(blocks, spec, power)
-        fresh_mse = normalized_mse(data, spec)  # a tensor gets a fresh buffer
+        fresh_mse = normalized_mse(scan_blocks(data, spec.block_size), spec, power)  # a fresh scan, a fresh buffer
     bits = lambda x: np.float64(x).view(np.int64)
     assert bits(got_mse) == bits(want_mse) and bits(fresh_mse) == bits(want_mse)
 
@@ -397,11 +397,12 @@ def test_block_size_one_temporaries_stay_bounded(se):
     # buffer.  Measured above the sample itself; SE 2 saturates some blocks.
     sample = np.random.default_rng(0).standard_normal(1 << 20)
     before = sample.copy()
+    power = signal_power(sample)  # taken once per sample, before its scans, as the search does
     tracemalloc.start()
     try:
         blocks = scan_blocks(sample, 1)
         scan_peak = tracemalloc.get_traced_memory()[1]
-        normalized_mse(blocks, BfpSpec(8, se, 1, "input"))
+        normalized_mse(blocks, BfpSpec(8, se, 1, "input"), power)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -45,7 +45,7 @@ def test_sram_stream_is_macs_times_bitwidths():
     layer = small_layer(c_in=2, c_out=2)
     specs = spec_triple()
     bits = role_bits(layer, specs)
-    got = sram_bits_for_layer(layer, specs)
+    got = sram_bits_for_layer(layer, bits)
     assert got == layer_macs(layer) * ((bits["input"] + bits["output"]) + bits["weight"])
 
 
@@ -54,8 +54,7 @@ def model_energy(qb):
     model = ModelDesc(name="one", layers=[layer])
     specs = spec_triple(qb=qb)
     mapping = make_mapping(layer, {"oh": 2, "ow": 2})
-    bd = dm_layer(layer, mapping, specs)
-    return energy(model, [(bd, specs)])
+    return energy(model, [dm_layer(layer, mapping, specs)])
 
 
 def test_eight_bit_beats_sixteen_at_equal_mapping():
@@ -82,7 +81,7 @@ def test_missing_breakdown_rejected():
     layer = small_layer()
     model = ModelDesc(name="one", layers=[layer])
     with pytest.raises(EnergyError):
-        energy(model, [(None, spec_triple())])
+        energy(model, [None])
     with pytest.raises(EnergyError):
         energy(model, [])
 
@@ -100,10 +99,10 @@ def test_per_layer_rows_sum_to_totals():
     layer2 = small_layer(index=2, c_in=2, c_out=4)
     model = ModelDesc(name="two", layers=[layer1, layer2])
     specs = spec_triple()
-    rows = [
-        (dm_layer(layer1, make_mapping(layer1), specs), specs),
-        (dm_layer(layer2, make_mapping(layer2, {"oh": 2}), specs), specs),
+    breakdowns = [
+        dm_layer(layer1, make_mapping(layer1), specs),
+        dm_layer(layer2, make_mapping(layer2, {"oh": 2}), specs),
     ]
-    rep = energy(model, rows)
+    rep = energy(model, breakdowns)
     assert rep.sram_bits == pytest.approx(sum(r["sram_bits"] for r in rep.per_layer), rel=1e-15)
     assert rep.dram_bits == pytest.approx(sum(r["dram_bits"] for r in rep.per_layer), rel=1e-15)

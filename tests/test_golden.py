@@ -6,7 +6,8 @@ whose 23 distinct shapes make it the largest set of mapping tables.  The
 inputs come from ``perfbench/workloads.py`` and the expected SHA-256 digests
 from ``perfbench/golden.json``; both are only read.  The sweep also guards
 the mapping tables' memo: every pinned ``query`` call still happens, but the
-survivors are weighed and the breakdowns computed once per distinct answer.
+survivors are weighed once per distinct (spec triple, capacity) and a
+breakdown computed once per distinct (mapping, spec triple).
 Every name the benchmark's tracer (``perfbench/spans.py``, also only read)
 wraps must still resolve.
 """
@@ -75,7 +76,7 @@ def test_seed0_output_matches_golden_digest(tmp_path, name):
 def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     # The sweep queries its 820-cell grid (20 layers x 40 configs + 20
     # baselines) once per alpha: 5,740 calls, the count perfbench pins.  Only
-    # 246 are distinct (6 shapes x 41 bit triples), and each weighs the
+    # 246 are distinct (6 shapes x 41 spec triples), and each weighs the
     # survivors twice (footprint, traffic); 24 winners are distinct.
     calls = {"query": 0, "weigh": 0, "dm_layer": 0}
 

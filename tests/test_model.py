@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfpsearch.model import (
     ConvLayer,
+    ModelDesc,
     ModelFormatError,
     dumps_model,
     layer_macs,
@@ -9,6 +12,8 @@ from bfpsearch.model import (
     load_model,
     loads_model,
 )
+
+from conftest import edited_text
 
 
 def test_output_shape_basic():
@@ -247,3 +252,35 @@ def test_load_model_missing_file(tmp_path):
     with pytest.raises(ModelFormatError) as err:
         load_model(tmp_path / "nope.model")
     assert "nope.model" in str(err.value)
+
+
+# Keys and values the parser must turn into its own error or a warning:
+# keys unknown, misplaced or empty; values missing, too many, signed,
+# non-ASCII, floating, words, huge or a comment.
+ODD_KEYS = ("strdie", "layer", "model", "format_version", "c_in", "output", "#", "")
+ODD_VALUES = ("", "1 2 3", "0", "-1", "+2", "\u0663", "1.5", "nan", "x", "99999999999999999999", "#", "pool")
+OPTIONAL_FIELDS = (["groups", "2"], ["stride", "2", "1"], ["pad", "1"], ["output", "8", "8"], ["type", "conv"],
+                   ["input_sample", "x.f32"], ["weight_sample", "w.f32"], ["model", "net"])
+
+
+@st.composite
+def model_texts(draw):
+    """Model-file text: a well-formed description of one to three layers,
+    each with some optional fields, after up to two odd edits."""
+    records = [["format_version", "1"]]
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        records += [["layer", str(index)], ["c_in", draw(st.sampled_from(("1", "8")))], ["c_out", "2"],
+                    ["input", draw(st.sampled_from(("8", "16")))], ["kernel", draw(st.sampled_from(("1", "3")))]]
+        records += draw(st.lists(st.sampled_from(OPTIONAL_FIELDS), max_size=3, unique_by=lambda r: r[0]))
+    return draw(edited_text(records, ODD_KEYS, ODD_VALUES))
+
+
+@settings(settings.get_profile("seeded"), max_examples=300)
+@given(st.one_of(model_texts(), st.text(max_size=120)))
+def test_any_model_text_gives_a_model_or_a_format_error(text):
+    try:
+        model = loads_model(text)
+    except ModelFormatError:
+        return
+    assert isinstance(model, ModelDesc)
+    assert [layer.index for layer in model.layers] == list(range(1, len(model.layers) + 1))

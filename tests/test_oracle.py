@@ -145,12 +145,6 @@ def test_conservation_every_needed_element_moved():
     assert sim.transfer_elems["weight"] >= vw
 
 
-def test_unsupported_retention_policy_rejected():
-    layer = small_layer()
-    with pytest.raises(ValueError):
-        simulate(layer, make_mapping(layer), spec_triple(), retention_policy="lru")
-
-
 def test_trace_emission():
     layer = small_layer()
     mapping = make_mapping(layer, {"oh": 3, "ow": 3})

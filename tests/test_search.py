@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from bfpsearch import accuracy
-from bfpsearch.accuracy import loads_table, proxy_layer_loss, synthetic_sample
+from bfpsearch.accuracy import loads_table, synthetic_sample
 from bfpsearch.dm import role_bits
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes, loads_model
 from bfpsearch.search import (
@@ -25,7 +25,7 @@ from bfpsearch.search import (
 )
 from bfpsearch.tiling import InfeasibleError
 
-from conftest import small_layer
+from conftest import proxy_loss, small_layer
 
 MC = 65536.0
 
@@ -196,7 +196,7 @@ def joint_exhaustive(model, space, alpha, mc_bits, samples, tables):
             hit = tables[layer.index].query(specs_for_config(cfg), mc_bits)
             if hit is None:
                 continue
-            acc = proxy_layer_loss(layer, specs_for_config(cfg), samples[layer.index])
+            acc = proxy_loss(layer, specs_for_config(cfg), samples[layer.index])
             rows[cfg] = (hit[1], float(layer_volumes(layer)[1]) / wsum * acc)
         per_layer.append(rows)
     combos = list(itertools.product(*[list(r.keys()) for r in per_layer]))
@@ -436,7 +436,6 @@ def test_proxy_takes_each_samples_power_once_per_layer(tiny4, monkeypatch):
         return power(tensor)
 
     monkeypatch.setattr(sys.modules["bfpsearch.search"], "signal_power", counting)
-    monkeypatch.setattr(accuracy, "signal_power", counting)
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
     plan = search(tiny4, space, alpha=0.2, mc_bits=MC)
     assert len(calls) == 2 * len(tiny4.layers)  # roles x layers, not x configs

@@ -22,6 +22,7 @@ from bfpsearch.dm import (
     tile_footprint_elems,
     weigh,
 )
+import bfpsearch.dm as dm
 import bfpsearch.tiling as tiling
 from bfpsearch.model import ConvLayer, layer_volumes
 from bfpsearch.tiling import (
@@ -268,8 +269,8 @@ def test_query_rejects_nan_or_nonpositive_capacity(mc):
 def query_sequences(draw):
     """One layer, a few spec triples and capacities, and a random sequence of
     (triple, capacity) picks with repeats and interleaving.  Each BFP triple
-    comes with a plain-float triple of its effective bits: different objects,
-    the same answer."""
+    comes with a plain-float triple of its effective bits: a different memo
+    key, an equal answer."""
     layer = draw(small_convs())
     triples = []
     for se, bs in draw(st.lists(st.tuples(st.integers(2, 5), st.sampled_from((1, 2, 4, 8))),
@@ -296,9 +297,8 @@ def test_memoized_answers_match_fresh_tables(case):
         if hit is not None:
             direct = dm_layer(layer, hit[0], specs, count_first_load=count_first_load)
             assert table.breakdown(hit[0], specs).to_record() == direct.to_record()
-    # One weighing per distinct (bits, capacity), whatever objects carried the bits.
-    keys = {(*(role_bits(layer, specs)[r] for r in OPERANDS), mc_bits) for specs, mc_bits in picks}
-    assert len(table._answers) == len(keys)
+    # One weighing per distinct (spec triple, capacity).
+    assert len(table._answers) == len({(tuple(specs), mc_bits) for specs, mc_bits in picks})
 
 
 def test_repeated_spec_triple_is_one_lookup(monkeypatch):
@@ -319,6 +319,23 @@ def test_repeated_spec_triple_is_one_lookup(monkeypatch):
     assert len(calls) == 2
     with pytest.raises(MappingError):
         table.query(again, -mc)
+
+
+def test_repeated_breakdown_is_one_lookup(monkeypatch):
+    layer = small_layer(c_in=4, c_out=4)
+    table = LayerMappingTable(layer)
+    mapping = table.query(spec_triple(qb=8, se=3, bs=4), 4096.0)[0]
+    first = table.breakdown(mapping, spec_triple(qb=8, se=3, bs=4))
+    calls = []
+    for module in (tiling, dm):
+        monkeypatch.setattr(module, "role_bits", lambda *args: calls.append(args) or role_bits(*args))
+    again = spec_triple(qb=8, se=3, bs=4)  # equal, built separately
+    assert table.breakdown(mapping, again) is first
+    assert table.breakdown(mapping, list(again)) is first
+    assert calls == []
+    # A new triple computes its breakdown, and its bits once.
+    assert table.breakdown(mapping, spec_triple(qb=8, se=4, bs=4)) is not first
+    assert len(calls) == 1
 
 
 @st.composite
