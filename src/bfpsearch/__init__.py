@@ -34,7 +34,6 @@ from .dm import (
     classify_reuse,
     dm_layer,
     make_mapping,
-    tile_footprint,
 )
 from .accuracy import (
     AccuracyError,

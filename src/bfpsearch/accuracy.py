@@ -163,7 +163,7 @@ def normalized_mse(blocks: Blocks, spec: BfpSpec, power: float) -> float:
     return float(np.add.reduce(err, axis=None)) / err.size / power
 
 
-def proxy_layer_loss(layer: ConvLayer, specs, scans: dict, powers: dict) -> float:
+def proxy_layer_loss(specs, scans: dict, powers: dict) -> float:
     """Mean normalized round-trip MSE over the roles with samples.
 
     ``scans`` maps each role with a sample to that sample's
@@ -172,8 +172,6 @@ def proxy_layer_loss(layer: ConvLayer, specs, scans: dict, powers: dict) -> floa
     scores the layer under many configs computes the powers once per layer
     and the scans once per block size.
     """
-    if not scans:
-        raise AccuracyError(f"no usable samples for layer {layer.index}")
     spec_by_role = {s.role: s for s in specs}
     # A left fold and one division: np.mean's bits for these few terms (its
     # pairwise sum folds left below 8), without its per-call overhead.  The

@@ -14,10 +14,11 @@ ragged final tiles); bit-weighting by the per-role effective bitwidth happens
 once per operand at the end, which keeps totals bit-identical to the
 brute-force schedule simulator in :mod:`bfpsearch.oracle`.
 
-One level formula, :func:`level_traffic`, serves both a single mapping
-(ints, here) and the whole tiling lattice of :mod:`bfpsearch.tiling`
-(NumPy arrays that broadcast); each operand's tensor dims and their driver
-loops are listed once, in ``OPERAND_DIMS``.
+Each operand is described once, in ``OPERAND_DIMS`` (its tensor dims and
+their driver loops): footprints, reuse classes, first loads and per-level
+traffic all read it.  One level formula, :func:`level_traffic`, serves a
+single mapping (ints) and the tiling lattice of :mod:`bfpsearch.tiling`
+(NumPy arrays that broadcast).
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ class _PartDim:
     def drivers(self):
         return (self.driver,)
 
+    @property
+    def span(self):  # nominal tile length
+        return self.tile
+
     def interval(self, pos, maximum=max, minimum=min):
         a = pos[0] * self.tile
         return a, minimum(a + self.tile, self.extent)
@@ -182,6 +187,10 @@ class _ConvDim:
     @property
     def drivers(self):
         return (self.out_driver, self.k_driver)
+
+    @property
+    def span(self):  # nominal tile length: the output tile's support plus the halo, unclipped
+        return (self.out_tile - 1) * self.stride + self.k_tile
 
     def interval(self, pos, maximum=max, minimum=min):
         po, pk = pos
@@ -228,6 +237,24 @@ def _tensor_dim(layer: ConvLayer, ext: dict, drivers: tuple, tiles: dict):
     )
 
 
+def _operand_dims(layer: ConvLayer, tiles: dict) -> dict:
+    """Each operand's tensor dims (``OPERAND_DIMS``) under per-loop tile sizes,
+    ints or NumPy arrays that broadcast (a lattice of tilings)."""
+    ext = loop_extents(layer)
+    return {role: [_tensor_dim(layer, ext, drivers, tiles) for drivers in dims] for role, dims in OPERAND_DIMS.items()}
+
+
+def _footprint_elems(dims: dict) -> dict:
+    """Nominal elements of each operand's tile (halo included, unclipped)."""
+    return {role: math.prod(dim.span for dim in role_dims) for role, role_dims in dims.items()}
+
+
+def tile_footprint_elems(layer: ConvLayer, tiling: Mapping) -> dict:
+    """Nominal per-operand elements of one tile (halo included, unclipped)."""
+    validate_mapping(layer, tiling)
+    return _footprint_elems(_operand_dims(layer, dict(zip(LOOP_DIMS, tiling.tiles))))
+
+
 # ---------------------------------------------------------------------------
 # Reuse classification
 # ---------------------------------------------------------------------------
@@ -238,59 +265,27 @@ def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mappin
 
     Full reuse: the footprint does not depend on the loop (or the loop has a
     single iteration).  Partial reuse: consecutive footprints overlap, which
-    only input activations exhibit, through the stride/kernel halo.  No
-    reuse: consecutive footprints are disjoint.
+    only a dim with two drivers (an input row or column) exhibits, through
+    the stride/kernel halo.  No reuse: consecutive footprints are disjoint.
     """
     if operand not in OPERANDS:
         raise MappingError(f"unknown operand {operand!r}")
     if loop_dim not in LOOP_DIMS:
         raise MappingError(f"unknown loop dim {loop_dim!r}")
-    extents = loop_extents(layer)
-    if tiling.tile(loop_dim) >= extents[loop_dim]:
+    dims = _operand_dims(layer, dict(zip(LOOP_DIMS, tiling.tiles)))[operand]
+    return _reuse(dims, loop_dim, iteration_counts(layer, tiling))
+
+
+def _reuse(dims, loop: str, iters: dict) -> ReuseClass:
+    """:func:`classify_reuse` for an operand with tensor dims ``dims``: a dim with
+    two drivers overlaps itself when the output loop advances by less than the
+    halo (stride < kernel tile) or the kernel loop does under an output tile > 1."""
+    dim = next((dim for dim in dims if loop in dim.drivers), None)
+    if dim is None or iters[loop] == 1:
         return ReuseClass.FULL_REUSE
-    if not any(loop_dim in drivers for drivers in OPERAND_DIMS[operand]):
-        return ReuseClass.FULL_REUSE
-    if operand == "input":
-        if loop_dim == "oh":
-            return ReuseClass.PARTIAL_REUSE if layer.stride_h < tiling.tile("kh") else ReuseClass.NO_REUSE
-        if loop_dim == "ow":
-            return ReuseClass.PARTIAL_REUSE if layer.stride_w < tiling.tile("kw") else ReuseClass.NO_REUSE
-        if loop_dim == "kh":
-            return ReuseClass.PARTIAL_REUSE if tiling.tile("oh") > 1 else ReuseClass.NO_REUSE
-        if loop_dim == "kw":
-            return ReuseClass.PARTIAL_REUSE if tiling.tile("ow") > 1 else ReuseClass.NO_REUSE
-        return ReuseClass.NO_REUSE  # input channels partition
-    return ReuseClass.NO_REUSE  # output/weight tiles partition their dims
-
-
-# ---------------------------------------------------------------------------
-# Tile footprints
-# ---------------------------------------------------------------------------
-
-
-def tile_footprint_elems(layer: ConvLayer, tiling: Mapping) -> dict:
-    """Nominal per-operand elements of one tile (halo included, unclipped)."""
-    validate_mapping(layer, tiling)
-    return _footprint_elems(layer, dict(zip(LOOP_DIMS, tiling.tiles)))
-
-
-def _footprint_elems(layer: ConvLayer, t: dict) -> dict:
-    """Nominal per-operand tile elements from per-loop tile sizes, which may
-    be ints or NumPy arrays that broadcast (a lattice of tilings)."""
-    in_rows = (t["oh"] - 1) * layer.stride_h + t["kh"]
-    in_cols = (t["ow"] - 1) * layer.stride_w + t["kw"]
-    return {
-        "input": t["ic"] * in_rows * in_cols,
-        "output": t["oc"] * t["oh"] * t["ow"],
-        "weight": t["oc"] * t["ic"] * t["kh"] * t["kw"],
-    }
-
-
-def tile_footprint(layer: ConvLayer, tiling: Mapping, spec_i, spec_o, spec_w) -> dict:
-    """Per-operand tile footprint in bits (elements weighted by effective bitwidth)."""
-    bits = role_bits(layer, (spec_i, spec_o, spec_w))
-    elems = tile_footprint_elems(layer, tiling)
-    return {role: elems[role] * bits[role] for role in OPERANDS}
+    if isinstance(dim, _ConvDim) and (dim.stride < dim.k_tile if loop == dim.out_driver else dim.out_tile > 1):
+        return ReuseClass.PARTIAL_REUSE
+    return ReuseClass.NO_REUSE
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +296,8 @@ def tile_footprint(layer: ConvLayer, tiling: Mapping, spec_i, spec_o, spec_w) ->
 def weigh(elems: dict, bits: dict):
     """Per-role element counts weighted by bits, summed as (input + output) +
     weight.  ``elems`` are ints for one mapping or NumPy arrays over a mapping
-    table; the oracle sums in the same order on its own, as the reference, so
-    the totals of all three stay bit-identical."""
+    table; the oracle sums its transfers in the same order on its own, as the
+    reference, so the totals of all three stay bit-identical."""
     return (elems["input"] * bits["input"] + elems["output"] * bits["output"]) + elems["weight"] * bits["weight"]
 
 
@@ -388,7 +383,7 @@ def _dim_sums(dim, rels, iters):
     return new_len, overlap
 
 
-def level_traffic(perm, drivers, iters, sums, terms=None) -> list:
+def level_traffic(perm, drivers, iters, sums, terms: dict) -> list:
     """Elements one operand moves at each level of the loop order ``perm``
     (first load excluded).
 
@@ -405,11 +400,12 @@ def level_traffic(perm, drivers, iters, sums, terms=None) -> list:
 
     A level's term depends only on the set of loops outside it and on its
     own loop: they fix the outer non-movers' iterations, each driver's place
-    and the skip rule.  A caller that runs many orders of one operand over
-    the same ``iters`` and ``sums`` (a mapping table) passes one ``terms``
-    dict for them, keyed by (that set, the level loop), and each distinct
-    term is computed once; exact integer products make the term independent
-    of the order the outer loops come in.
+    and the skip rule.  ``terms`` holds the terms computed so far, keyed by
+    (that set, the level loop): one order passes an empty dict, and a caller
+    that runs many orders of one operand over the same ``iters`` and
+    ``sums`` (a mapping table) passes one dict for them all, so each
+    distinct term is computed once; exact integer products make the term
+    independent of the order the outer loops come in.
     """
     movers = {d for dim in drivers for d in dim}
     iterating = {d for d in perm if not isinstance(iters[d], int) or iters[d] > 1}
@@ -418,7 +414,7 @@ def level_traffic(perm, drivers, iters, sums, terms=None) -> list:
         outer = frozenset(perm[:j])
         if lvl not in iterating or movers & iterating <= outer:
             continue
-        if terms is not None and (outer, lvl) in terms:
+        if (outer, lvl) in terms:
             levels[j] = terms[outer, lvl]
             continue
         mult = 1
@@ -433,27 +429,8 @@ def level_traffic(perm, drivers, iters, sums, terms=None) -> list:
             new_len, overlap = sums(k, rels)
             vol_new = vol_new * new_len
             vol_ovl = vol_ovl * overlap
-        levels[j] = mult * (vol_new - vol_ovl)
-        if terms is not None:
-            terms[outer, lvl] = levels[j]
+        levels[j] = terms[outer, lvl] = mult * (vol_new - vol_ovl)
     return levels
-
-
-def operand_traffic_elems(layer: ConvLayer, mapping: Mapping, operand: str):
-    """Exact per-level moved elements for one operand; returns
-    (per-level list, cold first-load elements).  The first load is counted at
-    the operand's innermost moving loop, or is cold if no loop moves it."""
-    iters = iteration_counts(layer, mapping)
-    perm = mapping.permutation
-    ext, tiles = loop_extents(layer), dict(zip(LOOP_DIMS, mapping.tiles))
-    dims = [_tensor_dim(layer, ext, drivers, tiles) for drivers in OPERAND_DIMS[operand]]
-    level_elems = level_traffic(perm, OPERAND_DIMS[operand], iters, lambda k, rels: _dim_sums(dims[k], rels, iters))
-    first = math.prod(_iv_len(dim.interval((0,) * len(dim.drivers))) for dim in dims)
-    moving_levels = [j for j, d in enumerate(perm) if iters[d] > 1 and any(d in dim.drivers for dim in dims)]
-    if not moving_levels:
-        return level_elems, first
-    level_elems[moving_levels[-1]] += first
-    return level_elems, 0
 
 
 def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool = True) -> DmBreakdown:
@@ -461,30 +438,29 @@ def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool =
 
     ``specs`` is the (input, output, weight) triple of BfpSpec or plain
     bit counts.  Grouped convolutions are modeled as one group's sub-nest
-    multiplied by the group count.
+    multiplied by the group count.  Each operand's first load is counted at
+    its innermost moving loop, or is cold if no loop moves it.
     """
     validate_mapping(layer, mapping)
     bits = role_bits(layer, specs)
     iters = iteration_counts(layer, mapping)
-    tile_elems = tile_footprint_elems(layer, mapping)
-    reuse = {
-        role: {d: classify_reuse(role, d, layer, mapping) for d in LOOP_DIMS}
-        for role in OPERANDS
-    }
-    level_elems = {}
-    cold_elems = {}
-    for role in OPERANDS:
-        level_elems[role], cold_elems[role] = operand_traffic_elems(layer, mapping, role)
-
+    dims = _operand_dims(layer, dict(zip(LOOP_DIMS, mapping.tiles)))
+    perm = mapping.permutation
+    tile_elems = _footprint_elems(dims)
+    reuse, level_elems, cold_elems = {}, {}, {}
+    for role, role_dims in dims.items():
+        reuse[role] = {d: _reuse(role_dims, d, iters) for d in LOOP_DIMS}
+        levels = level_traffic(perm, OPERAND_DIMS[role], iters,
+                               lambda k, rels: _dim_sums(role_dims[k], rels, iters), {})
+        first = math.prod(_iv_len(dim.interval((0,) * len(dim.drivers))) for dim in role_dims)
+        moving = [j for j, d in enumerate(perm) if reuse[role][d] is not ReuseClass.FULL_REUSE]
+        if moving:
+            levels[moving[-1]] += first
+            first = 0
+        level_elems[role], cold_elems[role] = levels, first
     return DmBreakdown(
-        permutation=mapping.permutation,
-        iters=iters,
-        bits=bits,
-        tile_elems=tile_elems,
-        tile_bits={r: tile_elems[r] * bits[r] for r in OPERANDS},
-        reuse=reuse,
-        level_elems=level_elems,
-        cold_elems=cold_elems,
-        group_multiplier=layer.groups,
-        count_first_load=count_first_load,
+        permutation=perm, iters=iters, bits=bits,
+        tile_elems=tile_elems, tile_bits={r: tile_elems[r] * bits[r] for r in OPERANDS}, reuse=reuse,
+        level_elems=level_elems, cold_elems=cold_elems,
+        group_multiplier=layer.groups, count_first_load=count_first_load,
     ).finalize()

@@ -22,8 +22,9 @@ from .dm import (
     iteration_counts,
     loop_extents,
     role_bits,
-    tile_footprint,
+    tile_footprint_elems,
     validate_mapping,
+    weigh,
 )
 from .model import ConvLayer
 
@@ -106,7 +107,7 @@ def simulate(
     """
     validate_mapping(layer, mapping)
     bits = role_bits(layer, specs)
-    tile_total = sum(tile_footprint(layer, mapping, *specs).values())
+    tile_total = weigh(tile_footprint_elems(layer, mapping), bits)
     if tile_total > mc_bits:
         raise CapacityError(
             f"one tile set needs {tile_total:.1f} bits, exceeding capacity {mc_bits} bits"

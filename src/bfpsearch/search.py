@@ -297,7 +297,7 @@ def _proxy_row(layer, configs, specs, scored, sample_dir, seed) -> dict:
     for bs, cells in by_bs.items():
         scans = {role: scan_blocks(tensor, bs) for role, tensor in samples.items()}
         for j in cells:
-            row[j] = proxy_layer_loss(layer, specs[j], scans, powers)
+            row[j] = proxy_layer_loss(specs[j], scans, powers)
         del scans  # before the next block size's are made
     return row
 

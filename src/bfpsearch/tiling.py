@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from . import dm
 from .dm import (
     ADVANCING,
     INSIDE,
@@ -40,8 +41,8 @@ from .dm import (
     Mapping,
     MappingError,
     _footprint_elems,
+    _operand_dims,
     _tensor_dim,
-    dm_layer,
     level_traffic,
     loop_extents,
     make_mapping,
@@ -227,7 +228,8 @@ class LayerMappingTable:
         # Nominal tile footprints in elements (capacity constraint side).
         tiles = {d: along(d, cands[d]) for d in LOOP_DIMS}
         self.footprint_elems = {
-            role: np.broadcast_to(elems, self.mesh_shape) for role, elems in _footprint_elems(layer, tiles).items()
+            role: np.broadcast_to(elems, self.mesh_shape)
+            for role, elems in _footprint_elems(_operand_dims(layer, tiles)).items()
         }
 
         # Dominance pruning: at one tiling every permutation has the same
@@ -312,9 +314,10 @@ class LayerMappingTable:
         return self.mapping_at(int(self._perm[best]), tile_idx), float(dm[best]), float(foot[best])
 
     def breakdown(self, mapping: Mapping, specs):
-        """``dm_layer`` of the table's layer under ``mapping`` and the table's
-        first-load accounting, computed once per distinct (mapping, spec triple)."""
+        """``dm.dm_layer`` of the table's layer under ``mapping`` and the table's
+        first-load accounting, computed once per distinct (mapping, spec triple);
+        looked up on the module, so a wrapper there (perfbench's tracer) sees it."""
         key = (mapping, tuple(specs))
         if key not in self._breakdowns:
-            self._breakdowns[key] = dm_layer(self.layer, mapping, specs, count_first_load=self.count_first_load)
+            self._breakdowns[key] = dm.dm_layer(self.layer, mapping, specs, count_first_load=self.count_first_load)
         return self._breakdowns[key]

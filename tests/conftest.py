@@ -56,7 +56,7 @@ def proxy_loss(layer, specs, samples):
     the scans and signal powers that ``search`` gives it."""
     scans = {role: scan_blocks(tensor, specs[0].block_size) for role, tensor in samples.items()}
     powers = {role: signal_power(tensor) for role, tensor in samples.items()}
-    return proxy_layer_loss(layer, specs, scans, powers)
+    return proxy_layer_loss(specs, scans, powers)
 
 
 TINY4_TEXT = """format_version 1

@@ -3,9 +3,9 @@ the table property tests.
 
 Every tensor dim's sums are taken one tile candidate at a time with the
 scalar ``_dim_sums``; every (role, permutation) runs ``level_traffic`` with
-no term memo; every permutation is compared against all earlier ones; and
-the survivors are put in tie-break order with a three-key ``lexsort`` and
-gathered by 2-D and 4-D fancy indexing.  The table must reproduce its arrays
+a term memo of its own; every permutation is compared against all earlier
+ones; and the survivors are put in tie-break order with a three-key
+``lexsort`` and gathered by 2-D and 4-D fancy indexing.  The table must reproduce its arrays
 bit for bit.
 """
 
@@ -20,6 +20,7 @@ from bfpsearch.dm import (
     OPERANDS,
     _dim_sums,
     _footprint_elems,
+    _operand_dims,
     _tensor_dim,
     level_traffic,
     loop_extents,
@@ -62,12 +63,13 @@ def reference_table_arrays(layer, permutations=None, count_first_load=True) -> d
         if not count_first_load:
             first = first * (math.prod(iters[d] for dim in dims for d in dim) > 1)
         for pi, perm in enumerate(permutations):
-            levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels))
+            levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels), {})
             counts[r, pi].reshape(mesh_shape)[...] = (sum(levels) + first) * layer.groups
 
     tiles = {d: along(d, cands[d]) for d in LOOP_DIMS}
     footprint_elems = {
-        role: np.broadcast_to(elems, mesh_shape) for role, elems in _footprint_elems(layer, tiles).items()
+        role: np.broadcast_to(elems, mesh_shape)
+        for role, elems in _footprint_elems(_operand_dims(layer, tiles)).items()
     }
     tile_volume = math.prod(tiles[d] for d in MOVING_DIMS).ravel()
     keep = np.ones(counts.shape[1:], dtype=bool)

@@ -9,7 +9,7 @@ from bfpsearch.dm import (
     classify_reuse,
     dm_layer,
     make_mapping,
-    tile_footprint,
+    role_bits,
     tile_footprint_elems,
 )
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes
@@ -76,8 +76,7 @@ def test_whole_layer_input_footprint_is_volume_times_bits():
     m = make_mapping(layer)
     specs = spec_triple()
     q_i = effective_bitwidth(specs[0], (6, 6))
-    foot = tile_footprint(layer, m, *specs)
-    assert foot["input"] == 36 * q_i
+    assert tile_footprint_elems(layer, m)["input"] * role_bits(layer, specs)["input"] == 36 * q_i
 
 
 def test_output_tile_halo():

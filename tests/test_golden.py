@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from bfpsearch import cli, tiling
+from bfpsearch import cli, dm, tiling
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -88,7 +88,7 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tiling.LayerMappingTable, "query", counting("query", tiling.LayerMappingTable.query))
     monkeypatch.setattr(tiling, "weigh", counting("weigh", tiling.weigh))
-    monkeypatch.setattr(tiling, "dm_layer", counting("dm_layer", tiling.dm_layer))
+    monkeypatch.setattr(dm, "dm_layer", counting("dm_layer", dm.dm_layer))
     workload = WORKLOADS["stack20-sweep-table"]
     run_seed0(tmp_path, workload)
     assert workload.query_calls == 5740

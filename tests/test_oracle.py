@@ -129,9 +129,9 @@ def test_capacity_rejection_and_peak():
     with pytest.raises(CapacityError):
         simulate(layer, mapping, specs, mc_bits=10.0)
     sim = simulate(layer, mapping, specs, mc_bits=1e9)
-    from bfpsearch.dm import tile_footprint
+    from bfpsearch.dm import tile_footprint_elems, weigh
 
-    limit = sum(tile_footprint(layer, mapping, *specs).values())
+    limit = weigh(tile_footprint_elems(layer, mapping), role_bits(layer, specs))
     assert sim.peak_occupancy_bits <= limit
 
 

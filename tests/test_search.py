@@ -217,7 +217,7 @@ def joint_exhaustive(model, space, alpha, mc_bits, samples, tables):
     return best, obj
 
 
-def test_decompose_single_layer_equals_whole_model_search():
+def test_layer_scope_single_layer_equals_model_scope():
     model = ModelDesc(name="one", layers=[small_layer(c_in=2, c_out=2)])
     space = small_space()
     joint = search(model, space, alpha=0.2, mc_bits=MC)
@@ -225,7 +225,7 @@ def test_decompose_single_layer_equals_whole_model_search():
     assert per_layer.assignments[0].config == joint.assignments[0].config
 
 
-def test_decompose_identical_layers_get_identical_configs():
+def test_layer_scope_gives_identical_layers_identical_configs():
     model = ModelDesc(name="twin", layers=[
         small_layer(index=1, c_in=2, c_out=2),
         small_layer(index=2, c_in=2, c_out=2),
@@ -234,7 +234,7 @@ def test_decompose_identical_layers_get_identical_configs():
     assert plan.assignments[0].config == plan.assignments[1].config
 
 
-def test_decompose_matches_joint_exhaustive(tiny4):
+def test_layer_scope_matches_joint_exhaustive(tiny4):
     space = small_space()
     alpha = 0.2
     samples = {l.index: {"input": synthetic_sample(l, "input"), "weight": synthetic_sample(l, "weight")}
@@ -246,7 +246,7 @@ def test_decompose_matches_joint_exhaustive(tiny4):
     assert plan.objective == pytest.approx(obj, rel=1e-12)
 
 
-def test_decompose_rejects_model_only_table(tiny4):
+def test_layer_scope_rejects_model_only_table(tiny4):
     table = loads_table("format_version 1\nmodel 3 8 8 0.1\n")
     from bfpsearch.accuracy import AccuracyError
 
