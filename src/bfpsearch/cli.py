@@ -298,13 +298,15 @@ def config_from_args(args) -> RunConfig:
     values = vars(args).copy()
     sweep = values.pop("sweep")
     values["out_dir"] = values["out_dir"] or os.environ.get("BFPSEARCH_OUT_DIR") or RunConfig.out_dir
+    jobs_from = "--jobs"  # named in the error: the flag, or the variable it fell back to
     if values["jobs"] is None:
+        jobs_from = "BFPSEARCH_JOBS"
         try:
-            values["jobs"] = int(os.environ.get("BFPSEARCH_JOBS", RunConfig.jobs))
+            values["jobs"] = int(os.environ.get(jobs_from, RunConfig.jobs))
         except ValueError:
-            raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
+            raise UsageError(f"{jobs_from} must be an integer, got {os.environ[jobs_from]!r}")
     if values["jobs"] < 1:
-        raise UsageError(f"--jobs must be >= 1, got {values['jobs']}")
+        raise UsageError(f"{jobs_from} must be >= 1, got {values['jobs']}")
     if values["acc_table_path"] is not None and values["loss_source"] != "table":
         raise UsageError("--acc-table is read only with --loss-source table")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):

@@ -128,7 +128,7 @@ class BfpTensor:
 
     @property
     def element_count(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 0
+        return math.prod(self.shape)
 
 
 def _check_finite(values: np.ndarray):

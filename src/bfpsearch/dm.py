@@ -16,9 +16,11 @@ brute-force schedule simulator in :mod:`bfpsearch.oracle`.
 
 Each operand is described once, in ``OPERAND_DIMS`` (its tensor dims and
 their driver loops): footprints, reuse classes, first loads and per-level
-traffic all read it.  One level formula, :func:`level_traffic`, serves a
-single mapping (ints) and the tiling lattice of :mod:`bfpsearch.tiling`
-(NumPy arrays that broadcast).
+traffic all read it.  Every tensor dim has one interval formula (a channel
+dim is the one-tap, stride-1, unpadded case of an input row) and one overlap
+rule.  They and the level formula, :func:`level_traffic`, serve a single
+mapping (ints) and the tiling lattice of :mod:`bfpsearch.tiling` (NumPy
+arrays that broadcast).
 """
 
 from __future__ import annotations
@@ -137,65 +139,41 @@ def role_bits(layer: ConvLayer, specs) -> dict:
 # ---------------------------------------------------------------------------
 #
 # Every operand footprint is a box: a product of integer intervals, one per
-# tensor dimension.  Each tensor dimension is driven by one loop (partition
-# dims) or by an output loop plus a kernel loop (input rows/cols, which slide
-# by the stride and carry the kernel halo).  A dim's ``interval`` takes one
-# position with the builtin ``max`` and ``min`` (one mapping), or arrays of
-# positions and tiles with ``np.maximum`` and ``np.minimum`` (every tile
-# candidate of a mapping table at once): one formula serves both.
+# tensor dim.  One ``_Dim`` describes every dim, and one rule, ``_overlap``,
+# measures its intervals.  ``interval`` and ``_overlap`` take the builtin
+# ``max`` and ``min`` (one mapping), or ``np.maximum`` and ``np.minimum``
+# with arrays of positions and tiles (every tile candidate of a mapping
+# table at once): one formula serves both.
 
 
 @dataclass(frozen=True)
-class _PartDim:
-    """Tensor dim partitioned by one loop: position p covers [p*T, min((p+1)*T, E))."""
+class _Dim:
+    """Tensor dim driven by one loop (tile ``tile`` over ``out_extent``) and,
+    for input rows/cols, a kernel loop (tile ``k_tile`` over ``k_extent``).
 
-    driver: str
-    tile: int
-    extent: int
-
-    @property
-    def drivers(self):
-        return (self.driver,)
-
-    @property
-    def span(self):  # nominal tile length
-        return self.tile
-
-    def interval(self, pos, maximum=max, minimum=min):
-        a = pos[0] * self.tile
-        return a, minimum(a + self.tile, self.extent)
-
-
-@dataclass(frozen=True)
-class _ConvDim:
-    """Input spatial dim driven by an output loop and a kernel loop.
-
-    The interval is the input support of the tile's output positions crossed
-    with its kernel taps, shifted by padding and clipped to the real extent.
+    An interval is the support of the tile's output positions crossed with its
+    kernel taps, shifted by padding and clipped to ``extent``.  A dim with one
+    driver is the one-tap, stride-1, unpadded case: [p*T, min((p+1)*T, E)).
     """
 
-    out_driver: str
-    k_driver: str
-    out_tile: int
+    drivers: tuple
+    tile: int
     out_extent: int
-    k_tile: int
-    k_extent: int
-    stride: int
-    pad: int
     extent: int
-
-    @property
-    def drivers(self):
-        return (self.out_driver, self.k_driver)
+    k_tile: int = 1
+    k_extent: int = 1
+    stride: int = 1
+    pad: int = 0
 
     @property
     def span(self):  # nominal tile length: the output tile's support plus the halo, unclipped
-        return (self.out_tile - 1) * self.stride + self.k_tile
+        return (self.tile - 1) * self.stride + self.k_tile
 
     def interval(self, pos, maximum=max, minimum=min):
-        po, pk = pos
-        o_lo = po * self.out_tile
-        o_len = minimum(self.out_tile, self.out_extent - o_lo)
+        """Interval at ``pos``, the drivers' positions; a missing kernel position is 0."""
+        po, pk = (pos[0], 0) if len(pos) == 1 else pos
+        o_lo = po * self.tile
+        o_len = minimum(self.tile, self.out_extent - o_lo)
         k_lo = pk * self.k_tile
         k_len = minimum(self.k_tile, self.k_extent - k_lo)
         a = o_lo * self.stride + k_lo - self.pad
@@ -203,12 +181,10 @@ class _ConvDim:
         return maximum(a, 0), minimum(b, self.extent)
 
 
-def _iv_len(iv):
-    return max(0, iv[1] - iv[0])
-
-
-def _iv_overlap(iv_a, iv_b):
-    return max(0, min(iv_a[1], iv_b[1]) - max(iv_a[0], iv_b[0]))
+def _overlap(iv_a, iv_b, maximum=max, minimum=min):
+    """Length of the intersection of two intervals, ints or arrays (with ``np.maximum``
+    and ``np.minimum``); an interval's length is its overlap with itself."""
+    return maximum(minimum(iv_a[1], iv_b[1]) - maximum(iv_a[0], iv_b[0]), 0)
 
 
 # Each operand's tensor dims, named by the loops that drive them: one loop
@@ -221,19 +197,18 @@ OPERAND_DIMS = {
 }
 
 
-def _tensor_dim(layer: ConvLayer, ext: dict, drivers: tuple, tiles: dict):
+def _tensor_dim(layer: ConvLayer, ext: dict, drivers: tuple, tiles: dict) -> _Dim:
     """The footprint geometry of the tensor dim that ``drivers`` drive, given
     the layer's loop extents and per-loop tile sizes."""
+    out = drivers[0]
     if len(drivers) == 1:
-        return _PartDim(drivers[0], tiles[drivers[0]], ext[drivers[0]])
-    out, k = drivers
+        return _Dim(drivers=drivers, tile=tiles[out], out_extent=ext[out], extent=ext[out])
+    k = drivers[1]
     axis = out[1]  # "h" or "w"
-    return _ConvDim(
-        out_driver=out, k_driver=k,
-        out_tile=tiles[out], out_extent=ext[out],
+    return _Dim(
+        drivers=drivers, tile=tiles[out], out_extent=ext[out], extent=getattr(layer, "i_" + axis),
         k_tile=tiles[k], k_extent=ext[k],
         stride=getattr(layer, "stride_" + axis), pad=getattr(layer, "pad_" + axis),
-        extent=getattr(layer, "i_" + axis),
     )
 
 
@@ -277,13 +252,13 @@ def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mappin
 
 
 def _reuse(dims, loop: str, iters: dict) -> ReuseClass:
-    """:func:`classify_reuse` for an operand with tensor dims ``dims``: a dim with
-    two drivers overlaps itself when the output loop advances by less than the
-    halo (stride < kernel tile) or the kernel loop does under an output tile > 1."""
+    """:func:`classify_reuse` for an operand with tensor dims ``dims``: a dim
+    overlaps itself when its lead loop advances by less than the halo (stride <
+    kernel tile, never with one tap) or its kernel loop does under a lead tile > 1."""
     dim = next((dim for dim in dims if loop in dim.drivers), None)
     if dim is None or iters[loop] == 1:
         return ReuseClass.FULL_REUSE
-    if isinstance(dim, _ConvDim) and (dim.stride < dim.k_tile if loop == dim.out_driver else dim.out_tile > 1):
+    if (dim.stride < dim.k_tile) if loop == dim.drivers[0] else (dim.tile > 1):
         return ReuseClass.PARTIAL_REUSE
     return ReuseClass.NO_REUSE
 
@@ -378,8 +353,8 @@ def _dim_sums(dim, rels, iters):
     for combo in product(*per_driver):
         old, new = zip(*combo)
         iv_new = dim.interval(new)
-        new_len += _iv_len(iv_new)
-        overlap += _iv_overlap(iv_new, dim.interval(old))
+        new_len += _overlap(iv_new, iv_new)
+        overlap += _overlap(iv_new, dim.interval(old))
     return new_len, overlap
 
 
@@ -452,7 +427,7 @@ def dm_layer(layer: ConvLayer, mapping: Mapping, specs, count_first_load: bool =
         reuse[role] = {d: _reuse(role_dims, d, iters) for d in LOOP_DIMS}
         levels = level_traffic(perm, OPERAND_DIMS[role], iters,
                                lambda k, rels: _dim_sums(role_dims[k], rels, iters), {})
-        first = math.prod(_iv_len(dim.interval((0,) * len(dim.drivers))) for dim in role_dims)
+        first = math.prod(_dim_sums(dim, (INSIDE,) * len(dim.drivers), iters)[0] for dim in role_dims)
         moving = [j for j, d in enumerate(perm) if reuse[role][d] is not ReuseClass.FULL_REUSE]
         if moving:
             levels[moving[-1]] += first

@@ -224,12 +224,10 @@ def pareto_frontier(cands) -> list:
 
 
 def knee_point(frontier) -> CandidateEval:
-    """Frontier point farthest (perpendicular) from the endpoint chord;
-    degenerate frontiers fall back to the weighted-objective minimum."""
+    """Frontier point farthest (perpendicular) from the endpoint chord, ties to
+    the weighted-objective ranking (an endpoint lies exactly 0.0 from the chord)."""
     if not frontier:
         raise InfeasibleError("empty Pareto frontier")
-    if len(frontier) <= 2:
-        return min(frontier, key=lambda c: selection_key(c, "full"))
     a = frontier[0]
     b = frontier[-1]
     ax, ay = a.acc_loss, a.perf_loss

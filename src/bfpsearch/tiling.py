@@ -42,6 +42,7 @@ from .dm import (
     MappingError,
     _footprint_elems,
     _operand_dims,
+    _overlap,
     _tensor_dim,
     level_traffic,
     loop_extents,
@@ -83,9 +84,10 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
     Equal, candidate by candidate, to :func:`bfpsearch.dm._dim_sums` with
     the lead at that tile and a second (kernel) driver untiled and INSIDE:
     its one position is 0.  The (candidate, position) pairs are laid out
-    flat, every interval is computed once, and one pass gives all three
-    rels: OUTSIDE sums every position with itself, ADVANCING steps p-1 -> p
-    for p >= 1, and INSIDE wraps from the last position to 0.
+    flat, every interval is computed once, and one pass of the same
+    :func:`bfpsearch.dm._overlap` over arrays gives all three rels: OUTSIDE
+    sums every position with itself, ADVANCING steps p-1 -> p for p >= 1,
+    and INSIDE wraps from the last position to 0.
     """
     lead = drivers[0]
     tile = np.asarray(lead_cands, dtype=np.int64)
@@ -94,20 +96,17 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
     cand = np.repeat(np.arange(len(tile)), n)
     pos = np.arange(len(cand)) - start[cand]
     dim = _tensor_dim(layer, ext, drivers, {**ext, lead: tile[cand]})
-    lo, hi = dim.interval((pos,) + (0,) * (len(drivers) - 1), np.maximum, np.minimum)
-
-    def overlap(i, j):
-        return np.maximum(np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]), 0)
-
-    length = np.maximum(hi - lo, 0)
+    lo, hi = dim.interval((pos,), np.maximum, np.minimum)
+    length = _overlap((lo, hi), (lo, hi), np.maximum, np.minimum)
     step = np.zeros_like(length)
-    step[1:] = overlap(slice(1, None), slice(None, -1))
+    step[1:] = _overlap((lo[1:], hi[1:]), (lo[:-1], hi[:-1]), np.maximum, np.minimum)
     step[start] = 0  # a candidate's first position is stepped into from nowhere
     total = np.add.reduceat(length, start)
+    last = start + n - 1
     return {
         OUTSIDE: (total, total),
         ADVANCING: (total - length[start], np.add.reduceat(step, start)),
-        INSIDE: (length[start], overlap(start, start + n - 1)),
+        INSIDE: (length[start], _overlap((lo[start], hi[start]), (lo[last], hi[last]), np.maximum, np.minimum)),
     }
 
 

@@ -70,7 +70,7 @@ def test_usage_error_on_bad_flags(tiny4_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [
     ["--alpha", "nan"], ["--alpha", "inf"], ["--mc", "nan"], ["--mc", "inf"], ["--sweep-alpha", "0.1,nan"],
-    ["--e-sram", "0"], ["--e-dram", "-5"], ["--e-sram", "nan"], ["--e-dram", "inf"],
+    ["--e-sram", "0"], ["--e-dram", "-5"], ["--e-sram", "nan"], ["--e-dram", "inf"], ["--jobs", "0"],
 ], ids="=".join)
 def test_non_finite_or_nonpositive_values_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
     rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra))
@@ -187,7 +187,7 @@ def test_report_config_record_keys(tiny4_path, tmp_path):
     assert (record["qb"], record["se_set"], record["bs_set"]) == (8, [2, 3, 4], [2, 8])
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+@pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
 def test_non_integer_jobs_env_is_usage_error(tiny4_path, tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("BFPSEARCH_JOBS", value)
     rc = main(base_args(tiny4_path, str(tmp_path / "o")))
@@ -304,6 +304,14 @@ def test_cli_empty_sweep_alpha_uses_default_values(tiny4_path, tmp_path):
     assert rc == EXIT_OK
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == list(DEFAULT_SWEEP_ALPHAS)
+
+
+def test_sweep_alpha_with_no_values_is_usage_error(tiny4_path, tmp_path):
+    # The CLI turns an empty --sweep-alpha into the defaults; a direct caller's empty list is an error.
+    config = RunConfig(model_path=tiny4_path, out_dir=str(tmp_path / "s"))
+    with pytest.raises(UsageError, match="at least one value"):
+        sweep_alpha(config, ())
+    assert not (tmp_path / "s").exists()
 
 
 def test_env_overrides(tiny4_path, tmp_path, monkeypatch):

@@ -209,12 +209,15 @@ def test_quantization_error_rejects_empty():
 
 
 def test_quantize_dequantize_matches_block_path():
+    """A 0-d tensor holds one element, so it decodes like any other shape."""
     rng = np.random.default_rng(3)
     spec = BfpSpec(8, 4, 8, "input")
-    data = rng.uniform(-1.9, 1.9, size=100)
-    via_blocks = decode_tensor(encode_tensor(data, spec))
-    direct = quantize_dequantize(data, spec)
-    assert np.array_equal(via_blocks, direct)
+    for shape in ((100,), (4, 25), ()):
+        data = rng.uniform(-1.9, 1.9, size=shape)
+        via_blocks = decode_tensor(encode_tensor(data, spec))
+        direct = quantize_dequantize(data, spec)
+        assert via_blocks.shape == direct.shape == shape
+        assert np.array_equal(via_blocks, direct)
 
 
 # -- bit-exactness of the block kernel ------------------------------------------

@@ -137,16 +137,31 @@ def test_pareto_mode_returns_frontier_and_knee(tiny4):
     assert chosen, "knee must lie on the frontier"
 
 
+def _knee_cand(cfg, acc, perf, alpha=0.2):
+    return CandidateEval(config=cfg, feasible=True, dm_sum_bits=perf * 1000,
+                         acc_loss=acc, perf_loss=perf, objective=acc + alpha * perf)
+
+
 def test_knee_point_geometry():
-    def cand(cfg, acc, perf):
-        return CandidateEval(config=cfg, feasible=True, dm_sum_bits=perf * 1000,
-                             acc_loss=acc, perf_loss=perf, objective=acc + 0.2 * perf)
     frontier = pareto_frontier([
-        cand((2, 8, 8), 0.0, 1.0),
-        cand((3, 8, 8), 0.1, 0.2),  # pronounced knee
-        cand((4, 8, 8), 1.0, 0.0),
+        _knee_cand((2, 8, 8), 0.0, 1.0),
+        _knee_cand((3, 8, 8), 0.1, 0.2),  # pronounced knee
+        _knee_cand((4, 8, 8), 1.0, 0.0),
     ])
     assert knee_point(frontier).config == (3, 8, 8)
+
+
+def test_knee_point_of_one_point_frontier_is_that_point():
+    only = _knee_cand((3, 8, 8), 0.3, 0.7)
+    assert knee_point([only]) is only
+
+
+@pytest.mark.parametrize("alpha, want", [(0.2, (2, 8, 8)), (5.0, (4, 8, 8))])
+def test_knee_point_of_two_point_frontier_takes_the_objective_minimum(alpha, want):
+    # Both endpoints lie on the chord, exactly 0.0 from it, so the ranking decides.
+    frontier = pareto_frontier([_knee_cand((2, 8, 8), 0.1, 0.9, alpha), _knee_cand((4, 8, 8), 0.7, 0.2, alpha)])
+    assert len(frontier) == 2
+    assert knee_point(frontier).config == want
 
 
 def test_table_loss_source(tiny4):
