@@ -91,6 +91,15 @@ def _json_dumps(record) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
+def _report_json(config_record: dict, plan_text: str) -> str:
+    """``_json_dumps({"config": config_record, "plan": plan})`` from the plan's
+    rendering ``plan_text``, so the plan is rendered once: a nested record is
+    its own rendering with every line after the first indented two more."""
+    config_text, plan_text = (text.rstrip("\n").replace("\n", "\n  ")
+                              for text in (_json_dumps(config_record), plan_text))
+    return '{\n  "config": ' + config_text + ',\n  "plan": ' + plan_text + "\n}\n"
+
+
 def _write(out_dir: str, files: dict) -> dict:
     """Write ``files`` ({output name: (file name, text)}), all rendered
     beforehand, into ``out_dir``; return {output name: path}.  On an OSError
@@ -198,10 +207,10 @@ def run(config: RunConfig) -> tuple:
     output file of this run behind.
     """
     (plan,) = _plans(config, (config.alpha,))
-    record = plan.to_record()
+    plan_text = _json_dumps(plan.to_record())
     files = {
-        "plan": ("plan.json", _json_dumps(record)),
-        "report": ("report.json", _json_dumps({"config": config.to_record(), "plan": record})),
+        "plan": ("plan.json", plan_text),
+        "report": ("report.json", _report_json(config.to_record(), plan_text)),
         "summary": ("summary.txt", _summary_text(config, plan)),
     }
     if config.write_csv:

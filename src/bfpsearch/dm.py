@@ -113,7 +113,9 @@ def role_bits(layer: ConvLayer, specs) -> dict:
     """Per-role bits per element from a (input, output, weight) spec triple.
 
     Each entry may be a BfpSpec (amortized exponent accounting) or a plain
-    number of bits (used for the unquantized 32-bit baseline).
+    number of bits (used for the unquantized 32-bit baseline), which must be
+    positive and finite: a NaN or infinite bitwidth would weigh every mapping
+    to NaN or inf, which a query reads as infeasible.
     """
     dims = {
         "input": (layer.i_h, layer.i_w),
@@ -128,8 +130,8 @@ def role_bits(layer: ConvLayer, specs) -> dict:
             out[role] = effective_bitwidth(spec, dims[role])
         else:
             bits = float(spec)
-            if bits <= 0:
-                raise MappingError(f"bits for {role} must be positive, got {bits}")
+            if not 0 < bits < math.inf:
+                raise MappingError(f"bits for {role} must be positive and finite, got {bits}")
             out[role] = bits
     return out
 

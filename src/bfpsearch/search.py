@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 from .accuracy import (
     SYNTHETIC_SEED,
@@ -91,7 +91,11 @@ class CandidateSpace:
                 yield (se, bs, self.total_bits)
 
 
+@cache
 def specs_for_config(config) -> tuple:
+    """The (input, output, weight) spec triple of an (SE, BS, QB) config, one
+    object per config for the process: a mapping table's memo then matches
+    a repeated triple by identity, and no alpha of a sweep builds it again."""
     se, bs, qb = config
     return tuple(BfpSpec(qb, se, bs, role) for role in OPERANDS)
 

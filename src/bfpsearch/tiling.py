@@ -11,9 +11,18 @@ level formula that :func:`bfpsearch.dm.dm_layer` uses for one mapping,
 :func:`bfpsearch.dm.level_traffic`, run over per-candidate arrays that
 broadcast along each loop's axis of the tiling mesh (integer element counts,
 exact in float64, one bit-weighting per operand).  Dominated points are
-pruned at build time, and a query is one masked ``np.argmin`` over the
+pruned at build time, and a query is a masked ``np.argmin`` over the
 survivors that returns the true optimum of the candidate set;
 :class:`LayerMappingTable` says how the build stays exact and small.
+
+A query first weighs only the table's *head*: the ``HEAD_SIZE`` survivors
+that move the fewest elements in total.  Bits per element are positive, so
+a survivor moves at least the smallest bitwidth times its element count in
+bits, up to rounding.  When the head's winner moves fewer bits than that
+bound allows any survivor outside the head, it is the answer; otherwise,
+and when no head survivor fits the capacity, the query weighs every
+survivor.  :meth:`LayerMappingTable._weigh_survivors` proves the bound
+through float64 rounding.
 
 A table memoizes for its lifetime (one CLI run, or one alpha sweep over all
 its alphas): one query answer per distinct (spec triple, capacity) and one
@@ -55,6 +64,14 @@ from .model import ConvLayer
 MOVING_DIMS = ("oc", "ic", "oh", "ow")
 
 DEFAULT_CEIL_K = 8
+
+# Survivors a query weighs before it may need the rest.  On the benchmark's
+# tables the winner lies among the fewest-element 0.3% of the survivors
+# (median; 3.8% at most), so 512 of their 7-33K survivors almost always hold it.
+HEAD_SIZE = 512
+# The head bound's safety factor: below 1 by far more than the relative
+# rounding of its float64 chain, about 7 * 2^-53 (``_weigh_survivors``).
+HEAD_MARGIN = 1 - 2**-40
 
 
 class InfeasibleError(Exception):
@@ -110,6 +127,15 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
     }
 
 
+def _first_min(foot, traffic: dict, bits: dict, mc_bits: float):
+    """(index, dm_bits, footprint_bits) of the first point with the least
+    weighed ``traffic`` among those whose footprint bits ``foot`` fit
+    ``mc_bits``, or None if none fits."""
+    dm = np.where(foot <= mc_bits, weigh(traffic, bits), np.inf)
+    best = int(np.argmin(dm))
+    return None if dm[best] == np.inf else (best, float(dm[best]), float(foot[best]))
+
+
 class LayerMappingTable:
     """Exact traffic of the (permutation, tiling) candidates for one layer.
 
@@ -130,6 +156,17 @@ class LayerMappingTable:
     survivors' counts by the three effective bitwidths, applies the capacity
     constraint and takes the first ``np.argmin``, which is the smallest
     traffic with that tie-break.
+
+    The table also keeps a head: the indices (``_head``, ascending, so in
+    tie-break order) of the ``HEAD_SIZE`` survivors with the smallest total
+    element count C = input + output + weight, their traffic counts in the
+    survivor types (``_head_traffic``) and their per-role footprint elements
+    (``_head_footprint``), about 20 KB.  ``_head_limit`` is L * HEAD_MARGIN,
+    where L is the smallest C outside the head (infinite when the head holds
+    every survivor).  A query weighs the head first and weighs every survivor
+    only when the head's winner cannot be proven to beat the rest
+    (:meth:`_weigh_survivors`).  The head is selected after the build's
+    count lattice is freed, so it does not raise the build's peak memory.
 
     How the build does each piece of arithmetic once and stays exact:
 
@@ -267,11 +304,24 @@ class LayerMappingTable:
         flat = n_tilings - 1 - key % n_tilings
         at = perm * n_tilings + flat
         traffic = {role: counts[r].reshape(-1).take(at) for r, role in enumerate(OPERANDS)}
-        # Narrow survivor types (module docstring); integer counts convert back exactly.
+        del counts, out, key, at  # out is a view of counts
+        # Narrow survivor types (class docstring); integer counts convert back exactly.
         count_type = np.uint32 if max(t.max() for t in traffic.values()) < 2**32 else np.float64
         self._traffic = {role: t.astype(count_type) for role, t in traffic.items()}
         self._perm = perm.astype(np.min_scalar_type(n_perms - 1))
         self._flat = flat.astype(np.min_scalar_type(n_tilings - 1))
+
+        # The head: the HEAD_SIZE smallest totals, in storage order.  An
+        # appended inf stands for "no survivor outside the head", so the
+        # (k+1)-th smallest is L, or inf when the head holds every survivor.
+        total = np.append((traffic["input"] + traffic["output"]) + traffic["weight"], np.inf)
+        k = min(HEAD_SIZE, len(flat))
+        part = np.argpartition(total, k)
+        head = np.sort(part[:k])
+        self._head = head.astype(np.min_scalar_type(len(flat) - 1))
+        self._head_limit = float(total[part[k]]) * HEAD_MARGIN
+        self._head_traffic = {role: t.take(head) for role, t in self._traffic.items()}
+        self._head_footprint = {role: e.take(flat.take(head)) for role, e in self.footprint_elems.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -303,14 +353,43 @@ class LayerMappingTable:
         return self._answers[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):
-        # The same elementwise ops as weighing per survivor, once per tiling.
-        foot = self.footprint_bits(bits).take(self._flat)
-        dm = np.where(foot <= mc_bits, weigh(self._traffic, bits), np.inf)
-        best = int(np.argmin(dm))
-        if dm[best] == np.inf:
-            return None
-        tile_idx = np.unravel_index(self._flat[best], self.mesh_shape)
-        return self.mapping_at(int(self._perm[best]), tile_idx), float(dm[best]), float(foot[best])
+        """The query's answer for validated bits: the head's winner when the
+        bound proves it, else the first minimum over every survivor.
+
+        Why the bound is exact.  Let u = 2^-53, b the smallest of the three
+        bitwidths (positive and finite) and c_in, c_out, c_w a survivor's
+        counts: integers, held exactly in uint32 or float64.  Rounding to
+        nearest, each product c * b and each sum of two such nonnegative
+        values is at least (1 - u) times its exact value: the result is
+        either normal, or a subnormal multiple of 2^-1074 and exact, and an
+        overflow to inf only raises it.  So the weighed total of every
+        survivor, ``weigh``'s (in + out) + w, is at least
+        (1 - u)^3 * b * (c_in + c_out + c_w).  The build's C is the float64
+        sum (c_in + c_out) + c_w: exact below 2^53, as in every uint32
+        table, and at most (1 + u)^2 times the exact sum in a float64-count
+        table whose sums round.  So every survivor outside the head moves
+        at least (1 - u)^3 / (1 + u)^2 * b * L bits.  The head's winner D
+        passes when fl(D / b) < ``_head_limit`` = fl(L * HEAD_MARGIN); then
+        D <= fl(D / b) * b / (1 - u) < (1 + u) / (1 - u) * HEAD_MARGIN * b * L,
+        which is below that least total, since HEAD_MARGIN <=
+        (1 - u)^4 / (1 + u)^3 (about 1 - 7u).  (D / b does not underflow:
+        D is 0 or at least (1 - u)^3 * b; an overflow to inf fails the test.)
+        Then every minimum of the full weighing lies in the head, whose
+        order is the survivors' order, so the head's first minimum is the
+        full weighing's.  Its footprint is the same elementwise weighing of
+        the same element counts, so the answer is bit-identical.
+        """
+        hit = _first_min(weigh(self._head_footprint, bits), self._head_traffic, bits, mc_bits)
+        if hit is not None and hit[1] / min(bits.values()) < self._head_limit:
+            at = int(self._head[hit[0]])
+        else:
+            # Footprints depend only on the tiling: weighed once per tiling.
+            hit = _first_min(self.footprint_bits(bits).take(self._flat), self._traffic, bits, mc_bits)
+            if hit is None:
+                return None
+            at = hit[0]
+        tile_idx = np.unravel_index(self._flat[at], self.mesh_shape)
+        return self.mapping_at(int(self._perm[at]), tile_idx), hit[1], hit[2]
 
     def breakdown(self, mapping: Mapping, specs):
         """``dm.dm_layer`` of the table's layer under ``mapping`` and the table's

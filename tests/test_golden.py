@@ -76,8 +76,9 @@ def test_seed0_output_matches_golden_digest(tmp_path, name):
 def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     # The sweep queries its 820-cell grid (20 layers x 40 configs + 20
     # baselines) once per alpha: 5,740 calls, the count perfbench pins.  Only
-    # 246 are distinct (6 shapes x 41 spec triples), and each weighs the
-    # survivors twice (footprint, traffic); 24 winners are distinct.
+    # 246 are distinct (6 shapes x 41 spec triples).  Each weighs its table's
+    # head twice (footprint, traffic), and the one whose head cannot prove
+    # its winner weighs every survivor twice more; 24 winners are distinct.
     calls = {"query": 0, "weigh": 0, "dm_layer": 0}
 
     def counting(name, fn):
@@ -92,7 +93,7 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     workload = WORKLOADS["stack20-sweep-table"]
     run_seed0(tmp_path, workload)
     assert workload.query_calls == 5740
-    assert calls == {"query": 5740, "weigh": 2 * 246, "dm_layer": 24}
+    assert calls == {"query": 5740, "weigh": 2 * 246 + 2 * 1, "dm_layer": 24}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

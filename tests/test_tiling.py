@@ -39,15 +39,16 @@ from reference_tiling import reference_table_arrays
 ORDER = ("oc", "ic", "oh", "ow")
 
 
-def reference_query(layer, specs, mc_bits, permutations=None, count_first_load=True):
-    """Brute force over the full (permutation x tiling) lattice, scored one
-    point at a time with the scalar model: smaller traffic, then larger tile
-    volume, then earlier permutation, then lexicographically larger tiles.
-    Returns (mapping, dm_bits, footprint_bits) like ``query``, or None."""
+def reference_points(layer, specs, permutations=None, count_first_load=True, mc_bits=math.inf) -> list:
+    """The points of the full (permutation x tiling) lattice that fit
+    ``mc_bits``, scored one at a time with the scalar model, as (tie-break
+    key, mapping, footprint_bits).  The key orders by smaller traffic, then
+    larger tile volume, then earlier permutation, then lexicographically
+    larger tiles."""
     bits = role_bits(layer, specs)
     ext = loop_extents(layer)
     cands = [tile_candidates(ext[d]) for d in MOVING_DIMS]
-    best = None
+    points = []
     for perm_idx, perm in enumerate(permutations or default_permutations()):
         for combo in itertools.product(*cands):
             mapping = make_mapping(layer, dict(zip(MOVING_DIMS, combo)), order=perm)
@@ -57,9 +58,17 @@ def reference_query(layer, specs, mc_bits, permutations=None, count_first_load=T
                 continue
             dm_bits = dm_layer(layer, mapping, specs, count_first_load=count_first_load).dm_total_bits
             volume = combo[0] * combo[1] * combo[2] * combo[3]
-            key = (dm_bits, -volume, perm_idx, tuple(-t for t in combo))
-            if best is None or key < best[0]:
-                best = (key, mapping, foot)
+            points.append(((dm_bits, -volume, perm_idx, tuple(-t for t in combo)), mapping, foot))
+    return points
+
+
+def reference_query(layer, specs, mc_bits, permutations=None, count_first_load=True, points=None):
+    """Brute force over the lattice (``points``, if given, are its
+    :func:`reference_points`): the least key among the points that fit.
+    Returns (mapping, dm_bits, footprint_bits) like ``query``, or None."""
+    if points is None:
+        points = reference_points(layer, specs, permutations, count_first_load, mc_bits)
+    best = min((p for p in points if p[2] <= mc_bits), key=lambda p: p[0], default=None)
     return None if best is None else (best[1], best[0][0], best[2])
 
 
@@ -248,6 +257,102 @@ def test_query_matches_lattice_brute_force(case):
     assert table.query(specs, mc_bits) == expected
 
 
+@st.composite
+def head_cases(draw):
+    """A small layer, a head of 1, 2 or 8 survivors, a random subset of the
+    loop orders, and effective, plain or equal bits (equal bits weigh every
+    survivor's element total alike, so totals tie inside and across the head)."""
+    layer = draw(small_convs())
+    kind = draw(st.sampled_from(("bfp", "plain", "equal")))
+    if kind == "bfp":
+        se, bs = draw(st.integers(2, 5)), draw(st.sampled_from((1, 2, 4, 8, 16)))
+        specs = spec_triple(qb=draw(st.sampled_from((8, 16))), se=se, bs=bs)
+    elif kind == "plain":
+        specs = tuple(float(draw(st.sampled_from((4, 8, 16, 32)))) for _ in range(3))
+    else:
+        specs = (8.0, 8.0, 8.0)
+    perms = draw(st.permutations(default_permutations()))
+    perms = perms[: draw(st.integers(1, len(perms)))]
+    return layer, specs, draw(st.sampled_from((1, 2, 8))), perms, draw(st.booleans())
+
+
+@settings(settings.get_profile("seeded"), max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(head_cases())
+def test_small_heads_answer_like_brute_force(case):
+    """With heads far smaller than the table, queries take both the head's
+    answer and the fallback to every survivor.  Each equals the lattice brute
+    force (winner, dm bits and footprint bits) at capacities from infeasible
+    (half the smallest footprint) through the footprints to loose."""
+    layer, specs, head_size, perms, count_first_load = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "HEAD_SIZE", head_size)
+        table = LayerMappingTable(layer, permutations=perms, count_first_load=count_first_load)
+    assert len(table._head) == min(head_size, len(table._flat))
+    points = reference_points(layer, specs, perms, count_first_load)
+    feet = sorted({p[2] for p in points})
+    for mc_bits in (feet[0] / 2, *feet[:: max(1, len(feet) // 10)], feet[-1], 2 * feet[-1]):
+        assert table.query(specs, mc_bits) == reference_query(layer, specs, mc_bits, points=points)
+
+
+# The 7 survivors of this layer that move the fewest elements tie at 140;
+# the next one moves 156.
+TIED_LAYER = ConvLayer(1, 2, 2, 6, 6, 3, 3)
+
+
+def weighings_of_queries(monkeypatch, head_size):
+    """A table of ``TIED_LAYER`` with a head of ``head_size`` and a list that
+    gets one entry per weighing: a query makes one when the head's answer is
+    proven and two when it falls back to every survivor."""
+    monkeypatch.setattr(tiling, "HEAD_SIZE", head_size)
+    table = LayerMappingTable(TIED_LAYER)
+    totals = np.sort(sum(t.astype(np.float64) for t in table._traffic.values()))
+    assert totals[:8].tolist() == [140.0] * 7 + [156.0]
+    assert table._head_limit == totals[head_size] * tiling.HEAD_MARGIN  # L: the least total outside the head
+    calls, first_min = [], tiling._first_min
+    monkeypatch.setattr(tiling, "_first_min", lambda *args: calls.append(args) or first_min(*args))
+    return table, calls
+
+
+def test_head_answers_ties_inside_the_head(monkeypatch):
+    # Equal bits weigh the 7 tied minima alike; a head of 8 holds them all,
+    # so its first minimum is the table's winner, without the fallback.
+    table, calls = weighings_of_queries(monkeypatch, 8)
+    assert table.query((8.0, 8.0, 8.0), 1e9) == reference_query(TIED_LAYER, (8.0, 8.0, 8.0), 1e9)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("margin", [tiling.HEAD_MARGIN, 1.0])
+def test_head_winner_at_the_bound_falls_back(monkeypatch, margin):
+    # A head of 2 holds 2 of the 7 tied minima, so L = 140 and the head's
+    # winner moves 8 * L bits: a tied survivor outside the head may come
+    # first in tie-break order, so the query weighs every survivor.  With
+    # the margin at 1 the winner's bits are exactly at the bound.
+    monkeypatch.setattr(tiling, "HEAD_MARGIN", margin)
+    table, calls = weighings_of_queries(monkeypatch, 2)
+    assert table.query((8.0, 8.0, 8.0), 1e9) == reference_query(TIED_LAYER, (8.0, 8.0, 8.0), 1e9)
+    assert len(calls) == 2
+
+
+def test_head_with_no_feasible_survivor_falls_back(monkeypatch):
+    table, calls = weighings_of_queries(monkeypatch, 1)
+    specs = spec_triple()
+    bits = role_bits(TIED_LAYER, specs)
+    mc_bits = float(table.footprint_bits(bits).min())
+    assert weigh(table._head_footprint, bits).min() > mc_bits
+    hit = table.query(specs, mc_bits)
+    assert hit is not None and hit == reference_query(TIED_LAYER, specs, mc_bits)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf, 0.0, -8.0])
+def test_non_finite_or_nonpositive_bits_are_rejected(bits):
+    layer = ConvLayer(1, 3, 4, 9, 7, 3, 3)
+    with pytest.raises(MappingError):
+        LayerMappingTable(layer).query((bits, 8.0, 8.0), 1e9)
+    with pytest.raises(MappingError):
+        dm_layer(layer, make_mapping(layer, {}), (8.0, 8.0, bits))
+
+
 def test_pruning_survivor_count_on_stack20_shape():
     # The 16 -> 16 channel, 32 x 32, 3 x 3 convolution of the 20-layer stack.
     table = LayerMappingTable(ConvLayer(1, 16, 16, 32, 32, 3, 3, pad_h=1, pad_w=1))
@@ -430,5 +535,14 @@ def test_grouped_counts_past_uint32_answer_like_brute_force():
     assert max(t.max() for t in table._traffic.values()) >= 2**32
     specs = spec_triple()
     foot = table.footprint_bits(role_bits(layer, specs))
-    for mc_bits in (float(foot.min()), float(np.median(foot)), float(foot.max())):
-        assert table.query(specs, mc_bits) == reference_query(layer, specs, mc_bits)
+    capacities = (float(foot.min()), float(np.median(foot)), float(foot.max()))
+    answers = [reference_query(layer, specs, mc_bits) for mc_bits in capacities]
+    for mc_bits, want in zip(capacities, answers):
+        assert table.query(specs, mc_bits) == want
+    # The same answers through a head of 2 survivors with float64 counts.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "HEAD_SIZE", 2)
+        small_head = LayerMappingTable(layer)
+    assert len(small_head._head) == 2
+    for mc_bits, want in zip(capacities, answers):
+        assert small_head.query(specs, mc_bits) == want
