@@ -38,6 +38,7 @@ from .search import (
     SCOPES,
     CandidateSpace,
     SearchError,
+    accuracy_rows,
     build_mapping_tables,
     check_search_args,
     search,
@@ -129,10 +130,11 @@ def _warn(path: str, notes):
 
 
 def _plans(config: RunConfig, alphas) -> list:
-    """Load and check the inputs, build the mapping tables once and search
-    once per alpha; return the plans in the order of ``alphas``.  Every
-    argument check, and a format the codec cannot hold, fails before the
-    model is read."""
+    """Load and check the inputs, score accuracy once, then build the mapping
+    tables once and search once per alpha; return the plans in the order of
+    ``alphas``.  Every argument check, and a format the codec cannot hold,
+    fails before the model is read; the proxy's samples are freed before
+    the first table is built."""
     space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
     acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
     if acc_table is not None:
@@ -141,6 +143,8 @@ def _plans(config: RunConfig, alphas) -> list:
         check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
+    sample_dir = os.path.dirname(os.path.abspath(config.model_path))
+    rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed, sample_dir)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
@@ -152,9 +156,9 @@ def _plans(config: RunConfig, alphas) -> list:
             mode=config.mode,
             acc_table=acc_table,
             tables=tables,
+            acc_rows=rows,
             energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
             seed=config.seed,
-            sample_dir=os.path.dirname(os.path.abspath(config.model_path)),
         )
         for alpha in alphas
     ]
@@ -207,6 +211,9 @@ def run(config: RunConfig) -> tuple:
     output file of this run behind.
     """
     (plan,) = _plans(config, (config.alpha,))
+    if plan.baseline_infeasible_layer is not None:
+        print(f"warning: layer {plan.baseline_infeasible_layer}: the 32-bit baseline has no mapping within "
+              f"{config.mc_bits:.0f} bits; the report has no baseline or normalized energy", file=sys.stderr)
     plan_text = _json_dumps(plan.to_record())
     files = {
         "plan": ("plan.json", plan_text),

@@ -78,6 +78,13 @@ class BfpSpec:
             raise CodecError(f"role must be one of {ROLES}, got {self.role!r}")
         if abs(self.exp_bias) > 1 << 30:  # the block kernel keeps shared exponents in int32
             raise CodecError(f"exp_bias must be within +-2^30, got {self.exp_bias}")
+        # Hashed once, from integers only: a str hash differs between
+        # processes, and a pickled spec carries this value to another one.
+        fields = (self.total_bits, self.exp_bits, self.block_size, ROLES.index(self.role), self.exp_bias)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def mantissa_bits(self) -> int:

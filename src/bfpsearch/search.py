@@ -20,7 +20,7 @@ the two losses independently and picks the frontier's knee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .accuracy import (
@@ -32,10 +32,10 @@ from .accuracy import (
     signal_power,
 )
 from .codec import BfpSpec, scan_blocks
-from .dm import OPERANDS
+from .dm import OPERANDS, role_bits
 from .energy import EnergyParams, energy, normalized_energy
 from .model import ModelDesc, layer_volumes
-from .tiling import InfeasibleError, LayerMappingTable
+from .tiling import InfeasibleError, LayerMappingTable, has_feasible_mapping, least_footprint_elems, shape_key
 
 DEFAULT_BS_SET = (1, 2, 4, 8, 16, 24, 32, 48)
 DEFAULT_ALPHA = 0.2
@@ -150,6 +150,9 @@ class QuantPlan:
     pareto: list = field(default_factory=list)
     energy_report: object = None
     baseline_energy_report: object = None
+    # The first layer whose 32-bit baseline has no feasible mapping, when
+    # that drops the baseline; not part of the record.
+    baseline_infeasible_layer: int | None = None
 
     def to_record(self) -> dict:
         rec = {
@@ -253,18 +256,13 @@ def knee_point(frontier) -> CandidateEval:
 # ---------------------------------------------------------------------------
 
 
-def _shape_key(layer):
-    """The layer with everything its mapping table does not depend on normalized away."""
-    return replace(layer, index=0, source_index=0, input_sample=None, weight_sample=None)
-
-
 def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: int = 1) -> dict:
     """Mapping tables by layer index, one table shared by all layers of one
     shape; distinct shapes build in parallel.  The tables fix the search's
     first-load accounting: its traffic is theirs."""
     first_of_shape = {}
     for layer in model.layers:
-        first_of_shape.setdefault(_shape_key(layer), layer)
+        first_of_shape.setdefault(shape_key(layer), layer)
     build = partial(LayerMappingTable, count_first_load=count_first_load)
     if jobs > 1 and len(first_of_shape) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import costs every run
@@ -274,7 +272,7 @@ def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: 
     else:
         tables = [build(layer) for layer in first_of_shape.values()]
     by_shape = dict(zip(first_of_shape, tables))
-    return {layer.index: by_shape[_shape_key(layer)] for layer in model.layers}
+    return {layer.index: by_shape[shape_key(layer)] for layer in model.layers}
 
 
 def _candidate(config, hits) -> CandidateEval:
@@ -315,6 +313,57 @@ def _table_term(layer, config, acc_table) -> float:
     return acc_table.layer_entries[key]
 
 
+def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
+                  loss_source: str = DEFAULT_LOSS_SOURCE, acc_table: AccuracyTable | None = None,
+                  seed: int = SYNTHETIC_SEED, sample_dir: str | None = None) -> list:
+    """Raw accuracy terms of the cells :func:`search` can select, computed
+    without any mapping table: row i maps the index of a config in
+    ``space.configs()`` to layer i's term.
+
+    A cell can be selected when it has a feasible mapping
+    (:func:`~bfpsearch.tiling.has_feasible_mapping`), in model scope only
+    when every cell of its column has one; there a table's whole-model row
+    stands for its column, which gets no per-layer terms.  Raises
+    :class:`InfeasibleError` when no candidate can be selected (in layer
+    scope, for the first layer without one).
+
+    Proxy terms are the normalized MSE over each layer's samples.  Layer
+    sample references resolve against ``sample_dir`` (usually the model
+    file's directory); layers without samples fall back to fixed-seed
+    synthetic ones.  Samples are built one layer at a time and freed before
+    the next layer's are built.  Within a layer, each sample is scanned once
+    per block size that has a cell to score; only one block size's scans
+    are alive at a time.
+    """
+    configs = list(space.configs())
+    specs = [specs_for_config(config) for config in configs]
+    fits_of_shape = {}  # a shape's least footprint is found once and weighed once per config
+    fits = []
+    for layer in model.layers:
+        key = shape_key(layer)
+        if key not in fits_of_shape:
+            least = least_footprint_elems(layer)
+            fits_of_shape[key] = [has_feasible_mapping(least, role_bits(layer, s), mc_bits) for s in specs]
+        fits.append(fits_of_shape[key])
+    if space.scope == "model":
+        column = [all(col) for col in zip(*fits)]
+        if not any(column):
+            raise InfeasibleError("every candidate is infeasible under the memory capacity")
+        fits = [column] * len(fits)
+    for layer, row in zip(model.layers, fits):
+        if not any(row):
+            raise InfeasibleError(f"layer {layer.index}: every candidate is infeasible")
+    model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
+    rows = []
+    for layer, row in zip(model.layers, fits):
+        scored = [j for j, fit in enumerate(row) if fit and configs[j] not in model_rows]
+        if loss_source == "proxy":
+            rows.append(_proxy_row(layer, configs, specs, scored, sample_dir, seed))
+        else:
+            rows.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
+    return rows
+
+
 def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str, mode: str,
                       acc_table: AccuracyTable | None, seed: int):
     """Raise on arguments :func:`search` cannot run with.  It reads no model,
@@ -352,6 +401,7 @@ def search(
     mode: str = DEFAULT_MODE,
     acc_table: AccuracyTable | None = None,
     tables: dict | None = None,
+    acc_rows: list | None = None,
     energy_params: EnergyParams = EnergyParams(),
     seed: int = SYNTHETIC_SEED,
     sample_dir: str | None = None,
@@ -363,16 +413,16 @@ def search(
     both loss terms are additive over layers and either term's joint maximum
     separates into per-layer maxima.  ``tables`` is
     :func:`build_mapping_tables` output, which fixes the first-load
-    accounting; without it, tables that count first loads are built.  Layer
-    sample references resolve against ``sample_dir`` (usually the model
-    file's directory); layers without samples fall back to fixed-seed
-    synthetic ones.  Samples are built after every cell has been queried,
-    one layer at a time, and each layer's are freed before the next layer's
-    are built.  Within a layer, each sample is scanned once per block size
-    that has a cell to score; only one block size's scans are alive at a
-    time.
+    accounting; without it, tables that count first loads are built.
+    ``acc_rows`` is :func:`accuracy_rows` output for the same model, space,
+    capacity and loss source (``seed`` and ``sample_dir`` are then unread);
+    without it, the rows are computed first, before any table is built, so
+    the proxy's samples never sit on top of the tables.  A caller that
+    searches many alphas passes both, so each is made once.
     """
     check_search_args(space, alpha, mc_bits, loss_source, mode, acc_table, seed)
+    if acc_rows is None:
+        acc_rows = accuracy_rows(model, space, mc_bits, loss_source, acc_table, seed, sample_dir)
     if tables is None:
         tables = build_mapping_tables(model)
 
@@ -385,40 +435,24 @@ def search(
 
     # Selection runs over groups of candidates: for model scope one group
     # whose candidates sum a grid column over all layers, for layer scope one
-    # group per layer holding that layer's row.
+    # group per layer holding that layer's row.  ``acc_rows`` has a term for
+    # every feasible candidate; in model scope a table's whole-model row
+    # stands for its column.
     if space.scope == "model":
         groups = [[_candidate(config, [row[j] for row in cells]) for j, config in enumerate(configs)]]
     else:
         groups = [[_candidate(config, [hit]) for config, hit in zip(configs, row)] for row in cells]
-    for i, group in enumerate(groups):
-        if not any(c.feasible for c in group):
-            raise InfeasibleError(
-                f"layer {model.layers[i].index}: every candidate is infeasible" if space.scope == "layer"
-                else "every candidate is infeasible under the memory capacity"
-            )
-
-    # Raw accuracy terms acc[i][j] of the cells the selection can pick, one
-    # layer at a time: a layer's proxy samples live only while its row is
-    # scored.  In model scope a table's whole-model row stands for its column.
     model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
-    acc = []
-    for i, layer in enumerate(model.layers):
-        row = groups[i] if space.scope == "layer" else groups[0]
-        scored = [j for j, c in enumerate(row) if c.feasible and configs[j] not in model_rows]
-        if loss_source == "proxy":
-            acc.append(_proxy_row(layer, configs, specs, scored, sample_dir, seed))
-        else:
-            acc.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
     for i, group in enumerate(groups):
         for j, c in enumerate(group):
             if not c.feasible:
                 continue
             if space.scope == "layer":
-                c.raw_acc = weights[i] / wsum * acc[i][j]
+                c.raw_acc = weights[i] / wsum * acc_rows[i][j]
             elif configs[j] in model_rows:
                 c.raw_acc = model_rows[configs[j]]
             else:
-                c.raw_acc = sum(w * acc[k][j] for k, w in enumerate(weights)) / wsum
+                c.raw_acc = sum(w * acc_rows[k][j] for k, w in enumerate(weights)) / wsum
 
     # Both normalizers separate into per-group maxima.
     feasible = [[c for c in group if c.feasible] for group in groups]
@@ -474,7 +508,8 @@ def search(
 
 def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
     """Energy for the plan plus the unquantized 32-bit baseline under the
-    same mapping optimizer."""
+    same mapping optimizer; the baseline is dropped, and the layer that
+    drops it noted, when some layer has no feasible 32-bit mapping."""
     plan.energy_report = energy(model, [a.breakdown for a in plan.assignments], energy_params)
     baseline_breakdowns = []
     for layer in model.layers:
@@ -482,6 +517,7 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
         hit = tables[layer.index].query(bits32, mc_bits)
         if hit is None:
             plan.baseline_energy_report = None
+            plan.baseline_infeasible_layer = layer.index
             return
         baseline_breakdowns.append(tables[layer.index].breakdown(hit[0], bits32))
     plan.baseline_energy_report = energy(model, baseline_breakdowns, energy_params)

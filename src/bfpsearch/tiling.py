@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,6 +128,36 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
     }
 
 
+def shape_key(layer: ConvLayer) -> ConvLayer:
+    """The layer with everything its mapping table does not depend on normalized away."""
+    return replace(layer, index=0, source_index=0, input_sample=None, weight_sample=None)
+
+
+def least_footprint_elems(layer: ConvLayer) -> dict:
+    """Per-role footprint elements of the all-ones tiling (kernel loops
+    untiled): under any bits, the least weighed footprint of every tiling
+    (see :func:`has_feasible_mapping`)."""
+    ext = loop_extents(layer)
+    return _footprint_elems(_operand_dims(layer, {**dict.fromkeys(MOVING_DIMS, 1), "kh": ext["kh"], "kw": ext["kw"]}))
+
+
+def has_feasible_mapping(least_elems: dict, bits: dict, mc_bits: float) -> bool:
+    """Whether a :class:`LayerMappingTable` holds a mapping that fits
+    ``mc_bits`` under ``bits`` (:func:`~bfpsearch.dm.role_bits`), from the
+    :func:`least_footprint_elems` of its layer and without the table: the
+    one definition of infeasible that scoring and
+    :meth:`LayerMappingTable.query` share.
+
+    Every footprint grows with each moving tile, tile 1 is a candidate of
+    every loop (:func:`tile_candidates`), weighing rounds monotonically and
+    permutation 0 survives at every tiling, so the all-ones tiling is a
+    survivor with the least weighed footprint of all.  Its footprint is the
+    same integer element counts weighed in the same order as the table's,
+    so the comparison is bit-identical to the query's.
+    """
+    return weigh(least_elems, bits) <= mc_bits
+
+
 def _first_min(foot, traffic: dict, bits: dict, mc_bits: float):
     """(index, dm_bits, footprint_bits) of the first point with the least
     weighed ``traffic`` among those whose footprint bits ``foot`` fit
@@ -191,8 +222,9 @@ class LayerMappingTable:
       P*T^2, so it fits for any table that fits in memory.  The survivors
       are gathered with ``take`` from flat arrays.
 
-    No build-time memo outlives the build: a table holds only its arrays and
-    its two memos, and pickles for parallel builds.
+    No build-time memo outlives the build: a table holds only its arrays, its
+    layer's :func:`least_footprint_elems` and its two memos, and pickles for
+    parallel builds.
     """
 
     def __init__(self, layer: ConvLayer, permutations=None, count_first_load: bool = True):
@@ -207,6 +239,7 @@ class LayerMappingTable:
         self.candidates = {d: tile_candidates(ext[d]) for d in MOVING_DIMS}
         self.mesh_shape = tuple(len(self.candidates[d]) for d in MOVING_DIMS)
         self.n_tilings = int(np.prod(self.mesh_shape))
+        self._least_elems = least_footprint_elems(layer)
         self._build()
         self._answers = {}  # (spec triple, mc_bits) -> query's answer
         self._breakdowns = {}  # (mapping, spec triple) -> DmBreakdown
@@ -334,7 +367,8 @@ class LayerMappingTable:
         return make_mapping(self.layer, tiles, order=self.permutations[perm_idx])
 
     def query(self, specs, mc_bits: float):
-        """Best feasible (mapping, dm_bits, footprint_bits) or None if infeasible.
+        """Best feasible (mapping, dm_bits, footprint_bits), or None where
+        :func:`has_feasible_mapping` finds no mapping that fits.
 
         Answers are memoized by ``(tuple(specs), mc_bits)``: a spec triple
         equal to one seen before with that capacity (built separately or
@@ -349,7 +383,8 @@ class LayerMappingTable:
         if not mc_bits > 0:
             raise MappingError(f"memory capacity must be positive, got {mc_bits}")
         bits = role_bits(self.layer, specs)
-        self._answers[key] = self._weigh_survivors(bits, mc_bits)
+        feasible = has_feasible_mapping(self._least_elems, bits, mc_bits)
+        self._answers[key] = self._weigh_survivors(bits, mc_bits) if feasible else None
         return self._answers[key]
 
     def _weigh_survivors(self, bits: dict, mc_bits: float):

@@ -8,7 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from bfpsearch import cli
+from bfpsearch import accuracy, cli
 from bfpsearch.cli import (
     DEFAULT_SWEEP_ALPHAS,
     EXIT_INFEASIBLE,
@@ -25,6 +25,7 @@ from bfpsearch.cli import (
     sweep_alpha,
 )
 from bfpsearch.search import CandidateSpace, search
+from bfpsearch.tiling import LayerMappingTable
 
 
 def base_args(tiny4_path, out_dir, *extra):
@@ -404,6 +405,55 @@ def test_renumbered_layers_stay_silent(tmp_path, capsys):
     path.write_text(ONE_LAYER + "layer 3\n  c_in 8\n  c_out 8\n  input 6 6\n  kernel 1 1\n")
     assert main(["--model", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mc, warned", [(607, True), (608, False)])
+def test_capacity_without_a_32_bit_baseline_warns(tmp_path, capsys, mc, warned):
+    # One layer's unit tiles hold 9 + 1 + 9 elements: 608 bits at 32 bits
+    # each, and at most 19 * (8 + 6) bits for every 8-bit candidate.
+    path = tmp_path / "one.model"
+    path.write_text(ONE_LAYER)
+    assert main(["--model", str(path), "--mc", str(mc), "--out", str(tmp_path / "o")]) == EXIT_OK
+    err = capsys.readouterr().err
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    if warned:
+        assert err.splitlines() == [f"warning: layer 1: the 32-bit baseline has no mapping within {mc} bits; "
+                                    "the report has no baseline or normalized energy"]
+        assert "baseline_energy" not in report["plan"] and "32-bit" not in summary
+    else:
+        assert err == ""
+        assert "baseline_energy" in report["plan"] and "32-bit" in summary
+
+
+@pytest.mark.parametrize("extra", [[], ["--scope", "layer"], ["--sweep"]], ids="=".join)
+def test_proxy_samples_come_before_the_first_table(tiny4_path, tmp_path, monkeypatch, extra):
+    events = []
+    module = sys.modules["bfpsearch.search"]
+    samples, init = module.layer_samples, LayerMappingTable.__init__
+
+    def building(self, *args, **kwargs):
+        events.append("build")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, "layer_samples", lambda layer, **kw: events.append("samples") or samples(layer, **kw))
+    monkeypatch.setattr(LayerMappingTable, "__init__", building)
+    assert main(base_args(tiny4_path, str(tmp_path / "o"), *extra)) == EXIT_OK
+    assert events == ["samples"] * 4 + ["build"] * 4  # tiny4's four layers have four shapes
+
+
+def test_proxy_sweep_scores_each_cell_once(tmp_path, monkeypatch):
+    path = tmp_path / "two.model"
+    path.write_text(ONE_LAYER + "layer 2\n  c_in 8\n  c_out 16\n  input 8 8\n  kernel 1 1\n")
+    calls = []
+    qdq = accuracy.quantize_dequantize
+    monkeypatch.setattr(accuracy, "quantize_dequantize", lambda *args, **kw: calls.append(args[1]) or qdq(*args, **kw))
+    argv = ["--model", str(path), "--se", "2,3,4", "--bs", "2,8"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_OK
+    one_run = len(calls)
+    calls.clear()
+    assert main(argv + ["--sweep", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert len(calls) == one_run == 2 * 2 * 6  # roles x layers x configs, for all seven alphas
 
 
 def test_clamped_table_loss_warns_with_file_and_line(tiny4_path, tmp_path, capsys):

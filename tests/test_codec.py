@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -41,6 +45,31 @@ def test_spec_validation():
     for bias in (1 << 31, -(10**12)):  # shared exponents would leave int32
         with pytest.raises(CodecError):
             BfpSpec(8, 3, 2, "input", exp_bias=bias)
+
+
+def test_equal_specs_hash_equal():
+    specs = [BfpSpec(qb, se, bs, role, bias) for qb in (8, 16) for se in (2, 5) for bs in (1, 48)
+             for role in ("input", "output", "weight") for bias in (0, -3)]
+    for spec in specs:
+        twin = BfpSpec(spec.total_bits, spec.exp_bits, spec.block_size, spec.role, spec.exp_bias)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert hash(replace(spec, exp_bits=spec.exp_bits + 1)) == hash(replace(twin, exp_bits=twin.exp_bits + 1))
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+    assert len({hash(spec) for spec in specs}) == len(specs)
+
+
+def test_spec_pickled_in_another_process_hashes_equal():
+    # Another process hashes strings with another seed; a spec it pickles
+    # must still hash like the equal spec built here (a --jobs worker's).
+    code = ("import pickle, sys; from bfpsearch.codec import BfpSpec; "
+            "sys.stdout.write(pickle.dumps(BfpSpec(8, 3, 16, 'output')).hex())")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    spec = pickle.loads(bytes.fromhex(out))
+    assert hash(spec) == hash(BfpSpec(8, 3, 16, "output"))
+    assert {BfpSpec(8, 3, 16, "output"): 1}[spec] == 1
 
 
 def test_encode_identical_values_exact():

@@ -79,6 +79,8 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     # 246 are distinct (6 shapes x 41 spec triples).  Each weighs its table's
     # head twice (footprint, traffic), and the one whose head cannot prove
     # its winner weighs every survivor twice more; 24 winners are distinct.
+    # The feasibility test weighs a shape's three least footprints once per
+    # config before any table exists (6 x 40) and once per distinct query.
     calls = {"query": 0, "weigh": 0, "dm_layer": 0}
 
     def counting(name, fn):
@@ -93,7 +95,7 @@ def test_sweep_weighs_each_distinct_query_once(tmp_path, monkeypatch):
     workload = WORKLOADS["stack20-sweep-table"]
     run_seed0(tmp_path, workload)
     assert workload.query_calls == 5740
-    assert calls == {"query": 5740, "weigh": 2 * 246 + 2 * 1, "dm_layer": 24}
+    assert calls == {"query": 5740, "weigh": 2 * 246 + 2 * 1 + 6 * 40 + 246, "dm_layer": 24}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -15,6 +15,7 @@ from bfpsearch.search import (
     CandidateEval,
     CandidateSpace,
     SearchError,
+    accuracy_rows,
     build_mapping_tables,
     default_se_set,
     knee_point,
@@ -23,7 +24,7 @@ from bfpsearch.search import (
     select_candidate,
     specs_for_config,
 )
-from bfpsearch.tiling import InfeasibleError
+from bfpsearch.tiling import InfeasibleError, LayerMappingTable
 
 from conftest import proxy_loss, small_layer
 
@@ -496,3 +497,62 @@ def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
     search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
     want = [(i, role, bs) for i in (1, 2, 3, 4) for role in ("input", "weight") for bs in (1, 8)]
     assert sorted(scans) == [cell for cell in want if cell[::2] != (4, 1)]
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a mapping table was built")
+
+
+@pytest.mark.parametrize("scope", ["model", "layer"])
+@pytest.mark.parametrize("loss_source", ["proxy", "table"])
+def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch, scope, loss_source):
+    space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8), scope=scope)
+    table = loads_table(per_layer_table({n: (lambda se, bs, n=n: 0.01 * n * se + 0.001 * bs) for n in range(1, 5)}))
+    acc_table = table if loss_source == "table" else None
+    mc = 100.0  # the se 2 cells of the 3x3 layers have no feasible mapping
+    monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
+    rows = accuracy_rows(tiny4, space, mc, loss_source, acc_table)
+    monkeypatch.undo()
+    tables = build_mapping_tables(tiny4)
+    specs = [specs_for_config(config) for config in space.configs()]
+    fits = [[tables[layer.index].query(s, mc) is not None for s in specs] for layer in tiny4.layers]
+    assert not all(map(all, fits)) and all(map(any, fits))
+    columns = [j for j in range(len(specs)) if all(row[j] for row in fits)]
+    for row, fit in zip(rows, fits):
+        assert sorted(row) == ([j for j, ok in enumerate(fit) if ok] if scope == "layer" else columns)
+    for alpha in (0.0, 0.2, 3.0):
+        given_rows = search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table, tables=tables, acc_rows=rows)
+        assert given_rows.to_record() == search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table).to_record()
+
+
+@pytest.mark.parametrize("scope, message", [
+    ("model", "every candidate is infeasible under the memory capacity"),
+    ("layer", "layer 1: every candidate is infeasible"),
+])
+def test_accuracy_rows_raise_infeasible_before_any_table(tiny4, monkeypatch, scope, message):
+    monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
+    space = CandidateSpace(total_bits=8, se_set=(2, 3), bs_set=(8,), scope=scope)
+    for call in (lambda: accuracy_rows(tiny4, space, 50.0), lambda: search(tiny4, space, mc_bits=50.0)):
+        with pytest.raises(InfeasibleError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_accuracy_rows_weigh_each_shapes_least_footprint_once_per_config(monkeypatch):
+    module = sys.modules["bfpsearch.search"]
+    calls = {"elems": 0, "bits": 0}
+    elems, bits = module.least_footprint_elems, module.role_bits
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(module, "least_footprint_elems", counting("elems", elems))
+    monkeypatch.setattr(module, "role_bits", counting("bits", bits))
+    layer = small_layer(c_in=2, c_out=2)
+    model = ModelDesc(name="three", layers=[replace(layer, index=i) for i in (1, 2)] + [small_layer(index=3)])
+    space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
+    accuracy_rows(model, space, MC)
+    assert calls == {"elems": 2, "bits": 2 * 6}  # two shapes, six configs

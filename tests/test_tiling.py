@@ -30,6 +30,8 @@ from bfpsearch.tiling import (
     LayerMappingTable,
     _candidate_dim_sums,
     default_permutations,
+    has_feasible_mapping,
+    least_footprint_elems,
     tile_candidates,
 )
 
@@ -368,6 +370,39 @@ def test_query_rejects_nan_or_nonpositive_capacity(mc):
     table = LayerMappingTable(small_layer())
     with pytest.raises(MappingError):
         table.query(spec_triple(), mc)
+
+
+@st.composite
+def feasibility_cases(draw):
+    """A small layer, a BFP triple or the plain 32-bit one, and where the
+    capacity lies against the least footprint: at it, one ulp below it, or
+    far below or above it."""
+    layer = draw(small_convs())
+    if draw(st.booleans()):
+        specs = spec_triple(qb=draw(st.sampled_from((8, 16))), se=draw(st.integers(2, 5)),
+                            bs=draw(st.sampled_from((1, 2, 3, 8, 16, 48))))
+    else:
+        specs = (32.0, 32.0, 32.0)
+    where = draw(st.sampled_from(("at", "ulp below", "far below", "far above")))
+    return layer, specs, where, draw(st.integers(4, 40))
+
+
+@settings(settings.get_profile("seeded"), max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+@given(feasibility_cases())
+def test_feasibility_predicate_matches_the_query(case):
+    layer, specs, where, k = case
+    table = LayerMappingTable(layer)
+    bits = role_bits(layer, specs)
+    feet = table.footprint_bits(bits)
+    least = float(feet.min())
+    mc_bits = {"at": least, "ulp below": math.nextafter(least, 0.0),
+               "far below": least / 2**k, "far above": least * 2**k}[where]
+    fits = has_feasible_mapping(least_footprint_elems(layer), bits, mc_bits)
+    assert fits == (where in ("at", "far above"))
+    # The query, and the weighing of every survivor without the predicate, agree.
+    assert fits == (table.query(specs, mc_bits) is not None)
+    assert fits == (table._weigh_survivors(bits, mc_bits) is not None)
+    assert fits == bool((feet.take(table._flat) <= mc_bits).any())
 
 
 @st.composite
