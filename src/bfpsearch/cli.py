@@ -9,7 +9,8 @@ Every setting is declared once, as a field of ``RunConfig`` with its default;
 each option stores into its field, and the report's config record is built
 from the fields.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible search, 3 I/O error,
+Exit codes: 0 success, 1 usage error (also results that overflow float64),
+2 infeasible search, 3 I/O error (also an input file that is not UTF-8),
 4 out of memory (an allocation failed, or a --jobs worker died).
 Environment overrides: BFPSEARCH_OUT_DIR, BFPSEARCH_JOBS.
 """
@@ -89,7 +90,10 @@ class RunConfig:
 
 
 def _json_dumps(record) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # an infinity or NaN, which JSON cannot hold
+        raise UsageError("the results overflow float64; use smaller --alpha, --e-sram, --e-dram or table losses")
 
 
 def _report_json(config_record: dict, plan_text: str) -> str:

@@ -172,11 +172,11 @@ def raise_errors(errors: list, first: dict, what: str, error_cls):
 
 
 def read_text(path, what: str, error_cls) -> str:
-    """The text of an input file; an OSError becomes ``error_cls``."""
+    """The text of an input file; an OSError or text that is not UTF-8 becomes ``error_cls``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cached_property, partial
 
 from .accuracy import (
     SYNTHETIC_SEED,
@@ -82,22 +82,20 @@ class CandidateSpace:
             raise SearchError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         object.__setattr__(self, "se_set", tuple(sorted(se_set)))
         object.__setattr__(self, "bs_set", tuple(sorted(bs_set)))
-        for config in self.configs():
-            specs_for_config(config)  # a format the codec cannot hold fails here
+        self.specs  # a format the codec cannot hold fails here
 
     def configs(self):
         for se in self.se_set:
             for bs in self.bs_set:
                 yield (se, bs, self.total_bits)
 
-
-@cache
-def specs_for_config(config) -> tuple:
-    """The (input, output, weight) spec triple of an (SE, BS, QB) config, one
-    object per config for the process: a mapping table's memo then matches
-    a repeated triple by identity, and no alpha of a sweep builds it again."""
-    se, bs, qb = config
-    return tuple(BfpSpec(qb, se, bs, role) for role in OPERANDS)
+    @cached_property
+    def specs(self) -> tuple:
+        """The (input, output, weight) spec triple of each config, aligned
+        with :meth:`configs` and built once per space: a mapping table's memo
+        then matches a repeated triple by identity, and no alpha of a sweep
+        builds it again."""
+        return tuple(tuple(BfpSpec(qb, se, bs, role) for role in OPERANDS) for se, bs, qb in self.configs())
 
 
 @dataclass
@@ -210,8 +208,6 @@ def selection_key(cand: CandidateEval, mode: str):
 
 def select_candidate(cands, mode: str) -> CandidateEval:
     feasible = [c for c in cands if c.feasible]
-    if not feasible:
-        raise InfeasibleError("every candidate is infeasible under the memory capacity")
     if mode == "pareto":
         frontier = pareto_frontier(feasible)
         return knee_point(frontier)
@@ -233,8 +229,6 @@ def pareto_frontier(cands) -> list:
 def knee_point(frontier) -> CandidateEval:
     """Frontier point farthest (perpendicular) from the endpoint chord, ties to
     the weighted-objective ranking (an endpoint lies exactly 0.0 from the chord)."""
-    if not frontier:
-        raise InfeasibleError("empty Pareto frontier")
     a = frontier[0]
     b = frontier[-1]
     ax, ay = a.acc_loss, a.perf_loss
@@ -267,19 +261,12 @@ def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: 
     if jobs > 1 and len(first_of_shape) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import costs every run
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(first_of_shape))) as pool:
             tables = list(pool.map(build, first_of_shape.values()))
     else:
         tables = [build(layer) for layer in first_of_shape.values()]
     by_shape = dict(zip(first_of_shape, tables))
     return {layer.index: by_shape[shape_key(layer)] for layer in model.layers}
-
-
-def _candidate(config, hits) -> CandidateEval:
-    """Traffic side of one candidate over the layers whose query results are ``hits``."""
-    if any(hit is None for hit in hits):
-        return CandidateEval(config=config, feasible=False)
-    return CandidateEval(config=config, feasible=True, dm_sum_bits=sum(hit[1] for hit in hits))
 
 
 def _proxy_row(layer, configs, specs, scored, sample_dir, seed) -> dict:
@@ -316,16 +303,20 @@ def _table_term(layer, config, acc_table) -> float:
 def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
                   loss_source: str = DEFAULT_LOSS_SOURCE, acc_table: AccuracyTable | None = None,
                   seed: int = SYNTHETIC_SEED, sample_dir: str | None = None) -> list:
-    """Raw accuracy terms of the cells :func:`search` can select, computed
-    without any mapping table: row i maps the index of a config in
-    ``space.configs()`` to layer i's term.
+    """Raw accuracy terms of the candidates :func:`search` can select,
+    computed without any mapping table: one dict per candidate group (one
+    for model scope, one per layer for layer scope) that maps the index of
+    a config in ``space.configs()`` to its candidate's term.  A config
+    missing from a group cannot be selected.
 
     A cell can be selected when it has a feasible mapping
     (:func:`~bfpsearch.tiling.has_feasible_mapping`), in model scope only
-    when every cell of its column has one; there a table's whole-model row
-    stands for its column, which gets no per-layer terms.  Raises
-    :class:`InfeasibleError` when no candidate can be selected (in layer
-    scope, for the first layer without one).
+    when every cell of its column has one.  With each layer weighed by its
+    output volume ``w``, a layer-scope term is ``w / wsum * term``; a
+    model-scope term is the table's whole-model row for its config, whose
+    column then gets no per-layer terms, else ``sum(w * term) / wsum`` over
+    the column.  Raises :class:`InfeasibleError` when no candidate can be
+    selected (in layer scope, for the first layer without one).
 
     Proxy terms are the normalized MSE over each layer's samples.  Layer
     sample references resolve against ``sample_dir`` (usually the model
@@ -336,14 +327,13 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     are alive at a time.
     """
     configs = list(space.configs())
-    specs = [specs_for_config(config) for config in configs]
     fits_of_shape = {}  # a shape's least footprint is found once and weighed once per config
     fits = []
     for layer in model.layers:
         key = shape_key(layer)
         if key not in fits_of_shape:
             least = least_footprint_elems(layer)
-            fits_of_shape[key] = [has_feasible_mapping(least, role_bits(layer, s), mc_bits) for s in specs]
+            fits_of_shape[key] = [has_feasible_mapping(least, role_bits(layer, s), mc_bits) for s in space.specs]
         fits.append(fits_of_shape[key])
     if space.scope == "model":
         column = [all(col) for col in zip(*fits)]
@@ -358,10 +348,16 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     for layer, row in zip(model.layers, fits):
         scored = [j for j, fit in enumerate(row) if fit and configs[j] not in model_rows]
         if loss_source == "proxy":
-            rows.append(_proxy_row(layer, configs, specs, scored, sample_dir, seed))
+            rows.append(_proxy_row(layer, configs, space.specs, scored, sample_dir, seed))
         else:
             rows.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
-    return rows
+    weights = [float(layer_volumes(layer)[1]) for layer in model.layers]
+    wsum = sum(weights)
+    if space.scope == "layer":
+        return [{j: w / wsum * term for j, term in row.items()} for w, row in zip(weights, rows)]
+    return [{j: model_rows[configs[j]] if configs[j] in model_rows
+             else sum(w * rows[k][j] for k, w in enumerate(weights)) / wsum
+             for j, fit in enumerate(fits[0]) if fit}]
 
 
 def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str, mode: str,
@@ -427,32 +423,18 @@ def search(
         tables = build_mapping_tables(model)
 
     configs = list(space.configs())
-    specs = [specs_for_config(config) for config in configs]
     # cells[i][j]: layer i's best (mapping, dm_bits, footprint_bits) under configs[j], or None.
-    cells = [[tables[layer.index].query(s, mc_bits) for s in specs] for layer in model.layers]
-    weights = [float(layer_volumes(layer)[1]) for layer in model.layers]
-    wsum = sum(weights)
+    cells = [[tables[layer.index].query(s, mc_bits) for s in space.specs] for layer in model.layers]
 
-    # Selection runs over groups of candidates: for model scope one group
-    # whose candidates sum a grid column over all layers, for layer scope one
-    # group per layer holding that layer's row.  ``acc_rows`` has a term for
-    # every feasible candidate; in model scope a table's whole-model row
-    # stands for its column.
-    if space.scope == "model":
-        groups = [[_candidate(config, [row[j] for row in cells]) for j, config in enumerate(configs)]]
-    else:
-        groups = [[_candidate(config, [hit]) for config, hit in zip(configs, row)] for row in cells]
-    model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
-    for i, group in enumerate(groups):
-        for j, c in enumerate(group):
-            if not c.feasible:
-                continue
-            if space.scope == "layer":
-                c.raw_acc = weights[i] / wsum * acc_rows[i][j]
-            elif configs[j] in model_rows:
-                c.raw_acc = model_rows[configs[j]]
-            else:
-                c.raw_acc = sum(w * acc_rows[k][j] for k, w in enumerate(weights)) / wsum
+    # Selection runs over the groups of ``acc_rows``: for model scope one
+    # group whose candidates sum a grid column over all layers, for layer
+    # scope one group per layer holding that layer's row.
+    group_cells = [cells] if space.scope == "model" else [[row] for row in cells]
+    groups = [
+        [CandidateEval(config, True, dm_sum_bits=sum(row[j][1] for row in rows), raw_acc=terms[j])
+         if j in terms else CandidateEval(config, False) for j, config in enumerate(configs)]
+        for terms, rows in zip(acc_rows, group_cells)
+    ]
 
     # Both normalizers separate into per-group maxima.
     feasible = [[c for c in group if c.feasible] for group in groups]
@@ -484,7 +466,7 @@ def search(
             layer_index=layer.index,
             config=c.config,
             mapping=row[j][0],
-            breakdown=tables[layer.index].breakdown(row[j][0], specs[j]),
+            breakdown=tables[layer.index].breakdown(row[j][0], space.specs[j]),
         ))
     plan = QuantPlan(
         model_name=model.name,
@@ -516,7 +498,6 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
         bits32 = (ORIGINAL_BITS, ORIGINAL_BITS, ORIGINAL_BITS)
         hit = tables[layer.index].query(bits32, mc_bits)
         if hit is None:
-            plan.baseline_energy_report = None
             plan.baseline_infeasible_layer = layer.index
             return
         baseline_breakdowns.append(tables[layer.index].breakdown(hit[0], bits32))

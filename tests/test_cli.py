@@ -456,6 +456,45 @@ def test_proxy_sweep_scores_each_cell_once(tmp_path, monkeypatch):
     assert len(calls) == one_run == 2 * 2 * 6  # roles x layers x configs, for all seven alphas
 
 
+def test_sweep_queries_receive_the_spaces_own_triples(tiny4_path, tmp_path, monkeypatch):
+    spaces, received = [], []
+    searching, query = cli.search, LayerMappingTable.query
+    monkeypatch.setattr(cli, "search", lambda model, space, **kw: spaces.append(space) or searching(model, space, **kw))
+    monkeypatch.setattr(LayerMappingTable, "query", lambda self, specs, mc: received.append(specs) or query(self, specs, mc))
+    assert main(base_args(tiny4_path, str(tmp_path / "o"), "--sweep")) == EXIT_OK
+    assert len(spaces) == len(DEFAULT_SWEEP_ALPHAS) and all(space is spaces[0] for space in spaces)
+    triples = [specs for specs in received if specs != (32.0, 32.0, 32.0)]  # the baseline's bits
+    want = [specs for _ in DEFAULT_SWEEP_ALPHAS for _layer in range(4) for specs in spaces[0].specs]
+    assert list(map(id, triples)) == list(map(id, want))
+
+
+@pytest.mark.parametrize("which", ["model", "table"])
+def test_input_that_is_not_utf8_is_io_error(tiny4_path, tmp_path, capsys, which):
+    path = tmp_path / "elf.bin"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    inputs = {"model": ["--model", str(path)],
+              "table": ["--model", tiny4_path, "--loss-source", "table", "--acc-table", str(path)]}
+    assert main(inputs[which] + ["--out", str(tmp_path / "o")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: cannot read ") and str(path) in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--e-sram", "1e308", "--e-dram", "1e308"],  # the energy
+    ["--e-sram", "1e308", "--e-dram", "1e308", "--sweep"],
+    ["--alpha", "1e308", "--loss-source", "table"],  # the objective
+], ids=" ".join)
+def test_results_that_overflow_float64_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
+    if "table" in extra:
+        table = tmp_path / "acc.table"
+        table.write_text("format_version 1\n" + "".join(f"model {se} {bs} 8 1e308\n" for se in (2, 3, 4) for bs in (2, 8)))
+        extra = extra + ["--acc-table", str(table)]
+    assert main(base_args(tiny4_path, str(tmp_path / "o"), *extra)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: the results overflow float64")
+    assert not (tmp_path / "o").exists()
+
+
 def test_clamped_table_loss_warns_with_file_and_line(tiny4_path, tmp_path, capsys):
     table = tmp_path / "acc.table"
     rows = ["format_version 1"] + [f"model {se} {bs} 8 {0.01 * se}" for se in (2, 3, 4) for bs in (2, 8)]

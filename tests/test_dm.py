@@ -13,7 +13,7 @@ from bfpsearch.dm import (
     tile_footprint_elems,
 )
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes
-from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables, search, specs_for_config
+from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables, search
 
 from conftest import small_layer, spec_triple
 
@@ -197,7 +197,8 @@ def test_dm_sum_single_layer(tiny4):
     sub = ModelDesc(name="one", layers=[layer])
     plan = search(sub, CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,)), mc_bits=65536.0)
     (a,) = plan.assignments
-    assert plan.dm_sum_bits == a.breakdown.dm_total_bits == dm_layer(layer, a.mapping, specs_for_config(a.config)).dm_total_bits
+    assert a.config == (3, 8, 8)
+    assert plan.dm_sum_bits == a.breakdown.dm_total_bits == dm_layer(layer, a.mapping, spec_triple(8, 3, 8)).dm_total_bits
 
 
 def test_perf_loss_ratio(tiny4):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -22,13 +23,17 @@ from bfpsearch.search import (
     pareto_frontier,
     search,
     select_candidate,
-    specs_for_config,
 )
 from bfpsearch.tiling import InfeasibleError, LayerMappingTable
 
-from conftest import proxy_loss, small_layer
+from conftest import proxy_loss, small_layer, spec_triple
 
 MC = 65536.0
+
+
+def config_specs(config):
+    se, bs, qb = config
+    return spec_triple(qb, se, bs)
 
 
 def test_candidate_space_defaults_match_published_sets():
@@ -209,10 +214,10 @@ def joint_exhaustive(model, space, alpha, mc_bits, samples, tables):
     for layer in model.layers:
         rows = {}
         for cfg in configs:
-            hit = tables[layer.index].query(specs_for_config(cfg), mc_bits)
+            hit = tables[layer.index].query(config_specs(cfg), mc_bits)
             if hit is None:
                 continue
-            acc = proxy_loss(layer, specs_for_config(cfg), samples[layer.index])
+            acc = proxy_loss(layer, config_specs(cfg), samples[layer.index])
             rows[cfg] = (hit[1], float(layer_volumes(layer)[1]) / wsum * acc)
         per_layer.append(rows)
     combos = list(itertools.product(*[list(r.keys()) for r in per_layer]))
@@ -325,14 +330,41 @@ def test_shared_tables_parallel_build_matches_serial():
     serial = build_mapping_tables(model, jobs=1)
     parallel = build_mapping_tables(model, jobs=2)
     assert parallel[1] is parallel[3] and parallel[2] is parallel[4] is parallel[5]
-    for config in small_space().configs():
-        specs = specs_for_config(config)
+    for specs in small_space().specs:
         for layer in model.layers:
             assert parallel[layer.index].query(specs, MC) == serial[layer.index].query(specs, MC)
     space = small_space()
     one = search(model, space, alpha=0.2, mc_bits=MC, tables=serial)
     two = search(model, space, alpha=0.2, mc_bits=MC, tables=parallel)
     assert one.to_record() == two.to_record()
+
+
+def test_process_pool_gets_at_most_one_worker_per_shape(monkeypatch):
+    # The pool starts all of its workers at the first submit, so --jobs
+    # beyond the number of shapes would only start idle processes.
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    model = ModelDesc(name="three", layers=[small_layer(index=i, c_in=c) for i, c in enumerate((1, 2, 3, 1), start=1)])
+    serial = build_mapping_tables(model)
+    specs = small_space().specs[0]
+    for jobs in (64, 2):
+        tables = build_mapping_tables(model, jobs=jobs)
+        assert [t.query(specs, MC) for t in tables.values()] == [t.query(specs, MC) for t in serial.values()]
+    assert workers == [3, 2]
 
 
 POOL_MODEL = """format_version 1
@@ -422,7 +454,7 @@ def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
     layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
     model = ModelDesc(name="edge", layers=layers)
     tables = build_mapping_tables(model)
-    wide, narrow = specs_for_config((2, 8, 8)), specs_for_config((4, 8, 8))
+    wide, narrow = config_specs((2, 8, 8)), config_specs((4, 8, 8))
     mc = float(tables[4].footprint_bits(role_bits(layers[-1], narrow)).min())
     assert tables[4].query(wide, mc) is None and tables[4].query(narrow, mc) is not None
     assert all(tables[i].query(wide, mc) is not None for i in (1, 2, 3))
@@ -466,9 +498,9 @@ def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
     layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
     model = ModelDesc(name="edge", layers=layers)
     tables = build_mapping_tables(model)
-    mc = float(tables[4].footprint_bits(role_bits(layers[-1], specs_for_config((4, 8, 8)))).min())
-    assert tables[4].query(specs_for_config((4, 1, 8)), mc) is None
-    assert all(tables[i].query(specs_for_config((4, 1, 8)), mc) is not None for i in (1, 2, 3))
+    mc = float(tables[4].footprint_bits(role_bits(layers[-1], config_specs((4, 8, 8)))).min())
+    assert tables[4].query(config_specs((4, 1, 8)), mc) is None
+    assert all(tables[i].query(config_specs((4, 1, 8)), mc) is not None for i in (1, 2, 3))
 
     module = sys.modules["bfpsearch.search"]
     samples, scans, alive = {}, [], []
@@ -507,21 +539,41 @@ def _no_table(*args, **kwargs):
 @pytest.mark.parametrize("loss_source", ["proxy", "table"])
 def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch, scope, loss_source):
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8), scope=scope)
-    table = loads_table(per_layer_table({n: (lambda se, bs, n=n: 0.01 * n * se + 0.001 * bs) for n in range(1, 5)}))
+    text = per_layer_table({n: (lambda se, bs, n=n: 0.01 * n * se + 0.001 * bs) for n in range(1, 5)})
+    table = loads_table(text + "model 3 8 8 0.125\n")  # stands for its column in model scope only
     acc_table = table if loss_source == "table" else None
     mc = 100.0  # the se 2 cells of the 3x3 layers have no feasible mapping
     monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
-    rows = accuracy_rows(tiny4, space, mc, loss_source, acc_table)
+    groups = accuracy_rows(tiny4, space, mc, loss_source, acc_table)
     monkeypatch.undo()
     tables = build_mapping_tables(tiny4)
-    specs = [specs_for_config(config) for config in space.configs()]
-    fits = [[tables[layer.index].query(s, mc) is not None for s in specs] for layer in tiny4.layers]
+    configs = list(space.configs())
+    fits = [[tables[layer.index].query(s, mc) is not None for s in space.specs] for layer in tiny4.layers]
     assert not all(map(all, fits)) and all(map(any, fits))
-    columns = [j for j in range(len(specs)) if all(row[j] for row in fits)]
-    for row, fit in zip(rows, fits):
-        assert sorted(row) == ([j for j, ok in enumerate(fit) if ok] if scope == "layer" else columns)
+
+    def term(layer, j):
+        if loss_source == "table":
+            return table.layer_entries[(layer.source_index,) + configs[j]]
+        samples = {role: synthetic_sample(layer, role) for role in ("input", "weight")}
+        return proxy_loss(layer, space.specs[j], samples)
+
+    weights = [float(layer_volumes(layer)[1]) for layer in tiny4.layers]
+    wsum = sum(weights)
+    if scope == "layer":
+        want = [{j: w / wsum * term(layer, j) for j, fit in enumerate(row) if fit}
+                for w, layer, row in zip(weights, tiny4.layers, fits)]
+    else:
+        assert table.model_entries == {(3, 8, 8): 0.125}
+        model_rows = table.model_entries if loss_source == "table" else {}
+        columns = [j for j in range(len(configs)) if all(row[j] for row in fits)]
+        assert configs.index((3, 8, 8)) in columns
+        want = [{j: model_rows[configs[j]] if configs[j] in model_rows
+                 else sum(w * term(layer, j) for w, layer in zip(weights, tiny4.layers)) / wsum
+                 for j in columns}]
+    assert len(groups) == (1 if scope == "model" else len(tiny4.layers))
+    assert groups == want
     for alpha in (0.0, 0.2, 3.0):
-        given_rows = search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table, tables=tables, acc_rows=rows)
+        given_rows = search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table, tables=tables, acc_rows=groups)
         assert given_rows.to_record() == search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table).to_record()
 
 
