@@ -122,18 +122,18 @@ def _load_sample(what: str, path: str, volume: int) -> np.ndarray:
     return data
 
 
-def layer_samples(layer: ConvLayer, model_dir: str | None = None, seed: int = SYNTHETIC_SEED) -> dict:
-    """Sample tensors for the proxy, one per role with data on disk, falling
-    back to fixed-seed synthetic tensors.  A sample file that cannot be read,
-    whose size does not match the operand volume or that holds NaN or inf
+def layer_samples(layer: ConvLayer, seed: int = SYNTHETIC_SEED) -> dict:
+    """Sample tensors for the proxy, one per role: the file at the path the
+    layer holds (:func:`~bfpsearch.model.load_model` resolves it against the
+    model file's directory), else a fixed-seed synthetic tensor.  A sample
+    file that cannot be read, whose size does not match the operand volume or that holds NaN or inf
     raises :class:`AccuracyError` naming the layer and the path."""
     samples = {}
     vol_in, _, vol_w = layer_volumes(layer)
     refs = {"input": (layer.input_sample, vol_in), "weight": (layer.weight_sample, vol_w)}
     for role, (ref, volume) in refs.items():
         if ref:
-            path = os.path.join(model_dir, ref) if model_dir else ref
-            samples[role] = _load_sample(f"layer {layer.source_index} {role} sample {path}", path, volume)
+            samples[role] = _load_sample(f"layer {layer.source_index} {role} sample {ref}", ref, volume)
         else:
             samples[role] = synthetic_sample(layer, role, seed=seed)
     return samples

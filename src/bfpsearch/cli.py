@@ -9,7 +9,8 @@ Every setting is declared once, as a field of ``RunConfig`` with its default;
 each option stores into its field, and the report's config record is built
 from the fields.
 
-Exit codes: 0 success, 1 usage error (also results that overflow float64),
+Exit codes: 0 success, 1 usage error (also results that overflow float64,
+or per-bit energies so small that the baseline's energy rounds to 0 J),
 2 infeasible search, 3 I/O error (also an input file that is not UTF-8),
 4 out of memory (an allocation failed, or a --jobs worker died).
 Environment overrides: BFPSEARCH_OUT_DIR, BFPSEARCH_JOBS.
@@ -147,8 +148,7 @@ def _plans(config: RunConfig, alphas) -> list:
         check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
-    sample_dir = os.path.dirname(os.path.abspath(config.model_path))
-    rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed, sample_dir)
+    rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
@@ -331,10 +331,7 @@ def config_from_args(args) -> RunConfig:
         raise UsageError("--acc-table is read only with --loss-source table")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
-    try:
-        EnergyParams(values["sram_pj_per_bit"], values["dram_pj_per_bit"])
-    except EnergyError as exc:
-        raise UsageError(f"--e-sram/--e-dram: {exc}")
+    EnergyParams(values["sram_pj_per_bit"], values["dram_pj_per_bit"])
     return RunConfig(**values)
 
 
@@ -361,6 +358,9 @@ def main(argv=None) -> int:
         return code
     except (UsageError, SearchError, MappingError, CodecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except EnergyError as exc:  # the per-bit energies: out of range, or so small that energies round to 0 J
+        print(f"usage error: --e-sram/--e-dram: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

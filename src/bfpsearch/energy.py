@@ -107,6 +107,7 @@ def energy(model: ModelDesc, breakdowns, params: EnergyParams = EnergyParams()) 
 def normalized_energy(report: EnergyReport, baseline: EnergyReport) -> EnergyReport:
     """Attach the energy ratio against a baseline report (1.0 = baseline)."""
     if baseline.joules <= 0:
-        raise EnergyError("baseline energy must be positive")
+        raise EnergyError(f"baseline energy must be positive, got {baseline.joules} J "
+                          "(per-bit energies this small round every energy to 0)")
     report.normalized = report.joules / baseline.joules
     return report

@@ -16,6 +16,9 @@ A model file is a line-oriented key/value format with one block per layer::
 ``#`` starts a comment.  ``format_version`` appears exactly once, ``model``
 at most once, and a repeat of either, or of a field in one layer block, is
 an error naming both lines; accuracy tables follow the same rules.
+``layer`` takes one integer and each field exactly its count of values
+(see ``_FIELDS``).  ``input_sample``/``weight_sample`` name float32 sample
+files, which :func:`load_model` resolves against the model file's directory.
 
 Output dims are derived from the shape formula; explicitly given output dims
 must agree with it.  Non-conv layer blocks (``type pool`` etc.) are skipped
@@ -128,17 +131,22 @@ def layer_macs(layer: ConvLayer) -> int:
     return layer.c_out * (layer.c_in // layer.groups) * layer.o_h * layer.o_w * layer.k_h * layer.k_w
 
 
-_INT_KEYS = {
-    "c_in": ("c_in",),
-    "c_out": ("c_out",),
-    "groups": ("groups",),
-    "input": ("i_h", "i_w"),
-    "kernel": ("k_h", "k_w"),
-    "stride": ("stride_h", "stride_w"),
-    "pad": ("pad_h", "pad_w"),
-    "output": ("o_h", "o_w"),
+# Each field's value type and the ConvLayer fields its values fill, in order.
+# A field takes exactly one value per name; a two-name field given one value
+# repeats it (``stride 2`` is ``stride 2 2``).
+_FIELDS = {
+    "c_in": (int, "c_in"),
+    "c_out": (int, "c_out"),
+    "groups": (int, "groups"),
+    "input": (int, "i_h", "i_w"),
+    "kernel": (int, "k_h", "k_w"),
+    "stride": (int, "stride_h", "stride_w"),
+    "pad": (int, "pad_h", "pad_w"),
+    "output": (int, "o_h", "o_w"),
+    "type": (str, "_type"),
+    "input_sample": (str, "input_sample"),
+    "weight_sample": (str, "weight_sample"),
 }
-_TEXT_KEYS = {"type": "_type", "input_sample": "input_sample", "weight_sample": "weight_sample"}
 
 
 def records(text: str, errors: list, first: dict, once=()):
@@ -233,9 +241,9 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
         if key == "layer":
             finish_block()
             try:
-                idx = int(args[0])
-            except (IndexError, ValueError):
-                errors.append((lineno, "layer needs an integer index"))
+                (idx,) = map(int, args)
+            except ValueError:
+                errors.append((lineno, f"layer needs one integer index, got {args}"))
                 idx = len(layers) + 1
             if idx in seen_indices:
                 errors.append((lineno, f"duplicate layer index {idx}"))
@@ -246,24 +254,21 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
         if current is None:
             errors.append((lineno, f"field {key!r} outside any layer block"))
             continue
-        if key not in _TEXT_KEYS and key not in _INT_KEYS:
+        if key not in _FIELDS:
             warn(lineno, f"ignoring unknown field {key!r}")
             continue
         if key in block_lines:
             errors.append((lineno, f"layer {current[1]['index']}: {key} repeats line {block_lines[key]}"))
             continue
         block_lines[key] = lineno
-        if key in _TEXT_KEYS:
-            current[1][_TEXT_KEYS[key]] = args[0] if args else None
-            continue
-        names = _INT_KEYS[key]
+        kind, *names = _FIELDS[key]
         try:
-            vals = [int(a) for a in args]
+            vals = [kind(a) for a in args]
         except ValueError:
             errors.append((lineno, f"{key}: expected integers, got {args}"))
             continue
-        if len(vals) == 1 and len(names) == 2:
-            vals = vals * 2
+        if len(vals) == 1:
+            vals = vals * len(names)
         if len(vals) != len(names):
             errors.append((lineno, f"{key}: expected {len(names)} value(s), got {len(vals)}"))
             continue
@@ -283,25 +288,15 @@ def loads_model(text: str, name_hint: str = "model") -> ModelDesc:
 
 
 def load_model(path) -> ModelDesc:
+    """Parse the model file at ``path``.  Its sample references resolve
+    against the file's directory, as the command line reads them;
+    :func:`loads_model` keeps them as written."""
     text = read_text(path, "model file", ModelFormatError)
-    return loads_model(text, name_hint=os.path.splitext(os.path.basename(str(path)))[0])
-
-
-def dumps_model(model: ModelDesc) -> str:
-    lines = [f"format_version {FORMAT_VERSION}", f"model {model.name}", ""]
-    for layer in model.layers:
-        lines.append(f"layer {layer.source_index}")
-        lines.append(f"  c_in {layer.c_in}")
-        lines.append(f"  c_out {layer.c_out}")
-        lines.append(f"  input {layer.i_h} {layer.i_w}")
-        lines.append(f"  kernel {layer.k_h} {layer.k_w}")
-        lines.append(f"  stride {layer.stride_h} {layer.stride_w}")
-        lines.append(f"  pad {layer.pad_h} {layer.pad_w}")
-        if layer.groups != 1:
-            lines.append(f"  groups {layer.groups}")
-        if layer.input_sample:
-            lines.append(f"  input_sample {layer.input_sample}")
-        if layer.weight_sample:
-            lines.append(f"  weight_sample {layer.weight_sample}")
-        lines.append("")
-    return "\n".join(lines)
+    model = loads_model(text, name_hint=os.path.splitext(os.path.basename(str(path)))[0])
+    base = os.path.dirname(os.path.abspath(path))
+    for i, layer in enumerate(model.layers):
+        refs = {role: os.path.join(base, ref) for role, ref in
+                (("input_sample", layer.input_sample), ("weight_sample", layer.weight_sample)) if ref}
+        if refs:
+            model.layers[i] = replace(layer, **refs)
+    return model

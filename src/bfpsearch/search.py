@@ -269,13 +269,13 @@ def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: 
     return {layer.index: by_shape[shape_key(layer)] for layer in model.layers}
 
 
-def _proxy_row(layer, configs, specs, scored, sample_dir, seed) -> dict:
+def _proxy_row(layer, configs, specs, scored, seed) -> dict:
     """Proxy terms of one layer's ``scored`` cells, by config index: the
     normalized MSE over the layer's samples, whose signal powers are computed
     once.  Cells are scored block-size-major: each sample is scanned once per
     block size, every shared-exponent width rounds from that scan, and one
     block size's scans are dropped before the next block size's are made."""
-    samples = layer_samples(layer, model_dir=sample_dir, seed=seed)
+    samples = layer_samples(layer, seed=seed)
     powers = {role: signal_power(tensor) for role, tensor in samples.items()}
     by_bs = {}
     for j in scored:
@@ -302,7 +302,7 @@ def _table_term(layer, config, acc_table) -> float:
 
 def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
                   loss_source: str = DEFAULT_LOSS_SOURCE, acc_table: AccuracyTable | None = None,
-                  seed: int = SYNTHETIC_SEED, sample_dir: str | None = None) -> list:
+                  seed: int = SYNTHETIC_SEED) -> list:
     """Raw accuracy terms of the candidates :func:`search` can select,
     computed without any mapping table: one dict per candidate group (one
     for model scope, one per layer for layer scope) that maps the index of
@@ -318,13 +318,12 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     the column.  Raises :class:`InfeasibleError` when no candidate can be
     selected (in layer scope, for the first layer without one).
 
-    Proxy terms are the normalized MSE over each layer's samples.  Layer
-    sample references resolve against ``sample_dir`` (usually the model
-    file's directory); layers without samples fall back to fixed-seed
-    synthetic ones.  Samples are built one layer at a time and freed before
-    the next layer's are built.  Within a layer, each sample is scanned once
-    per block size that has a cell to score; only one block size's scans
-    are alive at a time.
+    Proxy terms are the normalized MSE over each layer's samples, read from
+    the paths the layer holds; layers without samples fall back to
+    fixed-seed synthetic ones.  Samples are built one layer at a time and
+    freed before the next layer's are built.  Within a layer, each sample is
+    scanned once per block size that has a cell to score; only one block
+    size's scans are alive at a time.
     """
     configs = list(space.configs())
     fits_of_shape = {}  # a shape's least footprint is found once and weighed once per config
@@ -348,7 +347,7 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     for layer, row in zip(model.layers, fits):
         scored = [j for j, fit in enumerate(row) if fit and configs[j] not in model_rows]
         if loss_source == "proxy":
-            rows.append(_proxy_row(layer, configs, space.specs, scored, sample_dir, seed))
+            rows.append(_proxy_row(layer, configs, space.specs, scored, seed))
         else:
             rows.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
     weights = [float(layer_volumes(layer)[1]) for layer in model.layers]
@@ -400,7 +399,6 @@ def search(
     acc_rows: list | None = None,
     energy_params: EnergyParams = EnergyParams(),
     seed: int = SYNTHETIC_SEED,
-    sample_dir: str | None = None,
 ) -> QuantPlan:
     """Search the (layer, config) grid for the plan minimizing the trade-off objective.
 
@@ -411,14 +409,14 @@ def search(
     :func:`build_mapping_tables` output, which fixes the first-load
     accounting; without it, tables that count first loads are built.
     ``acc_rows`` is :func:`accuracy_rows` output for the same model, space,
-    capacity and loss source (``seed`` and ``sample_dir`` are then unread);
+    capacity and loss source (``seed`` is then unread);
     without it, the rows are computed first, before any table is built, so
     the proxy's samples never sit on top of the tables.  A caller that
     searches many alphas passes both, so each is made once.
     """
     check_search_args(space, alpha, mc_bits, loss_source, mode, acc_table, seed)
     if acc_rows is None:
-        acc_rows = accuracy_rows(model, space, mc_bits, loss_source, acc_table, seed, sample_dir)
+        acc_rows = accuracy_rows(model, space, mc_bits, loss_source, acc_table, seed)
     if tables is None:
         tables = build_mapping_tables(model)
 

@@ -191,10 +191,10 @@ def test_layer_samples_fallback_control():
 
 
 def test_layer_samples_from_file(tmp_path):
-    layer = small_layer(c_in=1, c_out=1, input_sample="x.f32")
+    layer = small_layer(c_in=1, c_out=1, input_sample=str(tmp_path / "x.f32"))
     data = np.linspace(-1, 1, 36).astype("<f4")
     (tmp_path / "x.f32").write_bytes(data.tobytes())
-    got = layer_samples(layer, model_dir=str(tmp_path))
+    got = layer_samples(layer)
     assert np.allclose(got["input"], data.astype(np.float64))
 
 

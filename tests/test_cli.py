@@ -24,6 +24,7 @@ from bfpsearch.cli import (
     run,
     sweep_alpha,
 )
+from bfpsearch.model import load_model
 from bfpsearch.search import CandidateSpace, search
 from bfpsearch.tiling import LayerMappingTable
 
@@ -484,6 +485,8 @@ def test_input_that_is_not_utf8_is_io_error(tiny4_path, tmp_path, capsys, which)
     ["--e-sram", "1e308", "--e-dram", "1e308"],  # the energy
     ["--e-sram", "1e308", "--e-dram", "1e308", "--sweep"],
     ["--alpha", "1e308", "--loss-source", "table"],  # the objective
+    ["--e-sram", "1e-320", "--e-dram", "1e-320"],  # every energy rounds to 0 J
+    ["--e-sram", "1e-320", "--e-dram", "1e-320", "--sweep"],
 ], ids=" ".join)
 def test_results_that_overflow_float64_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
     if "table" in extra:
@@ -491,7 +494,10 @@ def test_results_that_overflow_float64_are_usage_errors(tiny4_path, tmp_path, ca
         table.write_text("format_version 1\n" + "".join(f"model {se} {bs} 8 1e308\n" for se in (2, 3, 4) for bs in (2, 8)))
         extra = extra + ["--acc-table", str(table)]
     assert main(base_args(tiny4_path, str(tmp_path / "o"), *extra)) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: the results overflow float64")
+    says = ("--e-sram/--e-dram: baseline energy must be positive, got 0.0 J" if "1e-320" in extra
+            else "the results overflow float64")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {says}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -534,6 +540,18 @@ layer 1
 def test_sample_files_resolve_relative_to_model(tmp_path):
     argv = write_sampled_model(tmp_path, np.linspace(-1, 1, 36), np.linspace(-0.5, 0.5, 9))
     assert main(argv) == EXIT_OK
+
+
+def test_library_reads_the_sample_files_the_command_line_reads(tmp_path, monkeypatch):
+    # Decoys of the right sizes in the working directory must not be read in their place.
+    argv = write_sampled_model(tmp_path, np.linspace(-1, 1, 36), np.linspace(-0.5, 0.5, 9))
+    assert main(argv) == EXIT_OK
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    write_sampled_model(cwd, np.linspace(-1, 1, 36) ** 3, np.linspace(0, 1, 9))
+    monkeypatch.chdir(cwd)
+    plan = search(load_model(tmp_path / "m.model"), CandidateSpace(se_set=(2, 3), bs_set=(2, 8)), mc_bits=65536.0)
+    assert cli._json_dumps(plan.to_record()) == (tmp_path / "out" / "plan.json").read_text()
 
 
 @pytest.mark.parametrize("act, fault", [
