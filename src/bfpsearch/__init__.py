@@ -42,7 +42,7 @@ from .accuracy import (
     loads_table,
     synthetic_sample,
 )
-from .energy import EnergyParams, EnergyReport, energy, energy_from_bits, normalized_energy
+from .energy import EnergyParams, EnergyReport, energy, energy_from_bits
 from .model import ConvLayer, ModelDesc, ModelFormatError, layer_volumes, load_model, loads_model
 from .oracle import CapacityError, SimResult, simulate
 from .search import (

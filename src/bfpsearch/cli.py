@@ -10,7 +10,7 @@ each option stores into its field, and the report's config record is built
 from the fields.
 
 Exit codes: 0 success, 1 usage error (also results that overflow float64,
-or per-bit energies so small that the baseline's energy rounds to 0 J),
+and per-bit energies under which an energy rounds to 0 J or overflows),
 2 infeasible search, 3 I/O error (also an input file that is not UTF-8),
 4 out of memory (an allocation failed, or a --jobs worker died).
 Environment overrides: BFPSEARCH_OUT_DIR, BFPSEARCH_JOBS.
@@ -94,16 +94,7 @@ def _json_dumps(record) -> str:
     try:
         return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:  # an infinity or NaN, which JSON cannot hold
-        raise UsageError("the results overflow float64; use smaller --alpha, --e-sram, --e-dram or table losses")
-
-
-def _report_json(config_record: dict, plan_text: str) -> str:
-    """``_json_dumps({"config": config_record, "plan": plan})`` from the plan's
-    rendering ``plan_text``, so the plan is rendered once: a nested record is
-    its own rendering with every line after the first indented two more."""
-    config_text, plan_text = (text.rstrip("\n").replace("\n", "\n  ")
-                              for text in (_json_dumps(config_record), plan_text))
-    return '{\n  "config": ' + config_text + ',\n  "plan": ' + plan_text + "\n}\n"
+        raise UsageError("the results overflow float64; use a smaller --alpha or smaller table losses")
 
 
 def _write(out_dir: str, files: dict) -> dict:
@@ -146,6 +137,7 @@ def _plans(config: RunConfig, alphas) -> list:
         _warn(config.acc_table_path, acc_table.diagnostics)
     for alpha in (config.alpha, *alphas):  # a sweep's config record holds --alpha too
         check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
+    energy_params = EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
     rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed)
@@ -161,7 +153,7 @@ def _plans(config: RunConfig, alphas) -> list:
             acc_table=acc_table,
             tables=tables,
             acc_rows=rows,
-            energy_params=EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit),
+            energy_params=energy_params,
             seed=config.seed,
         )
         for alpha in alphas
@@ -177,11 +169,10 @@ def _summary_text(config: RunConfig, plan) -> str:
     p(f"acc_loss:  {plan.acc_loss:.6f}")
     p(f"perf_loss: {plan.perf_loss:.6f}   (dm_sum {plan.dm_sum_bits:.1f} / dm_max {plan.dm_max_bits:.1f} bits)")
     p(f"objective: {plan.objective:.6f}")
-    if plan.energy_report is not None:
-        e = plan.energy_report
-        p(f"energy:    {e.joules:.6e} J   (sram {e.sram_bits:.3e} bits, dram {e.dram_bits:.3e} bits)")
-        if e.normalized is not None:
-            p(f"           {e.normalized:.4f}x of the 32-bit 'original' baseline")
+    e = plan.energy_report
+    p(f"energy:    {e.joules:.6e} J   (sram {e.sram_bits:.3e} bits, dram {e.dram_bits:.3e} bits)")
+    if e.normalized is not None:
+        p(f"           {e.normalized:.4f}x of the 32-bit 'original' baseline")
     p("")
     p("layer  se  bs  qb  order          tiles(oc,ic,oh,ow,kh,kw)      dm_bits")
     for a in plan.assignments:
@@ -218,10 +209,10 @@ def run(config: RunConfig) -> tuple:
     if plan.baseline_infeasible_layer is not None:
         print(f"warning: layer {plan.baseline_infeasible_layer}: the 32-bit baseline has no mapping within "
               f"{config.mc_bits:.0f} bits; the report has no baseline or normalized energy", file=sys.stderr)
-    plan_text = _json_dumps(plan.to_record())
+    record = plan.to_record()
     files = {
-        "plan": ("plan.json", plan_text),
-        "report": ("report.json", _report_json(config.to_record(), plan_text)),
+        "plan": ("plan.json", _json_dumps(record)),
+        "report": ("report.json", _json_dumps({"config": config.to_record(), "plan": record})),
         "summary": ("summary.txt", _summary_text(config, plan)),
     }
     if config.write_csv:
@@ -245,7 +236,7 @@ def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
             "acc_loss": plan.acc_loss,
             "perf_loss": plan.perf_loss,
             "objective": plan.objective,
-            "energy_joules": plan.energy_report.joules if plan.energy_report else None,
+            "energy_joules": plan.energy_report.joules,
             "se": plan.assignments[0].config[0],
             "bs": plan.assignments[0].config[1],
         }
@@ -359,7 +350,7 @@ def main(argv=None) -> int:
     except (UsageError, SearchError, MappingError, CodecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EnergyError as exc:  # the per-bit energies: out of range, or so small that energies round to 0 J
+    except EnergyError as exc:  # the per-bit energies: out of range, or an energy rounds to 0 J or overflows
         print(f"usage error: --e-sram/--e-dram: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

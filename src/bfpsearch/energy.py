@@ -74,7 +74,9 @@ def energy(model: ModelDesc, breakdowns, params: EnergyParams = EnergyParams()) 
     """Energy report for a plan from its traffic breakdowns, one per layer.
 
     A breakdown supplies the DRAM traffic, and its bits per element
-    (``DmBreakdown.bits``) the bitwidths of the SRAM-side stream.
+    (``DmBreakdown.bits``) the bitwidths of the SRAM-side stream.  Raises
+    :class:`EnergyError` when a layer's or the total energy rounds to 0 J
+    or overflows.
     """
     if len(breakdowns) != len(model.layers):
         raise EnergyError(f"plan covers {len(breakdowns)} layers, model has {len(model.layers)}")
@@ -93,21 +95,20 @@ def energy(model: ModelDesc, breakdowns, params: EnergyParams = EnergyParams()) 
                 "layer": layer.index,
                 "sram_bits": sram,
                 "dram_bits": dram,
-                "joules": energy_from_bits(sram, dram, params),
+                "joules": _checked(energy_from_bits(sram, dram, params), f"layer {layer.index}"),
             }
         )
     return EnergyReport(
         sram_bits=sram_total,
         dram_bits=dram_total,
-        joules=energy_from_bits(sram_total, dram_total, params),
+        joules=_checked(energy_from_bits(sram_total, dram_total, params), "the whole model"),
         per_layer=rows,
     )
 
 
-def normalized_energy(report: EnergyReport, baseline: EnergyReport) -> EnergyReport:
-    """Attach the energy ratio against a baseline report (1.0 = baseline)."""
-    if baseline.joules <= 0:
-        raise EnergyError(f"baseline energy must be positive, got {baseline.joules} J "
-                          "(per-bit energies this small round every energy to 0)")
-    report.normalized = report.joules / baseline.joules
-    return report
+def _checked(joules: float, what: str) -> float:
+    """``joules``, if finite and positive, so every ratio of two reports exists."""
+    if not (math.isfinite(joules) and joules > 0):
+        raise EnergyError(f"the energy of {what} is {joules} J: these per-bit energies "
+                          "leave float64's finite positive range")
+    return joules

@@ -33,7 +33,7 @@ from .accuracy import (
 )
 from .codec import BfpSpec, scan_blocks
 from .dm import OPERANDS, role_bits
-from .energy import EnergyParams, energy, normalized_energy
+from .energy import EnergyParams, energy
 from .model import ModelDesc, layer_volumes
 from .tiling import InfeasibleError, LayerMappingTable, has_feasible_mapping, least_footprint_elems, shape_key
 
@@ -500,4 +500,4 @@ def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
             return
         baseline_breakdowns.append(tables[layer.index].breakdown(hit[0], bits32))
     plan.baseline_energy_report = energy(model, baseline_breakdowns, energy_params)
-    normalized_energy(plan.energy_report, plan.baseline_energy_report)
+    plan.energy_report.normalized = plan.energy_report.joules / plan.baseline_energy_report.joules

@@ -108,6 +108,30 @@ def tiny4_path(tmp_path):
     return str(path)
 
 
+@st.composite
+def small_convs(draw):
+    """A conv layer of at most 8 channels and a 6 x 6 input, with strides,
+    padding and groups drawn."""
+    groups = draw(st.sampled_from((1, 1, 2)))
+    k = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 2))
+    pad = draw(st.integers(0, (k - 1) // 2))
+    return ConvLayer(
+        1,
+        c_in=groups * draw(st.integers(1, 4)),
+        c_out=groups * draw(st.integers(1, 4)),
+        i_h=draw(st.integers(k, 6)),
+        i_w=draw(st.integers(k, 6)),
+        k_h=k,
+        k_w=draw(st.integers(1, k)),
+        stride_h=stride,
+        stride_w=draw(st.integers(1, 2)),
+        pad_h=pad,
+        pad_w=pad,
+        groups=groups,
+    )
+
+
 def small_layer(**kw):
     base = dict(index=1, c_in=1, c_out=1, i_h=6, i_w=6, k_h=3, k_w=3)
     base.update(kw)

@@ -30,7 +30,9 @@ from bfpsearch.tiling import MOVING_DIMS, default_permutations, tile_candidates
 
 def reference_table_arrays(layer, permutations=None, count_first_load=True) -> dict:
     """The table's survivor arrays: ``perm``, ``flat``, ``traffic`` and
-    ``footprint`` (the last two by role) plus the full-mesh ``footprint_elems``."""
+    ``footprint`` (the last two by role) plus the full-mesh ``footprint_elems``,
+    the unpruned ``lattice`` of counts (role, permutation, flat tiling) and
+    the moving loops' tile ``candidates``."""
     permutations = tuple(tuple(p) for p in (permutations or default_permutations()))
     ext = loop_extents(layer)
     cands = {d: tile_candidates(ext[d]) for d in MOVING_DIMS}
@@ -85,4 +87,6 @@ def reference_table_arrays(layer, permutations=None, count_first_load=True) -> d
         "traffic": {role: counts[r][perm, flat] for r, role in enumerate(OPERANDS)},
         "footprint": {role: footprint_elems[role][tile_idx] for role in OPERANDS},
         "footprint_elems": footprint_elems,
+        "lattice": counts,
+        "candidates": {d: cands[d] for d in MOVING_DIMS},
     }

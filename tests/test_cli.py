@@ -487,15 +487,23 @@ def test_input_that_is_not_utf8_is_io_error(tiny4_path, tmp_path, capsys, which)
     ["--alpha", "1e308", "--loss-source", "table"],  # the objective
     ["--e-sram", "1e-320", "--e-dram", "1e-320"],  # every energy rounds to 0 J
     ["--e-sram", "1e-320", "--e-dram", "1e-320", "--sweep"],
+    ["--e-sram", "1e-320", "--e-dram", "1e-320", "--mc", "400"],  # the plan's, with no baseline
+    ["--e-sram", "1e-320", "--e-dram", "1e-320", "--mc", "400", "--sweep"],
 ], ids=" ".join)
 def test_results_that_overflow_float64_are_usage_errors(tiny4_path, tmp_path, capsys, extra):
+    model = tiny4_path
     if "table" in extra:
         table = tmp_path / "acc.table"
         table.write_text("format_version 1\n" + "".join(f"model {se} {bs} 8 1e308\n" for se in (2, 3, 4) for bs in (2, 8)))
         extra = extra + ["--acc-table", str(table)]
-    assert main(base_args(tiny4_path, str(tmp_path / "o"), *extra)) == EXIT_USAGE
-    says = ("--e-sram/--e-dram: baseline energy must be positive, got 0.0 J" if "1e-320" in extra
-            else "the results overflow float64")
+    if "400" in extra:  # one layer, whose 32-bit baseline needs 608 bits and its 8-bit plans fewer than 400
+        model = tmp_path / "one.model"
+        model.write_text(ONE_LAYER)
+    assert main(base_args(str(model), str(tmp_path / "o"), *extra)) == EXIT_USAGE
+    if "--e-sram" in extra:
+        says = f"--e-sram/--e-dram: the energy of layer 1 is {'0.0' if '1e-320' in extra else 'inf'} J"
+    else:
+        says = "the results overflow float64"
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {says}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()

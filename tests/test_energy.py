@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,10 @@ from bfpsearch.energy import (
     EnergyParams,
     energy,
     energy_from_bits,
-    normalized_energy,
     sram_bits_for_layer,
 )
 from bfpsearch.model import ModelDesc, layer_macs
+from bfpsearch.search import CandidateSpace, search
 
 from conftest import small_layer, spec_triple
 
@@ -64,17 +65,11 @@ def test_eight_bit_beats_sixteen_at_equal_mapping():
     assert e8.joules < e16.joules
 
 
-def test_normalized_against_baseline():
-    e8 = model_energy(8)
-    base = model_energy(8)
-    normalized_energy(e8, base)
-    assert e8.normalized == 1.0
-    doubled = model_energy(8)
-    doubled.sram_bits *= 2
-    doubled.dram_bits *= 2
-    doubled.joules *= 2
-    normalized_energy(doubled, base)
-    assert doubled.normalized == pytest.approx(2.0, rel=1e-15)
+def test_normalized_is_the_ratio_to_the_32_bit_baseline(tiny4):
+    plan = search(tiny4, CandidateSpace(8, (2, 3), (2, 8)), mc_bits=65536)
+    assert plan.energy_report.normalized == plan.energy_report.joules / plan.baseline_energy_report.joules
+    assert plan.baseline_energy_report.normalized is None
+    assert 0 < plan.energy_report.normalized < 1
 
 
 def test_missing_breakdown_rejected():
@@ -86,12 +81,36 @@ def test_missing_breakdown_rejected():
         energy(model, [])
 
 
-def test_zero_baseline_rejected():
-    e = model_energy(8)
-    bad = model_energy(8)
-    bad.joules = 0.0
-    with pytest.raises(EnergyError):
-        normalized_energy(e, bad)
+def test_total_that_rounds_to_zero_rejected():
+    layer = small_layer(c_in=2, c_out=2)
+    model = ModelDesc(name="one", layers=[layer])
+    breakdown = dm_layer(layer, make_mapping(layer, {"oh": 2, "ow": 2}), spec_triple())
+    with pytest.raises(EnergyError, match="^the energy of layer 1 is 0.0 J"):
+        energy(model, [breakdown], EnergyParams(1e-320, 1e-320))
+
+
+def test_total_that_overflows_rejected_though_no_layer_does():
+    layer = small_layer(c_in=2, c_out=2)
+    model = ModelDesc(name="twin", layers=[layer, replace(layer, index=2)])
+    breakdowns = [dm_layer(layer, make_mapping(layer), spec_triple())] * 2
+    row = energy(model, breakdowns).per_layer[0]
+    per_bit = 1e308 / (row["sram_bits"] + row["dram_bits"])  # each layer's picojoules near 1e308, the sum past float64
+    assert math.isfinite(energy_from_bits(row["sram_bits"], row["dram_bits"], EnergyParams(per_bit, per_bit)))
+    with pytest.raises(EnergyError, match="^the energy of the whole model is inf J"):
+        energy(model, breakdowns, EnergyParams(per_bit, per_bit))
+
+
+def test_layer_that_rounds_to_zero_rejected_though_the_total_does_not():
+    small, large = small_layer(index=1), small_layer(index=2, c_in=64, c_out=64, i_h=32, i_w=32)
+    model = ModelDesc(name="two", layers=[small, large])
+    breakdowns = [dm_layer(layer, make_mapping(layer), spec_triple()) for layer in model.layers]
+    row = energy(model, breakdowns).per_layer[0]
+    per_bit = 1e-312 / (row["sram_bits"] + row["dram_bits"])  # layer 1 takes about 1e-324 J, below the least subnormal
+    params = EnergyParams(per_bit, per_bit)
+    assert energy_from_bits(row["sram_bits"], row["dram_bits"], params) == 0.0
+    assert energy_from_bits(sum(b.dm_total_bits for b in breakdowns), 0.0, params) > 0.0
+    with pytest.raises(EnergyError, match="^the energy of layer 1 is 0.0 J"):
+        energy(model, breakdowns, params)
 
 
 def test_per_layer_rows_sum_to_totals():

@@ -7,12 +7,17 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bfpsearch import accuracy
-from bfpsearch.accuracy import loads_table, synthetic_sample
+from bfpsearch.accuracy import AccuracyError, AccuracyTable, loads_table, synthetic_sample
 from bfpsearch.dm import role_bits
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes, loads_model
 from bfpsearch.search import (
+    DEFAULT_BS_SET,
+    MODES,
+    SCOPES,
     CandidateEval,
     CandidateSpace,
     SearchError,
@@ -26,7 +31,8 @@ from bfpsearch.search import (
 )
 from bfpsearch.tiling import InfeasibleError, LayerMappingTable
 
-from conftest import proxy_loss, small_layer, spec_triple
+from conftest import proxy_loss, small_convs, small_layer, spec_triple
+from reference_search import footprint_bits, reference_search
 
 MC = 65536.0
 
@@ -608,3 +614,84 @@ def test_accuracy_rows_weigh_each_shapes_least_footprint_once_per_config(monkeyp
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
     accuracy_rows(model, space, MC)
     assert calls == {"elems": 2, "bits": 2 * 6}  # two shapes, six configs
+
+
+# -- end-to-end reference -------------------------------------------------------
+
+
+@st.composite
+def reference_cases(draw):
+    """1-3 small layers (file indices with gaps), small SE and BS subsets of
+    either qb grid, any mode, scope and accounting, a capacity from
+    infeasible to loose, and a table of per-layer and whole-model rows with
+    tied values and, sometimes, holes."""
+    scope = draw(st.sampled_from(SCOPES))
+    mode = draw(st.sampled_from(MODES + ("pareto",) if scope == "model" else ("full",) * 6 + MODES))
+    alpha = draw(st.sampled_from((0.2, 1.5, 0.0)))
+    layers, source = [], 0
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        source += draw(st.integers(1, 2))
+        layer = replace(draw(small_convs()), index=index, source_index=source)
+        if draw(st.integers(0, 3)) == 0:  # a point layer: configs with equal se - se / bs tie on bits
+            layer = replace(layer, i_h=1, i_w=1, k_h=1, k_w=1, pad_h=0, pad_w=0)
+        layers.append(layer)
+    model = ModelDesc(name="drawn", layers=layers)
+    qb = draw(st.sampled_from((8, 16)))
+    subset = lambda values: draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+    se_set, bs_set = subset(default_se_set(qb)), subset(DEFAULT_BS_SET)
+    configs = [(se, bs, qb) for se in se_set for bs in bs_set]
+    # The capacity: a cell's least footprint or one ulp below it (both often
+    # infeasible), a cell's whole-layer footprint (no traffic at all without
+    # first loads, for every config with no more bits), or log-uniform from
+    # what the least hungry config needs on every layer to twice the largest
+    # footprint.
+    feet = [[footprint_bits(layer, config) for config in configs] for layer in layers]
+    cell = draw(st.sampled_from(draw(st.sampled_from(feet))))
+    lo = math.log(min(max(row[j].min() for row in feet) for j in range(len(configs))))
+    hi = math.log(max(f.max() for row in feet for f in row) * 2)
+    kind = draw(st.sampled_from(("least", "ulp", "whole", "log", "log", "log")))
+    mc_bits = {"least": float(cell.min()), "ulp": math.nextafter(float(cell.min()), 0.0),
+               "whole": float(cell.max())}.get(kind)
+    if mc_bits is None:
+        mc_bits = math.exp(lo + draw(st.floats(0, 1)) * (hi - lo))
+    loss = st.sampled_from((0.0, 0.01, 0.1))  # few values, so losses tie
+    present = st.sampled_from((True,) * 7 + (False,)) if draw(st.integers(0, 7)) == 0 else st.just(True)
+    layer_rows = {(layer.source_index, *c): draw(loss) for layer in layers for c in configs if draw(present)}
+    model_rows = {c: draw(loss) for c in configs if draw(st.booleans())}
+    if not layer_rows and not model_rows:
+        model_rows = {configs[0]: 0.0}
+    table = AccuracyTable(model_rows, layer_rows)
+    return model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, table, draw(st.booleans())
+
+
+def tie_case(se_set, bs_set, mode, losses):
+    """A loose point layer, where a config's bits are 8 - se + se / bs, so
+    its traffic is too, and a table of whole-model rows ``losses``."""
+    model = ModelDesc(name="point", layers=[ConvLayer(1, 2, 2, 1, 1, 1, 1)])
+    table = AccuracyTable(dict(zip(((se, bs, 8) for se in se_set for bs in bs_set), losses)))
+    return model, 8, se_set, bs_set, "model", mode, 0.2, 1e9, table, True
+
+
+@settings(settings.get_profile("seeded"), max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(reference_cases())
+@example(tie_case([2, 3, 4], [1], "no_qat", [0.0] * 3))  # equal traffic: the smaller se wins
+@example(tie_case([4, 6], [2, 4], "full", [0.0, 0.0, 0.0, 0.1]))  # (4, 4) and (6, 2) tie: the larger bs wins
+@example(tie_case([2, 3], [8], "no_dm", [0.0, 0.0]))  # equal losses: the smaller traffic wins
+@example(tie_case([2, 6], [4], "pareto", [0.0, 0.01]))  # a two-point frontier: the smaller objective wins
+def test_search_matches_the_reference_search(case):
+    """``search`` picks the reference's configs and mappings with the same dm
+    bits, losses and candidate rows, bit for bit, or raises its error."""
+    model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, table, count_first_load = case
+    args = dict(alpha=alpha, mc_bits=mc_bits, loss_source="table", mode=mode, acc_table=table,
+                tables=build_mapping_tables(model, count_first_load=count_first_load))
+    space = CandidateSpace(qb, tuple(se_set), tuple(bs_set), scope)
+    try:
+        want = reference_search(model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, table, count_first_load)
+    except (AccuracyError, InfeasibleError, SearchError) as exc:
+        with pytest.raises(type(exc)):
+            search(model, space, **args)
+        return
+    plan = search(model, space, **args)
+    assert [(a.config, a.mapping, a.breakdown.dm_total_bits) for a in plan.assignments] == want["layers"]
+    assert (plan.acc_loss, plan.perf_loss, plan.objective, plan.dm_sum_bits, plan.dm_max_bits) == want["summary"]
+    assert (plan.candidates, plan.pareto) == (want["candidates"], want["pareto"])

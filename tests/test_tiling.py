@@ -35,7 +35,7 @@ from bfpsearch.tiling import (
     tile_candidates,
 )
 
-from conftest import small_layer, spec_triple
+from conftest import small_convs, small_layer, spec_triple
 from reference_tiling import reference_table_arrays
 
 ORDER = ("oc", "ic", "oh", "ow")
@@ -202,28 +202,6 @@ def test_table_query_matches_scalar_breakdowns():
     assert hit is not None
     mapping, dm_bits, foot = hit
     assert dm_layer(layer, mapping, specs).dm_total_bits == dm_bits
-
-
-@st.composite
-def small_convs(draw):
-    groups = draw(st.sampled_from((1, 1, 2)))
-    k = draw(st.integers(1, 3))
-    stride = draw(st.integers(1, 2))
-    pad = draw(st.integers(0, (k - 1) // 2))
-    return ConvLayer(
-        1,
-        c_in=groups * draw(st.integers(1, 4)),
-        c_out=groups * draw(st.integers(1, 4)),
-        i_h=draw(st.integers(k, 6)),
-        i_w=draw(st.integers(k, 6)),
-        k_h=k,
-        k_w=draw(st.integers(1, k)),
-        stride_h=stride,
-        stride_w=draw(st.integers(1, 2)),
-        pad_h=pad,
-        pad_w=pad,
-        groups=groups,
-    )
 
 
 @st.composite
