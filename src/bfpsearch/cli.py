@@ -322,6 +322,10 @@ def config_from_args(args) -> RunConfig:
         raise UsageError("--acc-table is read only with --loss-source table")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
+    if values["write_csv"] and values["sweep_alphas"] is not None:
+        raise UsageError("--csv writes one run's candidates.csv; a sweep writes sweep.csv, so drop --csv")
+    if values["write_csv"] and values["scope"] != "model":
+        raise UsageError("--csv writes the model-scope candidates and needs --scope model")
     EnergyParams(values["sram_pj_per_bit"], values["dram_pj_per_bit"])
     return RunConfig(**values)
 

@@ -217,11 +217,6 @@ def decode_block(block: BfpBlock, spec: BfpSpec):
     return [float(v) for v in np.ldexp(mant, block.shared_exponent - spec.fraction_bits)]
 
 
-def roundtrip_error_bound(spec: BfpSpec, shared_exponent: int) -> float:
-    """Per-element absolute error bound after encode/decode at a given exponent."""
-    return math.ldexp(1.0, shared_exponent - (spec.total_bits - spec.exp_bits - 1))
-
-
 def _fold(op, grid: np.ndarray) -> np.ndarray:
     """Reduce each row of a C-contiguous 2-D array by folding adjacent column
     pairs: long strided ufunc runs, far faster than ``op.reduce(axis=1)``."""

@@ -237,26 +237,13 @@ def tile_footprint_elems(layer: ConvLayer, tiling: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def classify_reuse(operand: str, loop_dim: str, layer: ConvLayer, tiling: Mapping) -> ReuseClass:
-    """Reuse between consecutive iterations of one loop for one operand.
-
-    Full reuse: the footprint does not depend on the loop (or the loop has a
-    single iteration).  Partial reuse: consecutive footprints overlap, which
-    only a dim with two drivers (an input row or column) exhibits, through
-    the stride/kernel halo.  No reuse: consecutive footprints are disjoint.
-    """
-    if operand not in OPERANDS:
-        raise MappingError(f"unknown operand {operand!r}")
-    if loop_dim not in LOOP_DIMS:
-        raise MappingError(f"unknown loop dim {loop_dim!r}")
-    dims = _operand_dims(layer, dict(zip(LOOP_DIMS, tiling.tiles)))[operand]
-    return _reuse(dims, loop_dim, iteration_counts(layer, tiling))
-
-
 def _reuse(dims, loop: str, iters: dict) -> ReuseClass:
-    """:func:`classify_reuse` for an operand with tensor dims ``dims``: a dim
-    overlaps itself when its lead loop advances by less than the halo (stride <
-    kernel tile, never with one tap) or its kernel loop does under a lead tile > 1."""
+    """Reuse between consecutive iterations of ``loop`` for an operand with
+    tensor dims ``dims``: full if no dim depends on the loop or it iterates
+    once; partial if a two-driver dim (an input row or column) overlaps
+    itself, as when its lead loop advances by less than the halo (stride <
+    kernel tile, never with one tap) or its kernel loop does under a lead
+    tile > 1; none if consecutive footprints are disjoint."""
     dim = next((dim for dim in dims if loop in dim.drivers), None)
     if dim is None or iters[loop] == 1:
         return ReuseClass.FULL_REUSE

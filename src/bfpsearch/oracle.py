@@ -39,8 +39,6 @@ class SimResult:
     transfer_bits: dict
     total_bits: float
     peak_occupancy_bits: float
-    steps: int
-    trace: list | None = None
 
 
 def _box_volume(box):
@@ -94,7 +92,6 @@ def simulate(
     specs,
     mc_bits: float = math.inf,
     count_first_load: bool = True,
-    collect_trace: bool = False,
 ) -> SimResult:
     """Run the tile schedule and count exact off-chip transfers per operand.
 
@@ -122,13 +119,10 @@ def simulate(
     moved = {role: 0 for role in OPERANDS}
     changes = {role: 0 for role in OPERANDS}
     first = {role: 0 for role in OPERANDS}
-    trace = [] if collect_trace else None
 
-    steps = 0
     for idx in product(*[range(iters[d]) for d in perm]):
         pos = dict(zip(perm, idx))
         boxes = _footprint_boxes(layer, mapping, extents, pos)
-        deltas = {}
         occupancy = 0.0
         for role in OPERANDS:
             new_box = boxes[role]
@@ -142,16 +136,9 @@ def simulate(
                 if new_box != old_box:
                     changes[role] += 1
             moved[role] += delta
-            deltas[role] = delta
             resident[role] = new_box
             occupancy += vol * bits[role]
         peak_occupancy_bits = max(peak_occupancy_bits, occupancy)
-        steps += 1
-        if trace is not None:
-            trace.append(
-                "step=%d pos=%s %s"
-                % (steps, idx, " ".join(f"{r}+={deltas[r]}" for r in OPERANDS))
-            )
 
     if not count_first_load:
         for role in OPERANDS:
@@ -165,8 +152,6 @@ def simulate(
         transfer_bits=transfer_bits,
         total_bits=(transfer_bits["input"] + transfer_bits["output"]) + transfer_bits["weight"],
         peak_occupancy_bits=peak_occupancy_bits,
-        steps=steps,
-        trace=trace,
     )
 
 

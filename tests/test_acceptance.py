@@ -17,7 +17,6 @@ from bfpsearch.dm import (
     LOOP_DIMS,
     Mapping,
     ReuseClass,
-    classify_reuse,
     dm_layer,
     loop_extents,
     make_mapping,
@@ -224,14 +223,14 @@ def test_c04_per_level_case_coverage():
         m = make_mapping(layer, tiles)
         bd = dm_layer(layer, m, spec_triple())
         j = m.permutation.index(level)
-        assert classify_reuse("output", level, layer, m) is ReuseClass.NO_REUSE
-        assert classify_reuse("input", level, layer, m) is ReuseClass.PARTIAL_REUSE
-        assert classify_reuse("weight", level, layer, m) is ReuseClass.FULL_REUSE
+        assert bd.reuse["output"][level] is ReuseClass.NO_REUSE
+        assert bd.reuse["input"][level] is ReuseClass.PARTIAL_REUSE
+        assert bd.reuse["weight"][level] is ReuseClass.FULL_REUSE
         assert tuple(bd.level_elems[r][j] for r in ("output", "input", "weight")) == moved
         assert bd.cold_elems["weight"] == cold_weight
     strided = ConvLayer(1, 1, 1, 9, 9, 3, 3, stride_h=3, stride_w=3)
     ms = make_mapping(strided, {"oh": 1, "ow": 1})
-    assert classify_reuse("input", "ow", strided, ms) is ReuseClass.NO_REUSE
+    assert dm_layer(strided, ms, spec_triple()).reuse["input"]["ow"] is ReuseClass.NO_REUSE
     _report(4, "no/partial/full branches hit with exact level values 13/45/0 and 4/6/0")
 
 

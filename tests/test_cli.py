@@ -104,6 +104,11 @@ def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_pat
     (["--scope", "layer", "--loss-source", "table", "--acc-table", "model_rows.table"], EXIT_IO),
     (["--loss-source", "table", "--acc-table", "empty.table"], EXIT_IO),
     (["--alpha", "nan", "--sweep"], EXIT_USAGE),
+    # candidates.csv holds one model-scope run's candidates: a sweep would
+    # drop it, and a layer-scope run would write only its header.
+    (["--csv", "--sweep"], EXIT_USAGE),
+    (["--csv", "--sweep-alpha", "0.2"], EXIT_USAGE),
+    (["--csv", "--scope", "layer"], EXIT_USAGE),
 ], ids=lambda v: "=".join(v) if isinstance(v, list) else str(v))
 def test_invalid_run_fails_before_the_model_is_read(tiny4_path, tmp_path, capsys, monkeypatch, extra, code):
     (tmp_path / "model_rows.table").write_text("format_version 1\nmodel 3 8 8 0.1\n")

@@ -6,7 +6,6 @@ from bfpsearch.dm import (
     Mapping,
     MappingError,
     ReuseClass,
-    classify_reuse,
     dm_layer,
     make_mapping,
     role_bits,
@@ -34,38 +33,43 @@ def test_mapping_validation():
 # -- reuse classification (the three scenarios) ------------------------------
 
 
+def reuse_of(layer, m):
+    """{operand: {loop: ReuseClass}}, as dm_layer records it."""
+    return dm_layer(layer, m, spec_triple()).reuse
+
+
 def test_weights_full_reuse_across_spatial_loops():
     layer = small_layer(c_in=2, c_out=2)
-    m = make_mapping(layer, {"oh": 1, "ow": 1, "oc": 1, "ic": 1})
-    assert classify_reuse("weight", "oh", layer, m) is ReuseClass.FULL_REUSE
-    assert classify_reuse("weight", "ow", layer, m) is ReuseClass.FULL_REUSE
+    weight = reuse_of(layer, make_mapping(layer, {"oh": 1, "ow": 1, "oc": 1, "ic": 1}))["weight"]
+    assert weight["oh"] is ReuseClass.FULL_REUSE
+    assert weight["ow"] is ReuseClass.FULL_REUSE
 
 
 def test_input_partial_reuse_stride_below_kernel():
     layer = small_layer()  # K=3, stride 1
     m = make_mapping(layer, {"oh": 1, "ow": 1})
-    assert classify_reuse("input", "ow", layer, m) is ReuseClass.PARTIAL_REUSE
+    assert reuse_of(layer, m)["input"]["ow"] is ReuseClass.PARTIAL_REUSE
 
 
 def test_input_no_reuse_stride_at_kernel():
     layer = ConvLayer(1, 1, 1, 9, 9, 3, 3, stride_h=3, stride_w=3)
     m = make_mapping(layer, {"oh": 1, "ow": 1})
-    assert classify_reuse("input", "ow", layer, m) is ReuseClass.NO_REUSE
+    assert reuse_of(layer, m)["input"]["ow"] is ReuseClass.NO_REUSE
 
 
 def test_more_reuse_classes():
     layer = small_layer(c_in=4, c_out=4)
-    m = make_mapping(layer, {"oc": 1, "ic": 1, "oh": 1, "ow": 1})
-    assert classify_reuse("input", "oc", layer, m) is ReuseClass.FULL_REUSE
-    assert classify_reuse("input", "ic", layer, m) is ReuseClass.NO_REUSE
-    assert classify_reuse("output", "ic", layer, m) is ReuseClass.FULL_REUSE
-    assert classify_reuse("output", "oh", layer, m) is ReuseClass.NO_REUSE
-    assert classify_reuse("weight", "oc", layer, m) is ReuseClass.NO_REUSE
+    reuse = reuse_of(layer, make_mapping(layer, {"oc": 1, "ic": 1, "oh": 1, "ow": 1}))
+    assert reuse["input"]["oc"] is ReuseClass.FULL_REUSE
+    assert reuse["input"]["ic"] is ReuseClass.NO_REUSE
+    assert reuse["output"]["ic"] is ReuseClass.FULL_REUSE
+    assert reuse["output"]["oh"] is ReuseClass.NO_REUSE
+    assert reuse["weight"]["oc"] is ReuseClass.NO_REUSE
     # single-iteration loops are trivially invariant
-    whole = make_mapping(layer)
+    whole = reuse_of(layer, make_mapping(layer))
     for op in ("input", "output", "weight"):
         for dim in LOOP_DIMS:
-            assert classify_reuse(op, dim, layer, whole) is ReuseClass.FULL_REUSE
+            assert whole[op][dim] is ReuseClass.FULL_REUSE
 
 
 # -- tile footprints ----------------------------------------------------------
@@ -115,9 +119,9 @@ def test_level_elems_no_partial_full_reuse(layer, tiles, level, moved, cold_weig
     m = make_mapping(layer, tiles)
     bd = dm_layer(layer, m, spec_triple())
     j = m.permutation.index(level)
-    assert classify_reuse("output", level, layer, m) is ReuseClass.NO_REUSE
-    assert classify_reuse("input", level, layer, m) is ReuseClass.PARTIAL_REUSE
-    assert classify_reuse("weight", level, layer, m) is ReuseClass.FULL_REUSE
+    assert bd.reuse["output"][level] is ReuseClass.NO_REUSE
+    assert bd.reuse["input"][level] is ReuseClass.PARTIAL_REUSE
+    assert bd.reuse["weight"][level] is ReuseClass.FULL_REUSE
     assert tuple(bd.level_elems[r][j] for r in ("output", "input", "weight")) == moved
     assert bd.cold_elems["weight"] == cold_weight
 

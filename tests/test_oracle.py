@@ -145,14 +145,6 @@ def test_conservation_every_needed_element_moved():
     assert sim.transfer_elems["weight"] >= vw
 
 
-def test_trace_emission():
-    layer = small_layer()
-    mapping = make_mapping(layer, {"oh": 3, "ow": 3})
-    sim = simulate(layer, mapping, spec_triple(), collect_trace=True)
-    assert sim.trace is not None and len(sim.trace) == sim.steps
-    assert sim.trace[0].startswith("step=1")
-
-
 def test_oracle_equals_model_on_mixed_grid():
     # The module-level slice of the acceptance-grid equivalence.
     specs = spec_triple()
