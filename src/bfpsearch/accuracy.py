@@ -38,22 +38,35 @@ class AccuracyTable:
     loss; ``layer_entries`` adds a leading layer index for per-layer values.
     Missing keys are genuinely missing (never implicit zeros).
     ``diagnostics`` holds a (line, message) warning per negative loss clamped
-    to 0, which the command line prints.
+    to 0, which the command line prints; ``row_lines`` maps each entry's key
+    to the line that set it.
     """
 
     model_entries: dict = field(default_factory=dict)
     layer_entries: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+    row_lines: dict = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not self.model_entries and not self.layer_entries
+
+    def unread_rows(self, source_indices, scope: str) -> list:
+        """A (line, message) warning per row that no run over layers with the
+        model-file indices ``source_indices`` in ``scope`` reads, in line
+        order: each ``layer:<n>`` row whose n is none of them and, in layer
+        scope, each model row.  A row for a config outside the run's grid is
+        not one: a table may cover a larger grid than one run searches."""
+        notes = [(self.row_lines.get(key, 0), f"layer:{key[0]} names no layer of the model; row ignored")
+                 for key in self.layer_entries if key[0] not in source_indices]
+        if scope == "layer":
+            notes += [(self.row_lines.get(key, 0), "model row ignored under --scope layer") for key in self.model_entries]
+        return sorted(notes)
 
 
 def loads_table(text: str) -> AccuracyTable:
     table = AccuracyTable()
     errors = []
     first = {}  # format_version -> its line
-    row_lines = {}  # entry key -> the line that set it
     for lineno, scope, args in records(text, errors, first):
         if len(args) != 4:
             errors.append((lineno, f"expected 'scope SE BS qb loss', got {len(args) + 1} fields"))
@@ -82,10 +95,10 @@ def loads_table(text: str) -> AccuracyTable:
         else:
             errors.append((lineno, f"unknown scope {scope!r}"))
             continue
-        if key in row_lines:
-            errors.append((lineno, f"repeats the {scope} row of line {row_lines[key]}"))
+        if key in table.row_lines:
+            errors.append((lineno, f"repeats the {scope} row of line {table.row_lines[key]}"))
             continue
-        row_lines[key] = lineno
+        table.row_lines[key] = lineno
         entries[key] = loss
     raise_errors(errors, first, "accuracy table", AccuracyError)
     return table

@@ -140,6 +140,8 @@ def _plans(config: RunConfig, alphas) -> list:
     energy_params = EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
+    if config.loss_source == "table":
+        _warn(config.acc_table_path, acc_table.unread_rows({layer.source_index for layer in model.layers}, config.scope))
     rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [

@@ -34,6 +34,7 @@ after ``finalize``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -93,6 +94,47 @@ def tile_candidates(extent: int) -> tuple:
 def default_permutations():
     """All orders of the four tiled loops, kernel loops innermost untiled."""
     return tuple(itertools.permutations(MOVING_DIMS))
+
+
+def _commuting_class(role: str, perm: tuple) -> tuple:
+    """``perm`` with each run of adjacent loops that commute for ``role``'s
+    counts sorted: two orders have the same class iff adjacent swaps of
+    commuting loops turn one into the other, and then the same counts
+    (:class:`LayerMappingTable` says why).  Loops that drive none of the
+    operand's dims commute, and so do loops that each drive a one-driver dim
+    of it; a loop that drives a two-driver dim commutes with none."""
+
+    def kind(loop):
+        driven = [dim for dim in OPERAND_DIMS[role] if loop in dim]
+        return "none" if not driven else "one" if driven == [(loop,)] else loop
+
+    return tuple(tuple(sorted(run)) for _, run in itertools.groupby(perm, kind))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_plan(permutations: tuple, symmetric: bool) -> dict:
+    """How the build fills each (role, order) count row: ``None`` to compute
+    it, ``(q, False)`` to copy row q of an earlier order of its commuting
+    class, ``(q, True)`` to mirror row q, the earlier order with ``oh`` and
+    ``ow`` swapped, on a row/column-symmetric layer."""
+    first = {}
+    for pi, perm in enumerate(permutations):
+        first.setdefault(perm, pi)
+    plan = {}
+    for role in OPERANDS:
+        seen, rows = {}, []
+        for pi, perm in enumerate(permutations):
+            cls = _commuting_class(role, perm)
+            mirror = first.get(tuple({"oh": "ow", "ow": "oh"}.get(d, d) for d in perm), pi)
+            if cls in seen:
+                rows.append((seen[cls], False))
+            elif symmetric and mirror < pi:
+                rows.append((mirror, True))
+            else:
+                rows.append(None)
+            seen.setdefault(cls, pi)
+        plan[role] = tuple(rows)
+    return plan
 
 
 def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands) -> dict:
@@ -211,6 +253,24 @@ class LayerMappingTable:
       skip rule, and integer products are exact in float64 in any order, so
       the term is the same for every order that has the key.  Each order's
       counts still add its levels in level order.
+    * A count row is computed only if no earlier order already fixes it
+      (:func:`_row_plan`, worked out once per order list).  Commuting loops:
+      for one operand, swapping two adjacent loops that both drive none of
+      its dims, or that both drive a one-driver dim of it (no halo), leaves
+      its counts unchanged.  Both levels keep the same outer set, and their
+      terms sum to M*V*(n_a*n_b - 1), or to M*prod(S)*prod(f)*(S_a*S_b -
+      f_a*f_b) (S a dim's summed length, f its first tile's), symmetric in a
+      and b; a level that iterates once adds 0 either way.  Such orders
+      share one row (8 for the output and 14 for the weight of the 24; the
+      input's row and column dims have halos, so it keeps 24).  Mirror: on a
+      layer with equal row and column input, kernel, stride and padding,
+      the order with ``oh`` and ``ow`` swapped moves at tiling (oc, ic, a,
+      b) what the order moves at (oc, ic, b, a), so an order listed after
+      its mirror (in the default list, each order with ``ow`` before
+      ``oh``) takes the mirror's row with the last two mesh axes swapped.
+      Of the 72 default rows, 46 are computed, and 27 on a symmetric layer.
+      Integer counts far below 2^53 sum exactly in any order, so the copies
+      are bit-identical to computed rows.
     * Only live permutations (those that keep some tiling) prune.  If an
       earlier q dominates p at tiling t but is itself pruned at t, some
       earlier q' dominates q there, and by transitivity of <= also p;
@@ -276,6 +336,9 @@ class LayerMappingTable:
         # permutation p at flat (C-order) tiling t.
         n_perms, n_tilings = len(self.permutations), self.n_tilings
         counts = np.zeros((len(OPERANDS), n_perms, n_tilings))
+        mesh = counts.reshape(len(OPERANDS), n_perms, *self.mesh_shape)
+        symmetric = all(getattr(layer, f + "_h") == getattr(layer, f + "_w") for f in ("i", "k", "stride", "pad"))
+        plan = _row_plan(self.permutations, symmetric)
         for r, role in enumerate(OPERANDS):
             dims = OPERAND_DIMS[role]
             first = math.prod(sums(dim, (INSIDE,) * len(dim))[0] for dim in dims)
@@ -284,9 +347,13 @@ class LayerMappingTable:
                 first = first * (math.prod(iters[d] for dim in dims for d in dim) > 1)
             terms = {}  # this role's level terms by (loops outside the level, level loop)
             for pi, perm in enumerate(self.permutations):
+                out = mesh[r, pi]
+                if plan[role][pi] is not None:
+                    q, mirror = plan[role][pi]
+                    out[...] = mesh[r, q].swapaxes(2, 3) if mirror else mesh[r, q]
+                    continue
                 levels = level_traffic(perm + ("kh", "kw"), dims, iters, lambda k, rels: sums(dims[k], rels), terms)
                 # (sum(levels) + first) * groups, accumulated in place in level order.
-                out = counts[r, pi].reshape(self.mesh_shape)
                 for level in levels:
                     if isinstance(level, np.ndarray):  # skipped levels are 0
                         out += level
@@ -337,7 +404,7 @@ class LayerMappingTable:
         flat = n_tilings - 1 - key % n_tilings
         at = perm * n_tilings + flat
         traffic = {role: counts[r].reshape(-1).take(at) for r, role in enumerate(OPERANDS)}
-        del counts, out, key, at  # out is a view of counts
+        del counts, mesh, out, key, at  # mesh and out are views of counts
         # Narrow survivor types (class docstring); integer counts convert back exactly.
         count_type = np.uint32 if max(t.max() for t in traffic.values()) < 2**32 else np.float64
         self._traffic = {role: t.astype(count_type) for role, t in traffic.items()}

@@ -524,6 +524,25 @@ def test_clamped_table_loss_warns_with_file_and_line(tiny4_path, tmp_path, capsy
     assert capsys.readouterr().err == f"warning: {table}:4: negative loss -0.5 clamped to 0\n"
 
 
+@pytest.mark.parametrize("scope", ["model", "layer"])
+def test_table_rows_no_run_can_read_warn_with_file_and_line(tmp_path, capsys, scope):
+    # Layer 2 is a skipped pool block, so the second conv keeps index 3 in
+    # the table.  A row outside the run's grid (qb 16) stays silent.
+    model = tmp_path / "m.model"
+    model.write_text(ONE_LAYER + "layer 2\n  type pool\nlayer 3\n  c_in 8\n  c_out 8\n  input 8 8\n  kernel 1 1\n")
+    table = tmp_path / "acc.table"
+    table.write_text("format_version 1\nlayer:1 3 8 8 0.1\nlayer:2 3 8 8 0.2\nlayer:3 3 8 8 0.3\n"
+                     "layer:1 3 8 16 0.4\nmodel 3 8 8 0.5\nlayer:7 3 8 8 0.6\n")
+    argv = ["--model", str(model), "--loss-source", "table", "--acc-table", str(table),
+            "--se", "3", "--bs", "8", "--scope", scope, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    unread = [f"warning: {table}:3: layer:2 names no layer of the model; row ignored"]
+    if scope == "layer":
+        unread.append(f"warning: {table}:6: model row ignored under --scope layer")
+    unread.append(f"warning: {table}:7: layer:7 names no layer of the model; row ignored")
+    assert capsys.readouterr().err.splitlines() == [f"warning: {model}:8: skipping non-conv layer 2", *unread]
+
+
 def test_import_leaves_the_process_pool_unimported():
     # The pool is imported only for --jobs > 1, so every other run skips its import cost.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +345,26 @@ def test_pruning_survivor_count_on_stack20_shape():
     assert survivor_bytes <= 16
 
 
+def test_count_lattice_is_freed_before_the_head_is_selected(monkeypatch):
+    # No view of the (role, order, tiling) counts outlives the survivors'
+    # gather, copied rows included, so the head adds nothing to the build's peak.
+    layer = ConvLayer(1, 16, 16, 32, 32, 3, 3, pad_h=1, pad_w=1)
+    lattice_bytes = len(OPERANDS) * 117_600 * 8
+    held, argpartition = [], np.argpartition
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return argpartition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", spy)
+    tracemalloc.start()
+    try:
+        LayerMappingTable(layer)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < lattice_bytes, held[0] / lattice_bytes
+
+
 @pytest.mark.parametrize("mc", [math.nan, 0.0, -1.0])
 def test_query_rejects_nan_or_nonpositive_capacity(mc):
     table = LayerMappingTable(small_layer())
@@ -495,11 +517,84 @@ def test_candidate_dim_sums_match_scalar_dim_sums(case):
             assert (int(got[rel][0][c]), int(got[rel][1][c])) == want
 
 
+def row_column_symmetric(layer):
+    """The layer with its column input, kernel, stride and padding set to its row's."""
+    return replace(layer, i_w=layer.i_h, k_w=layer.k_h, stride_w=layer.stride_h, pad_w=layer.pad_h)
+
+
+@st.composite
+def symmetric_or_not_convs(draw):
+    """A :func:`small_convs` layer, made row/column-symmetric two times in three."""
+    layer = draw(small_convs())
+    return row_column_symmetric(layer) if draw(st.sampled_from((True, True, False))) else layer
+
+
 @st.composite
 def table_cases(draw):
-    layer = draw(small_convs())
+    layer = draw(symmetric_or_not_convs())
     perms = draw(st.permutations(default_permutations()))
     return layer, perms[: draw(st.integers(1, len(perms)))], draw(st.booleans())
+
+
+# Pairs of loops that commute when adjacent in an order, by operand: both
+# drive none of its dims, or both drive a one-driver dim of it.
+COMMUTING = {
+    "input": set(),
+    "output": {frozenset(p) for p in (("oc", "oh"), ("oc", "ow"), ("oh", "ow"))},
+    "weight": {frozenset(("oc", "ic")), frozenset(("oh", "ow"))},
+}
+
+
+def commuting_classes(role):
+    """The default orders grouped by adjacent swaps of ``COMMUTING[role]`` pairs."""
+    classes, seen = [], set()
+    for start in default_permutations():
+        if start in seen:
+            continue
+        members, todo = {start}, [start]
+        while todo:
+            perm = todo.pop()
+            for j in range(len(perm) - 1):
+                if frozenset(perm[j:j + 2]) in COMMUTING[role]:
+                    swapped = perm[:j] + (perm[j + 1], perm[j]) + perm[j + 2:]
+                    if swapped not in members:
+                        members.add(swapped)
+                        todo.append(swapped)
+        seen |= members
+        classes.append(sorted(members))
+    return classes
+
+
+@settings(settings.get_profile("seeded"), max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_or_not_convs(), st.booleans())
+@example(ConvLayer(1, 4, 6, 11, 11, 3, 3, stride_h=2, stride_w=2, pad_h=1, pad_w=1), True)
+@example(ConvLayer(1, 4, 6, 11, 7, 3, 2, stride_h=2, stride_w=1, pad_h=1, pad_w=0, groups=2), False)
+def test_reference_lattice_rows_obey_the_commuting_and_mirror_identities(layer, count_first_load):
+    """The loop reference's count rows, not the build's: per operand, orders
+    of one commuting class move the same counts at every tiling, and on a
+    row/column-symmetric layer an order moves at tiling (oc, ic, a, b) what
+    the order with oh and ow swapped moves at (oc, ic, b, a)."""
+    want = reference_table_arrays(layer, count_first_load=count_first_load)
+    lattice, mesh_shape = want["lattice"], tuple(len(c) for c in want["candidates"].values())
+    index = {perm: i for i, perm in enumerate(default_permutations())}
+    symmetric = layer == row_column_symmetric(layer)
+    for r, role in enumerate(OPERANDS):
+        classes = commuting_classes(role)
+        assert len(classes) == {"input": 24, "output": 8, "weight": 14}[role]
+        for members in classes:
+            for perm in members[1:]:
+                assert np.array_equal(lattice[r, index[perm]], lattice[r, index[members[0]]])
+        if symmetric:
+            for perm, p in index.items():
+                mirror = index[tuple({"oh": "ow", "ow": "oh"}.get(d, d) for d in perm)]
+                row = lattice[r, p].reshape(mesh_shape)
+                assert np.array_equal(row, lattice[r, mirror].reshape(mesh_shape).swapaxes(2, 3))
+
+
+def test_default_build_computes_46_of_72_rows_or_27_when_symmetric():
+    for symmetric, computed in ((False, 46), (True, 27)):
+        plan = tiling._row_plan(default_permutations(), symmetric)
+        assert sum(how is None for rows in plan.values() for how in rows) == computed
 
 
 def assert_table_matches_reference(table, want, count_type):
