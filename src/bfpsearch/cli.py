@@ -33,9 +33,7 @@ from .energy import EnergyError, EnergyParams
 from .model import ModelFormatError, load_model
 from .search import (
     DEFAULT_ALPHA,
-    DEFAULT_LOSS_SOURCE,
     DEFAULT_MODE,
-    LOSS_SOURCES,
     MODES,
     SCOPES,
     CandidateSpace,
@@ -54,6 +52,8 @@ EXIT_IO = 3
 EXIT_OOM = 4
 
 DEFAULT_SWEEP_ALPHAS = (0.015, 0.05, 0.15, 0.2, 0.25, 1.5, 3.0)
+DEFAULT_LOSS_SOURCE = "proxy"  # search without an accuracy table
+LOSS_SOURCES = ("proxy", "table")
 # Settings that say where and how to run, not what the answer is: the report leaves them out.
 _WHERE_AND_HOW = ("out_dir", "jobs", "write_csv", "sweep_alphas")
 
@@ -132,17 +132,17 @@ def _plans(config: RunConfig, alphas) -> list:
     fails before the model is read; the proxy's samples are freed before
     the first table is built."""
     space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
-    acc_table = load_table(config.acc_table_path) if config.acc_table_path else None
+    acc_table = load_table(config.acc_table_path) if config.loss_source == "table" else None
     if acc_table is not None:
         _warn(config.acc_table_path, acc_table.diagnostics)
     for alpha in (config.alpha, *alphas):  # a sweep's config record holds --alpha too
-        check_search_args(space, alpha, config.mc_bits, config.loss_source, config.mode, acc_table, config.seed)
+        check_search_args(space, config.mc_bits, acc_table, config.seed, alpha, config.mode)
     energy_params = EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
-    if config.loss_source == "table":
+    if acc_table is not None:
         _warn(config.acc_table_path, acc_table.unread_rows({layer.source_index for layer in model.layers}, config.scope))
-    rows = accuracy_rows(model, space, config.mc_bits, config.loss_source, acc_table, config.seed)
+    rows = accuracy_rows(model, space, config.mc_bits, acc_table, config.seed)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
@@ -150,7 +150,6 @@ def _plans(config: RunConfig, alphas) -> list:
             space,
             alpha=alpha,
             mc_bits=config.mc_bits,
-            loss_source=config.loss_source,
             mode=config.mode,
             acc_table=acc_table,
             tables=tables,
@@ -322,6 +321,8 @@ def config_from_args(args) -> RunConfig:
         raise UsageError(f"{jobs_from} must be >= 1, got {values['jobs']}")
     if values["acc_table_path"] is not None and values["loss_source"] != "table":
         raise UsageError("--acc-table is read only with --loss-source table")
+    if values["loss_source"] == "table" and not values["acc_table_path"]:
+        raise UsageError("--loss-source table needs an accuracy table (--acc-table)")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
     if values["write_csv"] and values["sweep_alphas"] is not None:

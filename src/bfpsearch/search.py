@@ -40,10 +40,8 @@ from .tiling import InfeasibleError, LayerMappingTable, has_feasible_mapping, le
 DEFAULT_BS_SET = (1, 2, 4, 8, 16, 24, 32, 48)
 DEFAULT_ALPHA = 0.2
 DEFAULT_MODE = "full"
-DEFAULT_LOSS_SOURCE = "proxy"
 
 MODES = ("full", "no_qat", "no_dm", "pareto")
-LOSS_SOURCES = ("proxy", "table")
 SCOPES = ("model", "layer")
 
 ORIGINAL_BITS = 32.0  # unquantized reference representation
@@ -301,13 +299,14 @@ def _table_term(layer, config, acc_table) -> float:
 
 
 def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
-                  loss_source: str = DEFAULT_LOSS_SOURCE, acc_table: AccuracyTable | None = None,
-                  seed: int = SYNTHETIC_SEED) -> list:
+                  acc_table: AccuracyTable | None = None, seed: int = SYNTHETIC_SEED) -> list:
     """Raw accuracy terms of the candidates :func:`search` can select,
     computed without any mapping table: one dict per candidate group (one
     for model scope, one per layer for layer scope) that maps the index of
     a config in ``space.configs()`` to its candidate's term.  A config
-    missing from a group cannot be selected.
+    missing from a group cannot be selected.  Terms come from ``acc_table``
+    when it is given, else from the proxy; the arguments shared with
+    :func:`search` are checked as :func:`check_search_args` checks them.
 
     A cell can be selected when it has a feasible mapping
     (:func:`~bfpsearch.tiling.has_feasible_mapping`), in model scope only
@@ -325,6 +324,7 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     scanned once per block size that has a cell to score; only one block
     size's scans are alive at a time.
     """
+    check_search_args(space, mc_bits, acc_table, seed)
     configs = list(space.configs())
     fits_of_shape = {}  # a shape's least footprint is found once and weighed once per config
     fits = []
@@ -342,11 +342,11 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     for layer, row in zip(model.layers, fits):
         if not any(row):
             raise InfeasibleError(f"layer {layer.index}: every candidate is infeasible")
-    model_rows = acc_table.model_entries if loss_source == "table" and space.scope == "model" else {}
+    model_rows = acc_table.model_entries if acc_table is not None and space.scope == "model" else {}
     rows = []
     for layer, row in zip(model.layers, fits):
         scored = [j for j, fit in enumerate(row) if fit and configs[j] not in model_rows]
-        if loss_source == "proxy":
+        if acc_table is None:
             rows.append(_proxy_row(layer, configs, space.specs, scored, seed))
         else:
             rows.append({j: _table_term(layer, configs[j], acc_table) for j in scored})
@@ -359,28 +359,24 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
              for j, fit in enumerate(fits[0]) if fit}]
 
 
-def check_search_args(space: CandidateSpace, alpha: float, mc_bits: float, loss_source: str, mode: str,
-                      acc_table: AccuracyTable | None, seed: int):
+def check_search_args(space: CandidateSpace, mc_bits: float, acc_table: AccuracyTable | None = None,
+                      seed: int = SYNTHETIC_SEED, alpha: float = DEFAULT_ALPHA, mode: str = DEFAULT_MODE):
     """Raise on arguments :func:`search` cannot run with.  It reads no model,
     so a caller can check a run before it builds the mapping tables."""
     if mode not in MODES:
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
-    if loss_source not in LOSS_SOURCES:
-        raise SearchError(f"loss_source must be one of {LOSS_SOURCES}, got {loss_source!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise SearchError(f"alpha must be finite and >= 0, got {alpha}")
     if mc_bits is None or not (math.isfinite(mc_bits) and mc_bits > 0):
         raise SearchError(f"memory capacity (bits) must be finite and positive, got {mc_bits}")
-    if loss_source == "table" and acc_table is None:
-        raise SearchError("loss_source='table' needs an accuracy table")
-    if loss_source == "table" and acc_table.is_empty():
+    if acc_table is not None and acc_table.is_empty():
         raise AccuracyError("accuracy table is empty")
     if seed < 0:
         raise SearchError(f"seed must be >= 0, got {seed}")
     if space.scope == "layer":
         if mode != "full":
             raise SearchError("per-layer scope supports only the full trade-off mode")
-        if loss_source == "table" and not acc_table.layer_entries:
+        if acc_table is not None and not acc_table.layer_entries:
             raise AccuracyError(
                 "per-layer search needs per-layer accuracy entries; "
                 "this table only has whole-model rows -- use scope='model'"
@@ -392,7 +388,6 @@ def search(
     space: CandidateSpace,
     alpha: float = DEFAULT_ALPHA,
     mc_bits: float = None,
-    loss_source: str = DEFAULT_LOSS_SOURCE,
     mode: str = DEFAULT_MODE,
     acc_table: AccuracyTable | None = None,
     tables: dict | None = None,
@@ -408,15 +403,16 @@ def search(
     separates into per-layer maxima.  ``tables`` is
     :func:`build_mapping_tables` output, which fixes the first-load
     accounting; without it, tables that count first loads are built.
+    ``acc_table``'s losses are used as given, else the proxy's, normalized.
     ``acc_rows`` is :func:`accuracy_rows` output for the same model, space,
-    capacity and loss source (``seed`` is then unread);
+    capacity and ``acc_table`` (``seed`` is then unread);
     without it, the rows are computed first, before any table is built, so
     the proxy's samples never sit on top of the tables.  A caller that
     searches many alphas passes both, so each is made once.
     """
-    check_search_args(space, alpha, mc_bits, loss_source, mode, acc_table, seed)
+    check_search_args(space, mc_bits, acc_table, seed, alpha, mode)
     if acc_rows is None:
-        acc_rows = accuracy_rows(model, space, mc_bits, loss_source, acc_table, seed)
+        acc_rows = accuracy_rows(model, space, mc_bits, acc_table, seed)
     if tables is None:
         tables = build_mapping_tables(model)
 
@@ -443,7 +439,7 @@ def search(
             "residency); performance loss cannot be normalized: use a smaller memory "
             "capacity (--mc) or count first loads (drop --no-first-load)"
         )
-    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if loss_source == "proxy" else 1.0
+    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if acc_table is None else 1.0
     for f in feasible:
         for c in f:
             c.perf_loss = c.dm_sum_bits / dm_max

@@ -107,7 +107,7 @@ def _row(cand) -> dict:
 
 
 def reference_search(model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, acc_table, count_first_load=True):
-    """What ``search`` with ``loss_source='table'`` must return: per layer
+    """What ``search`` given ``acc_table`` must return: per layer
     (config, mapping, dm_bits), the summary (acc_loss, perf_loss, objective,
     dm_sum_bits, dm_max_bits) and, in model scope, the candidate and Pareto
     rows.  Raises the error ``search`` must raise."""

@@ -33,7 +33,7 @@ def table_acc_loss(table, config, model=None):
     config (a table's losses are not normalized)."""
     se, bs, qb = config
     space = CandidateSpace(total_bits=qb, se_set=(se,), bs_set=(bs,))
-    plan = search(model or two_layer_model(), space, mc_bits=1e9, loss_source="table", acc_table=table)
+    plan = search(model or two_layer_model(), space, mc_bits=1e9, acc_table=table)
     return plan.acc_loss
 
 

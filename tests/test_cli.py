@@ -100,6 +100,7 @@ def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_pat
 @pytest.mark.parametrize("extra, code", [
     (["--acc-table", "model_rows.table"], EXIT_USAGE),
     (["--loss-source", "table"], EXIT_USAGE),
+    (["--loss-source", "table", "--acc-table", ""], EXIT_USAGE),
     (["--scope", "layer", "--mode", "no_qat"], EXIT_USAGE),
     (["--scope", "layer", "--loss-source", "table", "--acc-table", "model_rows.table"], EXIT_IO),
     (["--loss-source", "table", "--acc-table", "empty.table"], EXIT_IO),
@@ -162,8 +163,10 @@ def test_defaults_come_from_run_config(tiny4_path, monkeypatch):
 def test_run_config_defaults_are_the_library_defaults(tiny4_path):
     config = RunConfig(model_path=tiny4_path)
     params = inspect.signature(search).parameters
-    for name in ("alpha", "loss_source", "mode", "seed"):
+    for name in ("alpha", "mode", "seed"):
         assert getattr(config, name) == params[name].default, name
+    # search scores the proxy unless it is given an accuracy table.
+    assert (config.loss_source, params["acc_table"].default) == ("proxy", None)
     space, energy = CandidateSpace(), params["energy_params"].default
     assert (config.total_bits, config.scope) == (space.total_bits, space.scope)
     assert (config.sram_pj_per_bit, config.dram_pj_per_bit) == (energy.sram_pj_per_bit, energy.dram_pj_per_bit)

@@ -183,14 +183,21 @@ def test_table_loss_source(tiny4):
             loss = 0.01 * se + (0.001 if bs == 8 else 0.0)
             rows.append(f"model {se} {bs} 8 {loss}")
     table = loads_table("\n".join(rows) + "\n")
-    plan = search(tiny4, small_space(), alpha=0.0, mc_bits=MC, loss_source="table", acc_table=table)
+    plan = search(tiny4, small_space(), alpha=0.0, mc_bits=MC, acc_table=table)
     assert plan.assignments[0].config[0] == 2  # min tabulated loss at se=2
     assert plan.acc_loss == pytest.approx(0.02)
 
 
-def test_table_source_requires_table(tiny4):
-    with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=MC, loss_source="table")
+def test_an_accuracy_table_alone_makes_search_score_the_table(tiny4):
+    space = small_space()
+    configs = list(space.configs())
+    proxy_pick = search(tiny4, space, alpha=0.0, mc_bits=MC).assignments[0].config
+    # The table puts the proxy's pick last, so a plan that scores the proxy picks it again.
+    table = AccuracyTable({c: 0.75 if c == proxy_pick else 0.25 for c in configs})
+    assert accuracy_rows(tiny4, space, MC, table) == [{j: table.model_entries[c] for j, c in enumerate(configs)}]
+    plan = search(tiny4, space, alpha=0.0, mc_bits=MC, acc_table=table)
+    assert plan.assignments[0].config != proxy_pick
+    assert plan.acc_loss == 0.25
 
 
 def test_invalid_args(tiny4):
@@ -278,8 +285,7 @@ def test_layer_scope_rejects_model_only_table(tiny4):
     from bfpsearch.accuracy import AccuracyError
 
     with pytest.raises(AccuracyError):
-        search(tiny4, small_space("layer"), alpha=0.2, mc_bits=MC,
-               loss_source="table", acc_table=table)
+        search(tiny4, small_space("layer"), alpha=0.2, mc_bits=MC, acc_table=table)
 
 
 def test_scope_layer_dispatches_to_decomposition(tiny4):
@@ -419,7 +425,7 @@ def test_table_rows_follow_file_layer_index_after_skipped_block(scope):
     # The same two convs numbered 1 and 2 in the file, with layer 3's rows as layer:2.
     plain = ModelDesc(name=model.name, layers=[replace(l, source_index=l.index) for l in model.layers])
     plain_table = loads_table(per_layer_table({1: POOL_LOSSES[1], 2: POOL_LOSSES[3]}))
-    kw = dict(alpha=0.0, mc_bits=MC, loss_source="table")
+    kw = dict(alpha=0.0, mc_bits=MC)
     plan = search(model, small_space(scope), acc_table=table, **kw)
     want = search(plain, small_space(scope), acc_table=plain_table, **kw)
     assert plan.to_record() == want.to_record()
@@ -542,15 +548,15 @@ def _no_table(*args, **kwargs):
 
 
 @pytest.mark.parametrize("scope", ["model", "layer"])
-@pytest.mark.parametrize("loss_source", ["proxy", "table"])
-def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch, scope, loss_source):
+@pytest.mark.parametrize("source", ["proxy", "table"])
+def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch, scope, source):
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8), scope=scope)
     text = per_layer_table({n: (lambda se, bs, n=n: 0.01 * n * se + 0.001 * bs) for n in range(1, 5)})
     table = loads_table(text + "model 3 8 8 0.125\n")  # stands for its column in model scope only
-    acc_table = table if loss_source == "table" else None
+    acc_table = table if source == "table" else None
     mc = 100.0  # the se 2 cells of the 3x3 layers have no feasible mapping
     monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
-    groups = accuracy_rows(tiny4, space, mc, loss_source, acc_table)
+    groups = accuracy_rows(tiny4, space, mc, acc_table)
     monkeypatch.undo()
     tables = build_mapping_tables(tiny4)
     configs = list(space.configs())
@@ -558,7 +564,7 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
     assert not all(map(all, fits)) and all(map(any, fits))
 
     def term(layer, j):
-        if loss_source == "table":
+        if source == "table":
             return table.layer_entries[(layer.source_index,) + configs[j]]
         samples = {role: synthetic_sample(layer, role) for role in ("input", "weight")}
         return proxy_loss(layer, space.specs[j], samples)
@@ -570,7 +576,7 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
                 for w, layer, row in zip(weights, tiny4.layers, fits)]
     else:
         assert table.model_entries == {(3, 8, 8): 0.125}
-        model_rows = table.model_entries if loss_source == "table" else {}
+        model_rows = table.model_entries if source == "table" else {}
         columns = [j for j in range(len(configs)) if all(row[j] for row in fits)]
         assert configs.index((3, 8, 8)) in columns
         want = [{j: model_rows[configs[j]] if configs[j] in model_rows
@@ -579,8 +585,8 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
     assert len(groups) == (1 if scope == "model" else len(tiny4.layers))
     assert groups == want
     for alpha in (0.0, 0.2, 3.0):
-        given_rows = search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table, tables=tables, acc_rows=groups)
-        assert given_rows.to_record() == search(tiny4, space, alpha, mc, loss_source, acc_table=acc_table).to_record()
+        given_rows = search(tiny4, space, alpha, mc, acc_table=acc_table, tables=tables, acc_rows=groups)
+        assert given_rows.to_record() == search(tiny4, space, alpha, mc, acc_table=acc_table).to_record()
 
 
 @pytest.mark.parametrize("scope, message", [
@@ -594,6 +600,15 @@ def test_accuracy_rows_raise_infeasible_before_any_table(tiny4, monkeypatch, sco
         with pytest.raises(InfeasibleError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mc_bits, seed", [(math.nan, 0), (-5.0, 0), (math.inf, 0), (MC, -1)])
+def test_accuracy_rows_reject_what_search_rejects(tiny4, mc_bits, seed):
+    with pytest.raises(SearchError) as rows_error:
+        accuracy_rows(tiny4, small_space(), mc_bits, seed=seed)
+    with pytest.raises(SearchError) as search_error:
+        search(tiny4, small_space(), mc_bits=mc_bits, seed=seed)
+    assert str(rows_error.value) == str(search_error.value)
 
 
 def test_accuracy_rows_weigh_each_shapes_least_footprint_once_per_config(monkeypatch):
@@ -682,7 +697,7 @@ def test_search_matches_the_reference_search(case):
     """``search`` picks the reference's configs and mappings with the same dm
     bits, losses and candidate rows, bit for bit, or raises its error."""
     model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, table, count_first_load = case
-    args = dict(alpha=alpha, mc_bits=mc_bits, loss_source="table", mode=mode, acc_table=table,
+    args = dict(alpha=alpha, mc_bits=mc_bits, mode=mode, acc_table=table,
                 tables=build_mapping_tables(model, count_first_load=count_first_load))
     space = CandidateSpace(qb, tuple(se_set), tuple(bs_set), scope)
     try:
