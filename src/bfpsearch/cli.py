@@ -5,9 +5,9 @@ sorted keys, so identical configs reproduce byte-identical files), a
 human-readable summary, and optional CSVs for plotting candidate scatters and
 alpha sweeps.
 
-Every setting is declared once, as a field of ``RunConfig`` with its default;
-each option stores into its field, and the report's config record is built
-from the fields.
+Every setting is declared once, as a field of ``RunConfig`` with its default,
+and checked once, in ``RunConfig``; each option stores into its field, and
+the report's config record is built from the fields.
 
 Exit codes: 0 success, 1 usage error (also results that overflow float64,
 and per-bit energies under which an energy rounds to 0 J or overflows),
@@ -24,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .accuracy import SYNTHETIC_SEED, AccuracyError, load_table
 from .codec import VALID_TOTAL_BITS, CodecError
@@ -62,7 +62,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model_path: str
     total_bits: int = CandidateSpace.total_bits
@@ -82,6 +82,27 @@ class RunConfig:
     sweep_alphas: tuple | None = None
     sram_pj_per_bit: float = EnergyParams.sram_pj_per_bit
     dram_pj_per_bit: float = EnergyParams.dram_pj_per_bit
+
+    def __post_init__(self):
+        """Every settings check that reads no file; keeps the built ``space`` and ``energy_params``."""
+        if self.loss_source not in LOSS_SOURCES:
+            raise UsageError(f"--loss-source must be one of {LOSS_SOURCES}, got {self.loss_source!r}")
+        if self.acc_table_path is not None and self.loss_source != "table":
+            raise UsageError("--acc-table is read only with --loss-source table")
+        if self.loss_source == "table" and not self.acc_table_path:
+            raise UsageError("--loss-source table needs an accuracy table (--acc-table)")
+        if self.write_csv and self.sweep_alphas is not None:
+            raise UsageError("--csv writes one run's candidates.csv; a sweep writes sweep.csv, so drop --csv")
+        if self.write_csv and self.scope != "model":
+            raise UsageError("--csv writes the model-scope candidates and needs --scope model")
+        object.__setattr__(self, "energy_params", EnergyParams(self.sram_pj_per_bit, self.dram_pj_per_bit))
+        if self.sweep_alphas is not None and self.scope != "model":
+            raise UsageError("an alpha sweep writes one (se, bs) per alpha and needs --scope model")
+        if self.sweep_alphas is not None and not self.sweep_alphas:
+            raise UsageError("alpha sweep needs at least one value")
+        object.__setattr__(self, "space", CandidateSpace(self.total_bits, self.se_set, self.bs_set, self.scope))
+        for alpha in (self.alpha, *(self.sweep_alphas or ())):  # a sweep's config record holds --alpha too
+            check_search_args(self.space, self.mc_bits, None, self.seed, alpha, self.mode)
 
     def to_record(self) -> dict:
         """The settings that decide the answer; ``total_bits`` is written as ``qb``."""
@@ -126,35 +147,31 @@ def _warn(path: str, notes):
 
 
 def _plans(config: RunConfig, alphas) -> list:
-    """Load and check the inputs, score accuracy once, then build the mapping
-    tables once and search once per alpha; return the plans in the order of
-    ``alphas``.  Every argument check, and a format the codec cannot hold,
-    fails before the model is read; the proxy's samples are freed before
-    the first table is built."""
-    space = CandidateSpace(config.total_bits, config.se_set, config.bs_set, config.scope)
+    """Load the inputs, score accuracy once, then build the mapping tables
+    once and search once per alpha; return the plans in the order of
+    ``alphas``.  A table the search cannot use fails before the model is
+    read; the proxy's samples are freed before the first table is built."""
     acc_table = load_table(config.acc_table_path) if config.loss_source == "table" else None
     if acc_table is not None:
         _warn(config.acc_table_path, acc_table.diagnostics)
-    for alpha in (config.alpha, *alphas):  # a sweep's config record holds --alpha too
-        check_search_args(space, config.mc_bits, acc_table, config.seed, alpha, config.mode)
-    energy_params = EnergyParams(config.sram_pj_per_bit, config.dram_pj_per_bit)
+    check_search_args(config.space, config.mc_bits, acc_table, config.seed, config.alpha, config.mode)
     model = load_model(config.model_path)
     _warn(config.model_path, model.warnings)
     if acc_table is not None:
         _warn(config.acc_table_path, acc_table.unread_rows({layer.source_index for layer in model.layers}, config.scope))
-    rows = accuracy_rows(model, space, config.mc_bits, acc_table, config.seed)
+    rows = accuracy_rows(model, config.space, config.mc_bits, acc_table, config.seed)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
     return [
         search(
             model,
-            space,
+            config.space,
             alpha=alpha,
             mc_bits=config.mc_bits,
             mode=config.mode,
             acc_table=acc_table,
             tables=tables,
             acc_rows=rows,
-            energy_params=energy_params,
+            energy_params=config.energy_params,
             seed=config.seed,
         )
         for alpha in alphas
@@ -222,15 +239,12 @@ def run(config: RunConfig) -> tuple:
 
 
 def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
-    """One search per trade-off factor; emits a CSV suited for plotting.
-
-    Each row holds one (se, bs) pair, so the sweep needs model scope.
-    """
-    if config.scope != "model":
-        raise UsageError("an alpha sweep writes one (se, bs) per alpha and needs --scope model")
-    alphas = tuple(alphas if alphas is not None else DEFAULT_SWEEP_ALPHAS)
-    if not alphas:
-        raise UsageError("alpha sweep needs at least one value")
+    """One search per alpha of ``alphas``, else of ``config.sweep_alphas``,
+    else the default seven; emits a CSV suited for plotting.  Each row holds
+    one (se, bs) pair, so the sweep needs model scope."""
+    if alphas is None:
+        alphas = DEFAULT_SWEEP_ALPHAS if config.sweep_alphas is None else config.sweep_alphas
+    config = replace(config, sweep_alphas=tuple(alphas))
     rows = [
         {
             "alpha": alpha,
@@ -241,7 +255,7 @@ def sweep_alpha(config: RunConfig, alphas=None) -> tuple:
             "se": plan.assignments[0].config[0],
             "bs": plan.assignments[0].config[1],
         }
-        for alpha, plan in zip(alphas, _plans(config, alphas))
+        for alpha, plan in zip(config.sweep_alphas, _plans(config, config.sweep_alphas))
     ]
     out = io.StringIO()
     w = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
@@ -305,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    """The :class:`RunConfig` of parsed arguments, with the environment's
-    fallbacks for ``--out`` and ``--jobs`` and the checks that span options."""
+    """The :class:`RunConfig` of parsed arguments, with ``--sweep`` expanded
+    and the environment's fallbacks for ``--out`` and ``--jobs``."""
     values = vars(args).copy()
     sweep = values.pop("sweep")
     values["out_dir"] = values["out_dir"] or os.environ.get("BFPSEARCH_OUT_DIR") or RunConfig.out_dir
@@ -319,17 +333,8 @@ def config_from_args(args) -> RunConfig:
             raise UsageError(f"{jobs_from} must be an integer, got {os.environ[jobs_from]!r}")
     if values["jobs"] < 1:
         raise UsageError(f"{jobs_from} must be >= 1, got {values['jobs']}")
-    if values["acc_table_path"] is not None and values["loss_source"] != "table":
-        raise UsageError("--acc-table is read only with --loss-source table")
-    if values["loss_source"] == "table" and not values["acc_table_path"]:
-        raise UsageError("--loss-source table needs an accuracy table (--acc-table)")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
-    if values["write_csv"] and values["sweep_alphas"] is not None:
-        raise UsageError("--csv writes one run's candidates.csv; a sweep writes sweep.csv, so drop --csv")
-    if values["write_csv"] and values["scope"] != "model":
-        raise UsageError("--csv writes the model-scope candidates and needs --scope model")
-    EnergyParams(values["sram_pj_per_bit"], values["dram_pj_per_bit"])
     return RunConfig(**values)
 
 
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         if config.sweep_alphas is not None:
-            code, outputs, rows = sweep_alpha(config, config.sweep_alphas)
+            code, outputs, rows = sweep_alpha(config)
             print(f"wrote {len(rows)} sweep rows:")
         else:
             code, outputs = run(config)

@@ -120,6 +120,16 @@ class CandidateEval:
         }
 
 
+@dataclass(frozen=True)
+class AccuracyRows:
+    """:func:`accuracy_rows` output: its ``groups`` and the arguments they were made for."""
+
+    groups: list
+    space: CandidateSpace
+    mc_bits: float
+    acc_table: AccuracyTable | None  # None for proxy terms
+
+
 @dataclass
 class LayerAssignment:
     layer_index: int
@@ -299,11 +309,12 @@ def _table_term(layer, config, acc_table) -> float:
 
 
 def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
-                  acc_table: AccuracyTable | None = None, seed: int = SYNTHETIC_SEED) -> list:
+                  acc_table: AccuracyTable | None = None, seed: int = SYNTHETIC_SEED) -> AccuracyRows:
     """Raw accuracy terms of the candidates :func:`search` can select,
     computed without any mapping table: one dict per candidate group (one
     for model scope, one per layer for layer scope) that maps the index of
-    a config in ``space.configs()`` to its candidate's term.  A config
+    a config in ``space.configs()`` to its candidate's term, as the
+    ``groups`` of an :class:`AccuracyRows`.  A config
     missing from a group cannot be selected.  Terms come from ``acc_table``
     when it is given, else from the proxy; the arguments shared with
     :func:`search` are checked as :func:`check_search_args` checks them.
@@ -353,10 +364,12 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     weights = [float(layer_volumes(layer)[1]) for layer in model.layers]
     wsum = sum(weights)
     if space.scope == "layer":
-        return [{j: w / wsum * term for j, term in row.items()} for w, row in zip(weights, rows)]
-    return [{j: model_rows[configs[j]] if configs[j] in model_rows
-             else sum(w * rows[k][j] for k, w in enumerate(weights)) / wsum
-             for j, fit in enumerate(fits[0]) if fit}]
+        groups = [{j: w / wsum * term for j, term in row.items()} for w, row in zip(weights, rows)]
+    else:
+        groups = [{j: model_rows[configs[j]] if configs[j] in model_rows
+                   else sum(w * rows[k][j] for k, w in enumerate(weights)) / wsum
+                   for j, fit in enumerate(fits[0]) if fit}]
+    return AccuracyRows(groups, space, mc_bits, acc_table)
 
 
 def check_search_args(space: CandidateSpace, mc_bits: float, acc_table: AccuracyTable | None = None,
@@ -391,7 +404,7 @@ def search(
     mode: str = DEFAULT_MODE,
     acc_table: AccuracyTable | None = None,
     tables: dict | None = None,
-    acc_rows: list | None = None,
+    acc_rows: AccuracyRows | None = None,
     energy_params: EnergyParams = EnergyParams(),
     seed: int = SYNTHETIC_SEED,
 ) -> QuantPlan:
@@ -404,15 +417,17 @@ def search(
     :func:`build_mapping_tables` output, which fixes the first-load
     accounting; without it, tables that count first loads are built.
     ``acc_table``'s losses are used as given, else the proxy's, normalized.
-    ``acc_rows`` is :func:`accuracy_rows` output for the same model, space,
-    capacity and ``acc_table`` (``seed`` is then unread);
-    without it, the rows are computed first, before any table is built, so
-    the proxy's samples never sit on top of the tables.  A caller that
-    searches many alphas passes both, so each is made once.
+    ``acc_rows`` is :func:`accuracy_rows` output for the same model (``seed`` is
+    then unread); rows made for another space, capacity or ``acc_table`` raise
+    :class:`SearchError`.  Without it, the rows are computed first, before any
+    table is built, so the proxy's samples never sit on top of the tables.  A
+    caller that searches many alphas passes both, so each is made once.
     """
     check_search_args(space, mc_bits, acc_table, seed, alpha, mode)
     if acc_rows is None:
         acc_rows = accuracy_rows(model, space, mc_bits, acc_table, seed)
+    elif (acc_rows.space, acc_rows.mc_bits) != (space, mc_bits) or acc_rows.acc_table is not acc_table:
+        raise SearchError("acc_rows were made for another candidate space, capacity or accuracy table")
     if tables is None:
         tables = build_mapping_tables(model)
 
@@ -427,7 +442,7 @@ def search(
     groups = [
         [CandidateEval(config, True, dm_sum_bits=sum(row[j][1] for row in rows), raw_acc=terms[j])
          if j in terms else CandidateEval(config, False) for j, config in enumerate(configs)]
-        for terms, rows in zip(acc_rows, group_cells)
+        for terms, rows in zip(acc_rows.groups, group_cells)
     ]
 
     # Both normalizers separate into per-group maxima.
@@ -439,7 +454,7 @@ def search(
             "residency); performance loss cannot be normalized: use a smaller memory "
             "capacity (--mc) or count first loads (drop --no-first-load)"
         )
-    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if acc_table is None else 1.0
+    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if acc_rows.acc_table is None else 1.0
     for f in feasible:
         for c in f:
             c.perf_loss = c.dm_sum_bits / dm_max

@@ -25,13 +25,22 @@ from bfpsearch.cli import (
     sweep_alpha,
 )
 from bfpsearch.model import load_model
-from bfpsearch.search import CandidateSpace, search
+from bfpsearch.search import CandidateSpace, SearchError, search
 from bfpsearch.tiling import LayerMappingTable
 
 
 def base_args(tiny4_path, out_dir, *extra):
     return ["--model", tiny4_path, "--qb", "8", "--alpha", "0.2", "--mc", "65536",
             "--se", "2,3,4", "--bs", "2,8", "--out", out_dir, *extra]
+
+
+def config_fields(argv) -> dict:
+    """The RunConfig fields of ``argv``, parsed but not checked, with
+    ``--sweep`` expanded as ``config_from_args`` expands it."""
+    values = vars(build_parser().parse_args(argv))
+    if values.pop("sweep"):
+        values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
+    return {**values, "jobs": 1}
 
 
 def test_happy_path_writes_reports(tiny4_path, tmp_path, capsys):
@@ -123,8 +132,13 @@ def test_invalid_run_fails_before_the_model_is_read(tiny4_path, tmp_path, capsys
     extra = [str(tmp_path / v) if v.endswith(".table") else v for v in extra]
     rc = main(base_args(tiny4_path, str(tmp_path / "o"), *extra))
     assert rc == code
-    assert capsys.readouterr().err.startswith("usage error:" if code == EXIT_USAGE else "i/o error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:" if code == EXIT_USAGE else "i/o error:")
     assert not (tmp_path / "o").exists()
+    if code == EXIT_USAGE:  # a library caller's RunConfig fails the same way
+        with pytest.raises((UsageError, SearchError)) as info:
+            RunConfig(**config_fields(base_args(tiny4_path, str(tmp_path / "o"), *extra)))
+        assert err == f"usage error: {info.value}\n"
 
 
 @pytest.mark.parametrize("flag, kind", [("--se", "integer"), ("--bs", "integer"), ("--sweep-alpha", "float")])
@@ -298,15 +312,39 @@ def test_cli_sweep_flag(tiny4_path, tmp_path):
 @pytest.mark.parametrize("sweep", [["--sweep"], ["--sweep-alpha", "0.2"]], ids="=".join)
 def test_sweep_with_layer_scope_is_usage_error(tiny4_path, tmp_path, capsys, sweep):
     # A sweep row has one (se, bs) column pair, which a per-layer plan does not.
-    rc = main(base_args(tiny4_path, str(tmp_path / "o"), "--scope", "layer", *sweep))
+    argv = base_args(tiny4_path, str(tmp_path / "o"), "--scope", "layer", *sweep)
+    rc = main(argv)
     assert rc == EXIT_USAGE
-    assert "--scope model" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--scope model" in err
     assert not (tmp_path / "o").exists()
+    with pytest.raises(UsageError) as info:
+        RunConfig(**config_fields(argv))
+    assert err == f"usage error: {info.value}\n"
     config = RunConfig(model_path=tiny4_path, mc_bits=65536.0, se_set=(2, 3, 4), bs_set=(2, 8),
                        scope="layer", out_dir=str(tmp_path / "s"))
     with pytest.raises(UsageError, match="--scope model"):
         sweep_alpha(config, alphas=(0.2,))
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"loss_source": "table"}, "--loss-source table needs an accuracy table"),
+    ({"write_csv": True, "scope": "layer"}, "--csv writes the model-scope candidates"),
+    ({"loss_source": "tabel"}, "--loss-source must be one of"),
+], ids=["table-source-without-table", "csv-in-layer-scope", "misspelled-loss-source"])
+def test_library_run_is_checked_like_the_command_line(tiny4_path, tmp_path, fields, message):
+    with pytest.raises(UsageError, match=message):
+        run(RunConfig(model_path=tiny4_path, out_dir=str(tmp_path / "o"), **fields))
+    assert not (tmp_path / "o").exists()
+
+
+def test_library_sweep_reads_the_configs_alphas(tiny4_path, tmp_path):
+    config = RunConfig(model_path=tiny4_path, mc_bits=65536.0, se_set=(2, 3, 4), bs_set=(2, 8),
+                       out_dir=str(tmp_path / "s"), sweep_alphas=(0.1,))
+    _, _, rows = sweep_alpha(config)
+    assert [row["alpha"] for row in rows] == [0.1]
+    assert (tmp_path / "s" / "sweep.csv").read_text().count("\n") == 2  # header + 1 row
 
 
 def test_cli_empty_sweep_alpha_uses_default_values(tiny4_path, tmp_path):

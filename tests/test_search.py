@@ -194,7 +194,7 @@ def test_an_accuracy_table_alone_makes_search_score_the_table(tiny4):
     proxy_pick = search(tiny4, space, alpha=0.0, mc_bits=MC).assignments[0].config
     # The table puts the proxy's pick last, so a plan that scores the proxy picks it again.
     table = AccuracyTable({c: 0.75 if c == proxy_pick else 0.25 for c in configs})
-    assert accuracy_rows(tiny4, space, MC, table) == [{j: table.model_entries[c] for j, c in enumerate(configs)}]
+    assert accuracy_rows(tiny4, space, MC, table).groups == [{j: table.model_entries[c] for j, c in enumerate(configs)}]
     plan = search(tiny4, space, alpha=0.0, mc_bits=MC, acc_table=table)
     assert plan.assignments[0].config != proxy_pick
     assert plan.acc_loss == 0.25
@@ -556,7 +556,7 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
     acc_table = table if source == "table" else None
     mc = 100.0  # the se 2 cells of the 3x3 layers have no feasible mapping
     monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
-    groups = accuracy_rows(tiny4, space, mc, acc_table)
+    rows = accuracy_rows(tiny4, space, mc, acc_table)
     monkeypatch.undo()
     tables = build_mapping_tables(tiny4)
     configs = list(space.configs())
@@ -582,10 +582,10 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
         want = [{j: model_rows[configs[j]] if configs[j] in model_rows
                  else sum(w * term(layer, j) for w, layer in zip(weights, tiny4.layers)) / wsum
                  for j in columns}]
-    assert len(groups) == (1 if scope == "model" else len(tiny4.layers))
-    assert groups == want
+    assert len(rows.groups) == (1 if scope == "model" else len(tiny4.layers))
+    assert rows.groups == want
     for alpha in (0.0, 0.2, 3.0):
-        given_rows = search(tiny4, space, alpha, mc, acc_table=acc_table, tables=tables, acc_rows=groups)
+        given_rows = search(tiny4, space, alpha, mc, acc_table=acc_table, tables=tables, acc_rows=rows)
         assert given_rows.to_record() == search(tiny4, space, alpha, mc, acc_table=acc_table).to_record()
 
 
@@ -609,6 +609,23 @@ def test_accuracy_rows_reject_what_search_rejects(tiny4, mc_bits, seed):
     with pytest.raises(SearchError) as search_error:
         search(tiny4, small_space(), mc_bits=mc_bits, seed=seed)
     assert str(rows_error.value) == str(search_error.value)
+
+
+@pytest.mark.parametrize("made, searched", [
+    # Each pair is (space, mc_bits, acc_table): the rows' arguments, then the search's.
+    ((small_space(), MC, AccuracyTable({c: 0.25 for c in small_space().configs()})), (small_space(), MC, None)),
+    ((small_space(), 1e9, None), (small_space(), 50.0, None)),
+    ((small_space(), MC, None), (small_space("layer"), MC, None)),
+    ((CandidateSpace(8, (2, 3), (8,)), MC, None), (CandidateSpace(8, (2, 3, 4), (8,)), MC, None)),
+], ids=["table-rows-without-the-table", "another-capacity", "model-rows-in-layer-scope", "two-of-three-configs"])
+def test_search_rejects_accuracy_rows_made_for_other_arguments(tiny4, made, searched):
+    rows = accuracy_rows(tiny4, *made)
+    space, mc_bits, acc_table = searched
+    with pytest.raises(SearchError, match="acc_rows were made for another candidate space, capacity or accuracy"):
+        search(tiny4, space, mc_bits=mc_bits, acc_table=acc_table, acc_rows=rows)
+    if mc_bits == 50.0:  # the rows' capacity aside, this search has no feasible candidate
+        with pytest.raises(InfeasibleError):
+            search(tiny4, space, mc_bits=mc_bits, acc_table=acc_table)
 
 
 def test_accuracy_rows_weigh_each_shapes_least_footprint_once_per_config(monkeypatch):
