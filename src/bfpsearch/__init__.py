@@ -33,6 +33,7 @@ from .oracle import simulate
 from .search import (
     CandidateSpace,
     SearchError,
+    accuracy_rows,
     build_mapping_tables,
     search,
 )

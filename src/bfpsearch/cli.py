@@ -85,6 +85,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Every settings check that reads no file; keeps the built ``space`` and ``energy_params``."""
+        if self.jobs < 1:
+            raise UsageError(f"--jobs (or BFPSEARCH_JOBS) must be >= 1, got {self.jobs}")
         if self.loss_source not in LOSS_SOURCES:
             raise UsageError(f"--loss-source must be one of {LOSS_SOURCES}, got {self.loss_source!r}")
         if self.acc_table_path is not None and self.loss_source != "table":
@@ -161,21 +163,7 @@ def _plans(config: RunConfig, alphas) -> list:
         _warn(config.acc_table_path, acc_table.unread_rows({layer.source_index for layer in model.layers}, config.scope))
     rows = accuracy_rows(model, config.space, config.mc_bits, acc_table, config.seed)
     tables = build_mapping_tables(model, count_first_load=config.count_first_load, jobs=config.jobs)
-    return [
-        search(
-            model,
-            config.space,
-            alpha=alpha,
-            mc_bits=config.mc_bits,
-            mode=config.mode,
-            acc_table=acc_table,
-            tables=tables,
-            acc_rows=rows,
-            energy_params=config.energy_params,
-            seed=config.seed,
-        )
-        for alpha in alphas
-    ]
+    return [search(rows, tables, alpha, config.mode, config.energy_params) for alpha in alphas]
 
 
 def _summary_text(config: RunConfig, plan) -> str:
@@ -324,15 +312,11 @@ def config_from_args(args) -> RunConfig:
     values = vars(args).copy()
     sweep = values.pop("sweep")
     values["out_dir"] = values["out_dir"] or os.environ.get("BFPSEARCH_OUT_DIR") or RunConfig.out_dir
-    jobs_from = "--jobs"  # named in the error: the flag, or the variable it fell back to
     if values["jobs"] is None:
-        jobs_from = "BFPSEARCH_JOBS"
         try:
-            values["jobs"] = int(os.environ.get(jobs_from, RunConfig.jobs))
+            values["jobs"] = int(os.environ.get("BFPSEARCH_JOBS", RunConfig.jobs))
         except ValueError:
-            raise UsageError(f"{jobs_from} must be an integer, got {os.environ[jobs_from]!r}")
-    if values["jobs"] < 1:
-        raise UsageError(f"{jobs_from} must be >= 1, got {values['jobs']}")
+            raise UsageError(f"BFPSEARCH_JOBS must be an integer, got {os.environ['BFPSEARCH_JOBS']!r}")
     if values["sweep_alphas"] == () or (sweep and values["sweep_alphas"] is None):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
     return RunConfig(**values)

@@ -7,9 +7,12 @@ maximum), and returns the plan minimizing
 
     objective = acc_loss + alpha * perf_loss
 
-:func:`search` evaluates every (layer, config) cell once, then selects one
-(SE, BS) pair for the whole model or, with scope ``layer`` (``--scope layer``
-on the command line), one pair per layer under the full objective.
+:func:`accuracy_rows` scores each candidate's accuracy once, and
+:func:`build_mapping_tables` builds each layer's mapping table once; from
+both, :func:`search` evaluates every (layer, config) cell once, then selects
+one (SE, BS) pair for the whole model or, with scope ``layer``
+(``--scope layer`` on the command line), one pair per layer under the full
+objective.
 
 Modes ablate single factors: ``full`` optimizes the weighted objective,
 ``no_qat`` ignores accuracy and minimizes traffic (for setups with no trained
@@ -125,6 +128,7 @@ class AccuracyRows:
     """:func:`accuracy_rows` output: its ``groups`` and the arguments they were made for."""
 
     groups: list
+    model: ModelDesc
     space: CandidateSpace
     mc_bits: float
     acc_table: AccuracyTable | None  # None for proxy terms
@@ -316,8 +320,8 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
     a config in ``space.configs()`` to its candidate's term, as the
     ``groups`` of an :class:`AccuracyRows`.  A config
     missing from a group cannot be selected.  Terms come from ``acc_table``
-    when it is given, else from the proxy; the arguments shared with
-    :func:`search` are checked as :func:`check_search_args` checks them.
+    when it is given, else from the proxy; the arguments are checked as
+    :func:`check_search_args` checks them.
 
     A cell can be selected when it has a feasible mapping
     (:func:`~bfpsearch.tiling.has_feasible_mapping`), in model scope only
@@ -369,13 +373,14 @@ def accuracy_rows(model: ModelDesc, space: CandidateSpace, mc_bits: float,
         groups = [{j: model_rows[configs[j]] if configs[j] in model_rows
                    else sum(w * rows[k][j] for k, w in enumerate(weights)) / wsum
                    for j, fit in enumerate(fits[0]) if fit}]
-    return AccuracyRows(groups, space, mc_bits, acc_table)
+    return AccuracyRows(groups, model, space, mc_bits, acc_table)
 
 
 def check_search_args(space: CandidateSpace, mc_bits: float, acc_table: AccuracyTable | None = None,
                       seed: int = SYNTHETIC_SEED, alpha: float = DEFAULT_ALPHA, mode: str = DEFAULT_MODE):
-    """Raise on arguments :func:`search` cannot run with.  It reads no model,
-    so a caller can check a run before it builds the mapping tables."""
+    """Raise on arguments :func:`accuracy_rows` and :func:`search` cannot run
+    with.  It reads no model, so a caller can check a run before it scores
+    accuracy or builds the mapping tables."""
     if mode not in MODES:
         raise SearchError(f"mode must be one of {MODES}, got {mode!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
@@ -396,53 +401,36 @@ def check_search_args(space: CandidateSpace, mc_bits: float, acc_table: Accuracy
             )
 
 
-def search(
-    model: ModelDesc,
-    space: CandidateSpace,
-    alpha: float = DEFAULT_ALPHA,
-    mc_bits: float = None,
-    mode: str = DEFAULT_MODE,
-    acc_table: AccuracyTable | None = None,
-    tables: dict | None = None,
-    acc_rows: AccuracyRows | None = None,
-    energy_params: EnergyParams = EnergyParams(),
-    seed: int = SYNTHETIC_SEED,
-) -> QuantPlan:
-    """Search the (layer, config) grid for the plan minimizing the trade-off objective.
+def search(rows: AccuracyRows, tables: dict, alpha: float = DEFAULT_ALPHA, mode: str = DEFAULT_MODE,
+           energy_params: EnergyParams = EnergyParams()) -> QuantPlan:
+    """Select the plan minimizing the trade-off objective from ``rows``, the
+    :func:`accuracy_rows` output that fixes the model, candidate space,
+    capacity and accuracy source, and ``tables``, the
+    :func:`build_mapping_tables` output for the same model that fixes the
+    first-load accounting.  A caller that searches many alphas makes the
+    rows and the tables once.
 
-    ``space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
+    ``rows.space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
     ``'layer'`` takes each layer's argmin, which IS the joint optimum because
     both loss terms are additive over layers and either term's joint maximum
-    separates into per-layer maxima.  ``tables`` is
-    :func:`build_mapping_tables` output, which fixes the first-load
-    accounting; without it, tables that count first loads are built.
-    ``acc_table``'s losses are used as given, else the proxy's, normalized.
-    ``acc_rows`` is :func:`accuracy_rows` output for the same model (``seed`` is
-    then unread); rows made for another space, capacity or ``acc_table`` raise
-    :class:`SearchError`.  Without it, the rows are computed first, before any
-    table is built, so the proxy's samples never sit on top of the tables.  A
-    caller that searches many alphas passes both, so each is made once.
+    separates into per-layer maxima.  An accuracy table's losses are used as
+    given, else the proxy's, normalized.
     """
-    check_search_args(space, mc_bits, acc_table, seed, alpha, mode)
-    if acc_rows is None:
-        acc_rows = accuracy_rows(model, space, mc_bits, acc_table, seed)
-    elif (acc_rows.space, acc_rows.mc_bits) != (space, mc_bits) or acc_rows.acc_table is not acc_table:
-        raise SearchError("acc_rows were made for another candidate space, capacity or accuracy table")
-    if tables is None:
-        tables = build_mapping_tables(model)
+    model, space, mc_bits = rows.model, rows.space, rows.mc_bits
+    check_search_args(space, mc_bits, alpha=alpha, mode=mode)
 
     configs = list(space.configs())
     # cells[i][j]: layer i's best (mapping, dm_bits, footprint_bits) under configs[j], or None.
     cells = [[tables[layer.index].query(s, mc_bits) for s in space.specs] for layer in model.layers]
 
-    # Selection runs over the groups of ``acc_rows``: for model scope one
+    # Selection runs over the groups of ``rows``: for model scope one
     # group whose candidates sum a grid column over all layers, for layer
     # scope one group per layer holding that layer's row.
     group_cells = [cells] if space.scope == "model" else [[row] for row in cells]
     groups = [
-        [CandidateEval(config, True, dm_sum_bits=sum(row[j][1] for row in rows), raw_acc=terms[j])
+        [CandidateEval(config, True, dm_sum_bits=sum(row[j][1] for row in cell_rows), raw_acc=terms[j])
          if j in terms else CandidateEval(config, False) for j, config in enumerate(configs)]
-        for terms, rows in zip(acc_rows.groups, group_cells)
+        for terms, cell_rows in zip(rows.groups, group_cells)
     ]
 
     # Both normalizers separate into per-group maxima.
@@ -454,7 +442,7 @@ def search(
             "residency); performance loss cannot be normalized: use a smaller memory "
             "capacity (--mc) or count first loads (drop --no-first-load)"
         )
-    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if acc_rows.acc_table is None else 1.0
+    acc_norm = sum(max(c.raw_acc for c in f) for f in feasible) if rows.acc_table is None else 1.0
     for f in feasible:
         for c in f:
             c.perf_loss = c.dm_sum_bits / dm_max

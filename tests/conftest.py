@@ -7,9 +7,18 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from bfpsearch.accuracy import proxy_layer_loss, signal_power
+from bfpsearch.accuracy import SYNTHETIC_SEED, proxy_layer_loss, signal_power
 from bfpsearch.codec import BfpSpec, scan_blocks
+from bfpsearch.energy import EnergyParams
 from bfpsearch.model import ConvLayer, loads_model
+from bfpsearch.search import (
+    DEFAULT_ALPHA,
+    DEFAULT_MODE,
+    accuracy_rows,
+    build_mapping_tables,
+    check_search_args,
+    search,
+)
 
 # Property tests use this profile: the same examples on every run, and no
 # example database written to disk.
@@ -57,6 +66,18 @@ def proxy_loss(layer, specs, samples):
     scans = {role: scan_blocks(tensor, specs[0].block_size) for role, tensor in samples.items()}
     powers = {role: signal_power(tensor) for role, tensor in samples.items()}
     return proxy_layer_loss(specs, scans, powers)
+
+
+def plan_for(model, space, alpha=DEFAULT_ALPHA, mc_bits=None, mode=DEFAULT_MODE, acc_table=None,
+             tables=None, seed=SYNTHETIC_SEED, energy_params=EnergyParams()):
+    """The plan of one search in the command line's order: every argument
+    checked, then the accuracy rows, then the mapping tables unless given
+    (counting first loads), then ``search``."""
+    check_search_args(space, mc_bits, acc_table, seed, alpha, mode)
+    rows = accuracy_rows(model, space, mc_bits, acc_table, seed)
+    if tables is None:
+        tables = build_mapping_tables(model)
+    return search(rows, tables, alpha, mode, energy_params)
 
 
 TINY4_TEXT = """format_version 1

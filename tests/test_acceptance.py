@@ -30,12 +30,11 @@ from bfpsearch.search import (
     CandidateEval,
     CandidateSpace,
     build_mapping_tables,
-    search,
     select_candidate,
 )
 from bfpsearch.tiling import MOVING_DIMS, LayerMappingTable, tile_candidates
 
-from conftest import TINY4_TEXT, spec_triple
+from conftest import TINY4_TEXT, plan_for, spec_triple
 
 
 def _report(criterion, detail):
@@ -307,10 +306,10 @@ def test_c06_objective_degeneracy():
     model = loads_model(TINY4_TEXT)
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
     mc = 65536.0
-    plan0 = search(model, space, alpha=0.0, mc_bits=mc)
+    plan0 = plan_for(model, space, alpha=0.0, mc_bits=mc)
     feas = [c for c in plan0.candidates if c["feasible"]]
     assert plan0.acc_loss == min(c["acc_loss"] for c in feas)
-    plan_inf = search(model, space, alpha=1e6, mc_bits=mc)
+    plan_inf = plan_for(model, space, alpha=1e6, mc_bits=mc)
     feas = [c for c in plan_inf.candidates if c["feasible"]]
     assert plan_inf.perf_loss == min(c["perf_loss"] for c in feas)
 
@@ -331,7 +330,7 @@ def test_c06_objective_degeneracy():
 def test_c07_normalization_and_scaling_invariance():
     model = loads_model(TINY4_TEXT)
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
-    plan = search(model, space, alpha=0.2, mc_bits=65536.0)
+    plan = plan_for(model, space, alpha=0.2, mc_bits=65536.0)
     feas = [c for c in plan.candidates if c["feasible"]]
     assert max(c["perf_loss"] for c in feas) == 1.0
 
@@ -399,9 +398,9 @@ def test_c10_ablation_directions():
     model = loads_model(TINY4_TEXT)
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
     kw = dict(alpha=0.2, mc_bits=65536.0)
-    full = search(model, space, **kw)
-    no_dm = search(model, space, mode="no_dm", **kw)
-    no_qat = search(model, space, mode="no_qat", **kw)
+    full = plan_for(model, space, **kw)
+    no_dm = plan_for(model, space, mode="no_dm", **kw)
+    no_qat = plan_for(model, space, mode="no_qat", **kw)
     assert no_dm.acc_loss <= full.acc_loss
     assert no_dm.dm_sum_bits >= full.dm_sum_bits
     assert no_qat.dm_sum_bits <= full.dm_sum_bits
@@ -418,7 +417,7 @@ def test_c11_alpha_sweep_monotone():
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4, 5), bs_set=(2, 8))
     alphas = (0.015, 0.05, 0.15, 0.2, 0.25, 1.5, 3.0)
     tables = build_mapping_tables(model)
-    plans = [search(model, space, alpha=a, mc_bits=65536.0, tables=tables) for a in alphas]
+    plans = [plan_for(model, space, alpha=a, mc_bits=65536.0, tables=tables) for a in alphas]
     perfs = [p.perf_loss for p in plans]
     accs = [p.acc_loss for p in plans]
     assert all(x >= y for x, y in zip(perfs, perfs[1:]))
@@ -460,7 +459,7 @@ def test_c12_end_to_end_runtime_twenty_layers():
     space = CandidateSpace(total_bits=16)  # the full 6x8 candidate grid
     assert len(list(space.configs())) == 48
     start = time.monotonic()
-    plan = search(model, space, alpha=0.2, mc_bits=2_097_152.0)
+    plan = plan_for(model, space, alpha=0.2, mc_bits=2_097_152.0)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     assert len(plan.assignments) == 20

@@ -16,9 +16,9 @@ from bfpsearch.accuracy import (
 )
 from bfpsearch.codec import BfpSpec, scan_blocks
 from bfpsearch.model import ModelDesc, ModelFormatError, layer_volumes, loads_model
-from bfpsearch.search import CandidateSpace, search
+from bfpsearch.search import CandidateSpace
 
-from conftest import edited_text, proxy_loss, small_layer, spec_triple
+from conftest import edited_text, plan_for, proxy_loss, small_layer, spec_triple
 
 
 def two_layer_model():
@@ -33,7 +33,7 @@ def table_acc_loss(table, config, model=None):
     config (a table's losses are not normalized)."""
     se, bs, qb = config
     space = CandidateSpace(total_bits=qb, se_set=(se,), bs_set=(bs,))
-    plan = search(model or two_layer_model(), space, mc_bits=1e9, acc_table=table)
+    plan = plan_for(model or two_layer_model(), space, mc_bits=1e9, acc_table=table)
     return plan.acc_loss
 
 
@@ -172,7 +172,7 @@ def test_proxy_model_loss_weighted():
     ])
     samples = samples_for(model)
     space = CandidateSpace(total_bits=8, se_set=(2, 3), bs_set=(8,))
-    plan = search(model, space, mc_bits=1e9, seed=7)
+    plan = plan_for(model, space, mc_bits=1e9, seed=7)
     weights = [float(layer_volumes(l)[1]) for l in model.layers]
     assert weights[1] == 2 * weights[0]
     raw = [

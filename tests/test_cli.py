@@ -25,7 +25,7 @@ from bfpsearch.cli import (
     sweep_alpha,
 )
 from bfpsearch.model import load_model
-from bfpsearch.search import CandidateSpace, SearchError, search
+from bfpsearch.search import CandidateSpace, SearchError, accuracy_rows, build_mapping_tables, search
 from bfpsearch.tiling import LayerMappingTable
 
 
@@ -36,11 +36,12 @@ def base_args(tiny4_path, out_dir, *extra):
 
 def config_fields(argv) -> dict:
     """The RunConfig fields of ``argv``, parsed but not checked, with
-    ``--sweep`` expanded as ``config_from_args`` expands it."""
+    ``--sweep`` expanded as ``config_from_args`` expands it and no ``--jobs``
+    falling back to the default."""
     values = vars(build_parser().parse_args(argv))
     if values.pop("sweep"):
         values["sweep_alphas"] = DEFAULT_SWEEP_ALPHAS
-    return {**values, "jobs": 1}
+    return {**values, "jobs": RunConfig.jobs if values["jobs"] is None else values["jobs"]}
 
 
 def test_happy_path_writes_reports(tiny4_path, tmp_path, capsys):
@@ -119,6 +120,7 @@ def test_negative_seed_or_empty_candidate_set_is_usage_error(tiny4_path, tmp_pat
     (["--csv", "--sweep"], EXIT_USAGE),
     (["--csv", "--sweep-alpha", "0.2"], EXIT_USAGE),
     (["--csv", "--scope", "layer"], EXIT_USAGE),
+    (["--jobs", "0"], EXIT_USAGE),
 ], ids=lambda v: "=".join(v) if isinstance(v, list) else str(v))
 def test_invalid_run_fails_before_the_model_is_read(tiny4_path, tmp_path, capsys, monkeypatch, extra, code):
     (tmp_path / "model_rows.table").write_text("format_version 1\nmodel 3 8 8 0.1\n")
@@ -176,11 +178,12 @@ def test_defaults_come_from_run_config(tiny4_path, monkeypatch):
 
 def test_run_config_defaults_are_the_library_defaults(tiny4_path):
     config = RunConfig(model_path=tiny4_path)
-    params = inspect.signature(search).parameters
-    for name in ("alpha", "mode", "seed"):
+    params, rows_params = inspect.signature(search).parameters, inspect.signature(accuracy_rows).parameters
+    for name in ("alpha", "mode"):
         assert getattr(config, name) == params[name].default, name
-    # search scores the proxy unless it is given an accuracy table.
-    assert (config.loss_source, params["acc_table"].default) == ("proxy", None)
+    assert config.seed == rows_params["seed"].default
+    # accuracy_rows scores the proxy unless it is given an accuracy table.
+    assert (config.loss_source, rows_params["acc_table"].default) == ("proxy", None)
     space, energy = CandidateSpace(), params["energy_params"].default
     assert (config.total_bits, config.scope) == (space.total_bits, space.scope)
     assert (config.sram_pj_per_bit, config.dram_pj_per_bit) == (energy.sram_pj_per_bit, energy.dram_pj_per_bit)
@@ -217,6 +220,12 @@ def test_non_integer_jobs_env_is_usage_error(tiny4_path, tmp_path, capsys, monke
     rc = main(base_args(tiny4_path, str(tmp_path / "o")))
     assert rc == EXIT_USAGE
     assert "BFPSEARCH_JOBS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_library_run_config_rejects_nonpositive_jobs(tiny4_path, tmp_path):
+    with pytest.raises(UsageError, match=r"^--jobs \(or BFPSEARCH_JOBS\) must be >= 1, got -3$"):
+        run(RunConfig(model_path=tiny4_path, out_dir=str(tmp_path / "o"), jobs=-3))
     assert not (tmp_path / "o").exists()
 
 
@@ -506,7 +515,7 @@ def test_proxy_sweep_scores_each_cell_once(tmp_path, monkeypatch):
 def test_sweep_queries_receive_the_spaces_own_triples(tiny4_path, tmp_path, monkeypatch):
     spaces, received = [], []
     searching, query = cli.search, LayerMappingTable.query
-    monkeypatch.setattr(cli, "search", lambda model, space, **kw: spaces.append(space) or searching(model, space, **kw))
+    monkeypatch.setattr(cli, "search", lambda rows, *a, **kw: spaces.append(rows.space) or searching(rows, *a, **kw))
     monkeypatch.setattr(LayerMappingTable, "query", lambda self, specs, mc: received.append(specs) or query(self, specs, mc))
     assert main(base_args(tiny4_path, str(tmp_path / "o"), "--sweep")) == EXIT_OK
     assert len(spaces) == len(DEFAULT_SWEEP_ALPHAS) and all(space is spaces[0] for space in spaces)
@@ -623,7 +632,9 @@ def test_library_reads_the_sample_files_the_command_line_reads(tmp_path, monkeyp
     cwd.mkdir()
     write_sampled_model(cwd, np.linspace(-1, 1, 36) ** 3, np.linspace(0, 1, 9))
     monkeypatch.chdir(cwd)
-    plan = search(load_model(tmp_path / "m.model"), CandidateSpace(se_set=(2, 3), bs_set=(2, 8)), mc_bits=65536.0)
+    model = load_model(tmp_path / "m.model")
+    rows = accuracy_rows(model, CandidateSpace(se_set=(2, 3), bs_set=(2, 8)), 65536.0)
+    plan = search(rows, build_mapping_tables(model))
     assert cli._json_dumps(plan.to_record()) == (tmp_path / "out" / "plan.json").read_text()
 
 

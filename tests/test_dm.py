@@ -12,9 +12,9 @@ from bfpsearch.dm import (
     tile_footprint_elems,
 )
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes
-from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables, search
+from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables
 
-from conftest import small_layer, spec_triple
+from conftest import plan_for, small_layer, spec_triple
 
 
 def test_mapping_validation():
@@ -199,7 +199,7 @@ def test_dm_sum_single_layer(tiny4):
     # A plan's traffic is its winners' breakdowns summed.
     layer = tiny4.layers[0]
     sub = ModelDesc(name="one", layers=[layer])
-    plan = search(sub, CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,)), mc_bits=65536.0)
+    plan = plan_for(sub, CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,)), mc_bits=65536.0)
     (a,) = plan.assignments
     assert a.config == (3, 8, 8)
     assert plan.dm_sum_bits == a.breakdown.dm_total_bits == dm_layer(layer, a.mapping, spec_triple(8, 3, 8)).dm_total_bits
@@ -208,7 +208,7 @@ def test_dm_sum_single_layer(tiny4):
 def test_perf_loss_ratio(tiny4):
     # Traffic over the candidate-set maximum: 1.0 marks the worst candidate.
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
-    plan = search(tiny4, space, mc_bits=65536.0)
+    plan = plan_for(tiny4, space, mc_bits=65536.0)
     rows = [r for r in plan.candidates if r["feasible"]]
     assert plan.dm_max_bits == max(r["dm_sum_bits"] for r in rows)
     assert plan.perf_loss == plan.dm_sum_bits / plan.dm_max_bits
@@ -216,4 +216,4 @@ def test_perf_loss_ratio(tiny4):
     assert max(r["perf_loss"] for r in rows) == 1.0
     # Literal accounting with whole-layer residency moves zero bits everywhere.
     with pytest.raises(SearchError, match="zero bits"):
-        search(tiny4, space, mc_bits=65536.0, tables=build_mapping_tables(tiny4, count_first_load=False))
+        plan_for(tiny4, space, mc_bits=65536.0, tables=build_mapping_tables(tiny4, count_first_load=False))

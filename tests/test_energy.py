@@ -12,9 +12,9 @@ from bfpsearch.energy import (
     sram_bits_for_layer,
 )
 from bfpsearch.model import ModelDesc, layer_macs
-from bfpsearch.search import CandidateSpace, search
+from bfpsearch.search import CandidateSpace
 
-from conftest import small_layer, spec_triple
+from conftest import plan_for, small_layer, spec_triple
 
 
 def test_dram_only_twenty_millijoules():
@@ -66,7 +66,7 @@ def test_eight_bit_beats_sixteen_at_equal_mapping():
 
 
 def test_normalized_is_the_ratio_to_the_32_bit_baseline(tiny4):
-    plan = search(tiny4, CandidateSpace(8, (2, 3), (2, 8)), mc_bits=65536)
+    plan = plan_for(tiny4, CandidateSpace(8, (2, 3), (2, 8)), mc_bits=65536)
     assert plan.energy_report.normalized == plan.energy_report.joules / plan.baseline_energy_report.joules
     assert plan.baseline_energy_report.normalized is None
     assert 0 < plan.energy_report.normalized < 1

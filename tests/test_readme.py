@@ -1,6 +1,7 @@
 """README names only working library paths: every dotted ``bfpsearch.…``
-path resolves from the package, every ``from bfpsearch… import …`` runs, and
-the package root exports exactly what README imports from it."""
+path resolves from the package, every ``from bfpsearch… import …`` runs, the
+package root exports exactly what README imports from it, and the library
+search example runs."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import types
 import pytest
 
 import bfpsearch
+
+from conftest import TINY4_TEXT
 
 with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
     README = fh.read()
@@ -62,3 +65,13 @@ def test_package_root_exports_what_readme_imports_from_it():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == documented
+
+
+def test_library_use_search_example_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
+    (block,) = [block for block in blocks if 'load_model("tiny4.model")' in block]
+    (tmp_path / "tiny4.model").write_text(TINY4_TEXT)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    assert len(namespace["plan"].assignments) == 4

@@ -26,12 +26,11 @@ from bfpsearch.search import (
     default_se_set,
     knee_point,
     pareto_frontier,
-    search,
     select_candidate,
 )
 from bfpsearch.tiling import InfeasibleError, LayerMappingTable
 
-from conftest import proxy_loss, small_convs, small_layer, spec_triple
+from conftest import plan_for, proxy_loss, small_convs, small_layer, spec_triple
 from reference_search import footprint_bits, reference_search
 
 MC = 65536.0
@@ -58,20 +57,20 @@ def small_space(scope="model"):
 
 
 def test_full_mode_objective_identity(tiny4):
-    plan = search(tiny4, small_space(), alpha=0.2, mc_bits=MC)
+    plan = plan_for(tiny4, small_space(), alpha=0.2, mc_bits=MC)
     assert plan.objective == plan.acc_loss + 0.2 * plan.perf_loss
     assert 0.0 < plan.perf_loss <= 1.0
     assert len(plan.assignments) == len(tiny4.layers)
 
 
 def test_alpha_zero_selects_min_acc(tiny4):
-    plan = search(tiny4, small_space(), alpha=0.0, mc_bits=MC)
+    plan = plan_for(tiny4, small_space(), alpha=0.0, mc_bits=MC)
     feas = [c for c in plan.candidates if c["feasible"]]
     assert plan.acc_loss == min(c["acc_loss"] for c in feas)
 
 
 def test_alpha_huge_selects_min_perf(tiny4):
-    plan = search(tiny4, small_space(), alpha=1e6, mc_bits=MC)
+    plan = plan_for(tiny4, small_space(), alpha=1e6, mc_bits=MC)
     feas = [c for c in plan.candidates if c["feasible"]]
     assert plan.perf_loss == min(c["perf_loss"] for c in feas)
 
@@ -87,7 +86,7 @@ def test_two_candidate_arithmetic():
 
 
 def test_normalization_max_candidate_is_one(tiny4):
-    plan = search(tiny4, small_space(), alpha=0.2, mc_bits=MC)
+    plan = plan_for(tiny4, small_space(), alpha=0.2, mc_bits=MC)
     feas = [c for c in plan.candidates if c["feasible"]]
     assert max(c["perf_loss"] for c in feas) == 1.0
     assert max(c["acc_loss"] for c in feas) == 1.0  # proxy normalized the same way
@@ -124,22 +123,22 @@ def test_tie_break_smaller_dm_then_larger_bs_then_smaller_se():
 
 def test_all_infeasible_raises(tiny4):
     with pytest.raises(InfeasibleError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=50.0)
+        plan_for(tiny4, small_space(), alpha=0.2, mc_bits=50.0)
 
 
 def test_ablation_directions(tiny4):
     space = small_space()
     kw = dict(alpha=0.2, mc_bits=MC)
-    full = search(tiny4, space, **kw)
-    no_dm = search(tiny4, space, mode="no_dm", **kw)
-    no_qat = search(tiny4, space, mode="no_qat", **kw)
+    full = plan_for(tiny4, space, **kw)
+    no_dm = plan_for(tiny4, space, mode="no_dm", **kw)
+    no_qat = plan_for(tiny4, space, mode="no_qat", **kw)
     assert no_dm.acc_loss <= full.acc_loss
     assert no_dm.dm_sum_bits >= full.dm_sum_bits
     assert no_qat.dm_sum_bits <= full.dm_sum_bits
 
 
 def test_pareto_mode_returns_frontier_and_knee(tiny4):
-    plan = search(tiny4, small_space(), alpha=0.2, mc_bits=MC, mode="pareto")
+    plan = plan_for(tiny4, small_space(), alpha=0.2, mc_bits=MC, mode="pareto")
     assert plan.pareto
     accs = [r["acc_loss"] for r in plan.pareto]
     perfs = [r["perf_loss"] for r in plan.pareto]
@@ -183,7 +182,7 @@ def test_table_loss_source(tiny4):
             loss = 0.01 * se + (0.001 if bs == 8 else 0.0)
             rows.append(f"model {se} {bs} 8 {loss}")
     table = loads_table("\n".join(rows) + "\n")
-    plan = search(tiny4, small_space(), alpha=0.0, mc_bits=MC, acc_table=table)
+    plan = plan_for(tiny4, small_space(), alpha=0.0, mc_bits=MC, acc_table=table)
     assert plan.assignments[0].config[0] == 2  # min tabulated loss at se=2
     assert plan.acc_loss == pytest.approx(0.02)
 
@@ -191,30 +190,30 @@ def test_table_loss_source(tiny4):
 def test_an_accuracy_table_alone_makes_search_score_the_table(tiny4):
     space = small_space()
     configs = list(space.configs())
-    proxy_pick = search(tiny4, space, alpha=0.0, mc_bits=MC).assignments[0].config
+    proxy_pick = plan_for(tiny4, space, alpha=0.0, mc_bits=MC).assignments[0].config
     # The table puts the proxy's pick last, so a plan that scores the proxy picks it again.
     table = AccuracyTable({c: 0.75 if c == proxy_pick else 0.25 for c in configs})
     assert accuracy_rows(tiny4, space, MC, table).groups == [{j: table.model_entries[c] for j, c in enumerate(configs)}]
-    plan = search(tiny4, space, alpha=0.0, mc_bits=MC, acc_table=table)
+    plan = plan_for(tiny4, space, alpha=0.0, mc_bits=MC, acc_table=table)
     assert plan.assignments[0].config != proxy_pick
     assert plan.acc_loss == 0.25
 
 
 def test_invalid_args(tiny4):
     with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=-1.0, mc_bits=MC)
+        plan_for(tiny4, small_space(), alpha=-1.0, mc_bits=MC)
     with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=MC, mode="bogus")
+        plan_for(tiny4, small_space(), alpha=0.2, mc_bits=MC, mode="bogus")
     with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=0.0)
+        plan_for(tiny4, small_space(), alpha=0.2, mc_bits=0.0)
     for alpha in (math.nan, math.inf):
         with pytest.raises(SearchError):
-            search(tiny4, small_space(), alpha=alpha, mc_bits=MC)
+            plan_for(tiny4, small_space(), alpha=alpha, mc_bits=MC)
     for mc_bits in (math.nan, math.inf):
         with pytest.raises(SearchError):
-            search(tiny4, small_space(), alpha=0.2, mc_bits=mc_bits)
+            plan_for(tiny4, small_space(), alpha=0.2, mc_bits=mc_bits)
     with pytest.raises(SearchError):
-        search(tiny4, small_space(), alpha=0.2, mc_bits=MC, seed=-1)
+        plan_for(tiny4, small_space(), alpha=0.2, mc_bits=MC, seed=-1)
 
 
 # -- per-layer decomposition --------------------------------------------------
@@ -254,8 +253,8 @@ def joint_exhaustive(model, space, alpha, mc_bits, samples, tables):
 def test_layer_scope_single_layer_equals_model_scope():
     model = ModelDesc(name="one", layers=[small_layer(c_in=2, c_out=2)])
     space = small_space()
-    joint = search(model, space, alpha=0.2, mc_bits=MC)
-    per_layer = search(model, small_space("layer"), alpha=0.2, mc_bits=MC)
+    joint = plan_for(model, space, alpha=0.2, mc_bits=MC)
+    per_layer = plan_for(model, small_space("layer"), alpha=0.2, mc_bits=MC)
     assert per_layer.assignments[0].config == joint.assignments[0].config
 
 
@@ -264,7 +263,7 @@ def test_layer_scope_gives_identical_layers_identical_configs():
         small_layer(index=1, c_in=2, c_out=2),
         small_layer(index=2, c_in=2, c_out=2),
     ])
-    plan = search(model, small_space("layer"), alpha=0.2, mc_bits=MC)
+    plan = plan_for(model, small_space("layer"), alpha=0.2, mc_bits=MC)
     assert plan.assignments[0].config == plan.assignments[1].config
 
 
@@ -275,7 +274,7 @@ def test_layer_scope_matches_joint_exhaustive(tiny4):
                for l in tiny4.layers}
     tables = build_mapping_tables(tiny4)
     best, obj = joint_exhaustive(tiny4, space, alpha, MC, samples, tables)
-    plan = search(tiny4, small_space("layer"), alpha=alpha, mc_bits=MC, tables=tables)
+    plan = plan_for(tiny4, small_space("layer"), alpha=alpha, mc_bits=MC, tables=tables)
     assert tuple(a.config for a in plan.assignments) == best
     assert plan.objective == pytest.approx(obj, rel=1e-12)
 
@@ -285,22 +284,22 @@ def test_layer_scope_rejects_model_only_table(tiny4):
     from bfpsearch.accuracy import AccuracyError
 
     with pytest.raises(AccuracyError):
-        search(tiny4, small_space("layer"), alpha=0.2, mc_bits=MC, acc_table=table)
+        plan_for(tiny4, small_space("layer"), alpha=0.2, mc_bits=MC, acc_table=table)
 
 
 def test_scope_layer_dispatches_to_decomposition(tiny4):
     space = CandidateSpace(total_bits=8, se_set=(2, 3), bs_set=(2, 8), scope="layer")
-    plan = search(tiny4, space, alpha=0.2, mc_bits=MC)
+    plan = plan_for(tiny4, space, alpha=0.2, mc_bits=MC)
     assert plan.scope == "layer"
     assert len({a.config for a in plan.assignments}) >= 1
     with pytest.raises(SearchError):
-        search(tiny4, space, alpha=0.2, mc_bits=MC, mode="pareto")
+        plan_for(tiny4, space, alpha=0.2, mc_bits=MC, mode="pareto")
 
 
 def test_parallel_table_build_is_deterministic(tiny4):
     space = small_space()
-    serial = search(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=1))
-    parallel = search(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=2))
+    serial = plan_for(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=1))
+    parallel = plan_for(tiny4, space, alpha=0.2, mc_bits=MC, tables=build_mapping_tables(tiny4, jobs=2))
     assert [a.config for a in serial.assignments] == [a.config for a in parallel.assignments]
     assert serial.objective == parallel.objective
     assert serial.dm_sum_bits == parallel.dm_sum_bits
@@ -330,7 +329,7 @@ def test_literal_first_load_tables_set_the_plans_traffic():
     ])
     space = CandidateSpace(total_bits=8, se_set=(3,), bs_set=(8,))
     tables = build_mapping_tables(model, count_first_load=False)
-    plan = search(model, space, mc_bits=4096.0, tables=tables)
+    plan = plan_for(model, space, mc_bits=4096.0, tables=tables)
     assert all(not a.breakdown.count_first_load for a in plan.assignments)
     assert plan.dm_sum_bits == sum(a.breakdown.dm_total_bits for a in plan.assignments) > 0
 
@@ -346,8 +345,8 @@ def test_shared_tables_parallel_build_matches_serial():
         for layer in model.layers:
             assert parallel[layer.index].query(specs, MC) == serial[layer.index].query(specs, MC)
     space = small_space()
-    one = search(model, space, alpha=0.2, mc_bits=MC, tables=serial)
-    two = search(model, space, alpha=0.2, mc_bits=MC, tables=parallel)
+    one = plan_for(model, space, alpha=0.2, mc_bits=MC, tables=serial)
+    two = plan_for(model, space, alpha=0.2, mc_bits=MC, tables=parallel)
     assert one.to_record() == two.to_record()
 
 
@@ -426,8 +425,8 @@ def test_table_rows_follow_file_layer_index_after_skipped_block(scope):
     plain = ModelDesc(name=model.name, layers=[replace(l, source_index=l.index) for l in model.layers])
     plain_table = loads_table(per_layer_table({1: POOL_LOSSES[1], 2: POOL_LOSSES[3]}))
     kw = dict(alpha=0.0, mc_bits=MC)
-    plan = search(model, small_space(scope), acc_table=table, **kw)
-    want = search(plain, small_space(scope), acc_table=plain_table, **kw)
+    plan = plan_for(model, small_space(scope), acc_table=table, **kw)
+    want = plan_for(plain, small_space(scope), acc_table=plain_table, **kw)
     assert plan.to_record() == want.to_record()
     if scope == "layer":
         assert plan.assignments[1].config[0] == 2  # layer 3's narrowest exponent
@@ -452,7 +451,7 @@ def test_proxy_holds_one_layers_samples_at_a_time():
         space = CandidateSpace(total_bits=8, se_set=(3, 5), bs_set=(8, 32), scope=scope)
         tracemalloc.start()
         try:
-            search(model, space, alpha=0.2, mc_bits=2.0 ** 21, tables=tables)
+            plan_for(model, space, alpha=0.2, mc_bits=2.0 ** 21, tables=tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -480,10 +479,10 @@ def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
 
     monkeypatch.setattr(accuracy, "quantize_dequantize", counting)
     space = CandidateSpace(total_bits=8, se_set=(2, 4), bs_set=(8,))
-    search(model, space, alpha=0.2, mc_bits=mc, tables=tables)
+    plan_for(model, space, alpha=0.2, mc_bits=mc, tables=tables)
     assert len(calls) == 2 * len(layers) * 1  # roles x layers x fully feasible configs
     calls.clear()
-    search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
+    plan_for(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
     assert len(calls) == 2 * (2 * len(layers) - 1)  # roles x feasible cells
 
 
@@ -497,10 +496,10 @@ def test_proxy_takes_each_samples_power_once_per_layer(tiny4, monkeypatch):
 
     monkeypatch.setattr(sys.modules["bfpsearch.search"], "signal_power", counting)
     space = CandidateSpace(total_bits=8, se_set=(2, 3, 4), bs_set=(2, 8))
-    plan = search(tiny4, space, alpha=0.2, mc_bits=MC)
+    plan = plan_for(tiny4, space, alpha=0.2, mc_bits=MC)
     assert len(calls) == 2 * len(tiny4.layers)  # roles x layers, not x configs
     monkeypatch.undo()
-    assert search(tiny4, space, alpha=0.2, mc_bits=MC).to_record() == plan.to_record()
+    assert plan_for(tiny4, space, alpha=0.2, mc_bits=MC).to_record() == plan.to_record()
 
 
 def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
@@ -534,11 +533,11 @@ def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
     monkeypatch.setattr(module, "layer_samples", sampling)
     monkeypatch.setattr(module, "scan_blocks", scanning)
     space = CandidateSpace(total_bits=8, se_set=(4,), bs_set=(1, 8))
-    search(model, space, alpha=0.2, mc_bits=mc, tables=tables)
+    plan_for(model, space, alpha=0.2, mc_bits=mc, tables=tables)
     # Model scope: the bs 1 column is infeasible, so only bs 8 is scanned.
     assert sorted(scans) == [(i, role, 8) for i in (1, 2, 3, 4) for role in ("input", "weight")]
     scans.clear()
-    search(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
+    plan_for(model, replace(space, scope="layer"), alpha=0.2, mc_bits=mc, tables=tables)
     want = [(i, role, bs) for i in (1, 2, 3, 4) for role in ("input", "weight") for bs in (1, 8)]
     assert sorted(scans) == [cell for cell in want if cell[::2] != (4, 1)]
 
@@ -582,11 +581,9 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
         want = [{j: model_rows[configs[j]] if configs[j] in model_rows
                  else sum(w * term(layer, j) for w, layer in zip(weights, tiny4.layers)) / wsum
                  for j in columns}]
+    assert rows.model is tiny4 and (rows.space, rows.mc_bits) == (space, mc) and rows.acc_table is acc_table
     assert len(rows.groups) == (1 if scope == "model" else len(tiny4.layers))
     assert rows.groups == want
-    for alpha in (0.0, 0.2, 3.0):
-        given_rows = search(tiny4, space, alpha, mc, acc_table=acc_table, tables=tables, acc_rows=rows)
-        assert given_rows.to_record() == search(tiny4, space, alpha, mc, acc_table=acc_table).to_record()
 
 
 @pytest.mark.parametrize("scope, message", [
@@ -596,7 +593,7 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
 def test_accuracy_rows_raise_infeasible_before_any_table(tiny4, monkeypatch, scope, message):
     monkeypatch.setattr(LayerMappingTable, "__init__", _no_table)
     space = CandidateSpace(total_bits=8, se_set=(2, 3), bs_set=(8,), scope=scope)
-    for call in (lambda: accuracy_rows(tiny4, space, 50.0), lambda: search(tiny4, space, mc_bits=50.0)):
+    for call in (lambda: accuracy_rows(tiny4, space, 50.0), lambda: plan_for(tiny4, space, mc_bits=50.0)):
         with pytest.raises(InfeasibleError) as info:
             call()
         assert str(info.value) == message
@@ -607,25 +604,8 @@ def test_accuracy_rows_reject_what_search_rejects(tiny4, mc_bits, seed):
     with pytest.raises(SearchError) as rows_error:
         accuracy_rows(tiny4, small_space(), mc_bits, seed=seed)
     with pytest.raises(SearchError) as search_error:
-        search(tiny4, small_space(), mc_bits=mc_bits, seed=seed)
+        plan_for(tiny4, small_space(), mc_bits=mc_bits, seed=seed)
     assert str(rows_error.value) == str(search_error.value)
-
-
-@pytest.mark.parametrize("made, searched", [
-    # Each pair is (space, mc_bits, acc_table): the rows' arguments, then the search's.
-    ((small_space(), MC, AccuracyTable({c: 0.25 for c in small_space().configs()})), (small_space(), MC, None)),
-    ((small_space(), 1e9, None), (small_space(), 50.0, None)),
-    ((small_space(), MC, None), (small_space("layer"), MC, None)),
-    ((CandidateSpace(8, (2, 3), (8,)), MC, None), (CandidateSpace(8, (2, 3, 4), (8,)), MC, None)),
-], ids=["table-rows-without-the-table", "another-capacity", "model-rows-in-layer-scope", "two-of-three-configs"])
-def test_search_rejects_accuracy_rows_made_for_other_arguments(tiny4, made, searched):
-    rows = accuracy_rows(tiny4, *made)
-    space, mc_bits, acc_table = searched
-    with pytest.raises(SearchError, match="acc_rows were made for another candidate space, capacity or accuracy"):
-        search(tiny4, space, mc_bits=mc_bits, acc_table=acc_table, acc_rows=rows)
-    if mc_bits == 50.0:  # the rows' capacity aside, this search has no feasible candidate
-        with pytest.raises(InfeasibleError):
-            search(tiny4, space, mc_bits=mc_bits, acc_table=acc_table)
 
 
 def test_accuracy_rows_weigh_each_shapes_least_footprint_once_per_config(monkeypatch):
@@ -721,9 +701,9 @@ def test_search_matches_the_reference_search(case):
         want = reference_search(model, qb, se_set, bs_set, scope, mode, alpha, mc_bits, table, count_first_load)
     except (AccuracyError, InfeasibleError, SearchError) as exc:
         with pytest.raises(type(exc)):
-            search(model, space, **args)
+            plan_for(model, space, **args)
         return
-    plan = search(model, space, **args)
+    plan = plan_for(model, space, **args)
     assert [(a.config, a.mapping, a.breakdown.dm_total_bits) for a in plan.assignments] == want["layers"]
     assert (plan.acc_loss, plan.perf_loss, plan.objective, plan.dm_sum_bits, plan.dm_max_bits) == want["summary"]
     assert (plan.candidates, plan.pareto) == (want["candidates"], want["pareto"])
