@@ -122,6 +122,8 @@ def role_bits(layer: ConvLayer, specs) -> dict:
         "output": (layer.o_h, layer.o_w),
         "weight": (layer.k_h, layer.k_w),
     }
+    if len(specs) != len(OPERANDS):
+        raise MappingError(f"expected one spec per operand {OPERANDS}, got {len(specs)}")
     out = {}
     for role, spec in zip(OPERANDS, specs):
         if isinstance(spec, BfpSpec):

@@ -8,7 +8,7 @@ maximum), and returns the plan minimizing
     objective = acc_loss + alpha * perf_loss
 
 :func:`accuracy_rows` scores each candidate's accuracy once, and
-:func:`build_mapping_tables` builds each layer's mapping table once; from
+:func:`build_mapping_tables` builds each shape's mapping table once; from
 both, :func:`search` evaluates every (layer, config) cell once, then selects
 one (SE, BS) pair for the whole model or, with scope ``layer``
 (``--scope layer`` on the command line), one pair per layer under the full
@@ -263,9 +263,9 @@ def knee_point(frontier) -> CandidateEval:
 
 
 def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: int = 1) -> dict:
-    """Mapping tables by layer index, one table shared by all layers of one
-    shape; distinct shapes build in parallel.  The tables fix the search's
-    first-load accounting: its traffic is theirs."""
+    """Mapping tables by :func:`~bfpsearch.tiling.shape_key`, one per distinct
+    shape (a layer's is ``tables[shape_key(layer)]``), built in parallel.  The
+    tables fix the search's first-load accounting: its traffic is theirs."""
     first_of_shape = {}
     for layer in model.layers:
         first_of_shape.setdefault(shape_key(layer), layer)
@@ -277,8 +277,7 @@ def build_mapping_tables(model: ModelDesc, count_first_load: bool = True, jobs: 
             tables = list(pool.map(build, first_of_shape.values()))
     else:
         tables = [build(layer) for layer in first_of_shape.values()]
-    by_shape = dict(zip(first_of_shape, tables))
-    return {layer.index: by_shape[shape_key(layer)] for layer in model.layers}
+    return dict(zip(first_of_shape, tables))
 
 
 def _proxy_row(layer, configs, specs, scored, seed) -> dict:
@@ -405,10 +404,11 @@ def search(rows: AccuracyRows, tables: dict, alpha: float = DEFAULT_ALPHA, mode:
            energy_params: EnergyParams = EnergyParams()) -> QuantPlan:
     """Select the plan minimizing the trade-off objective from ``rows``, the
     :func:`accuracy_rows` output that fixes the model, candidate space,
-    capacity and accuracy source, and ``tables``, the
-    :func:`build_mapping_tables` output for the same model that fixes the
-    first-load accounting.  A caller that searches many alphas makes the
-    rows and the tables once.
+    capacity and accuracy source, and ``tables``, the per-shape
+    :func:`build_mapping_tables` output (of any model with these shapes) that
+    fixes the first-load accounting; :class:`SearchError` names the first
+    layer whose shape has no table.  A caller that searches many alphas makes
+    the rows and the tables once.
 
     ``rows.space.scope == 'model'`` applies one (SE, BS) pair to the whole model;
     ``'layer'`` takes each layer's argmin, which IS the joint optimum because
@@ -419,9 +419,12 @@ def search(rows: AccuracyRows, tables: dict, alpha: float = DEFAULT_ALPHA, mode:
     model, space, mc_bits = rows.model, rows.space, rows.mc_bits
     check_search_args(space, mc_bits, alpha=alpha, mode=mode)
 
+    layer_tables = [tables.get(shape_key(layer)) for layer in model.layers]
+    if None in layer_tables:
+        raise SearchError(f"no mapping table for the shape of layer {model.layers[layer_tables.index(None)].index}")
     configs = list(space.configs())
     # cells[i][j]: layer i's best (mapping, dm_bits, footprint_bits) under configs[j], or None.
-    cells = [[tables[layer.index].query(s, mc_bits) for s in space.specs] for layer in model.layers]
+    cells = [[table.query(s, mc_bits) for s in space.specs] for table in layer_tables]
 
     # Selection runs over the groups of ``rows``: for model scope one
     # group whose candidates sum a grid column over all layers, for layer
@@ -457,13 +460,13 @@ def search(rows: AccuracyRows, tables: dict, alpha: float = DEFAULT_ALPHA, mode:
         winners *= len(model.layers)
 
     assignments = []
-    for layer, row, c in zip(model.layers, cells, winners):
+    for layer, table, row, c in zip(model.layers, layer_tables, cells, winners):
         j = configs.index(c.config)
         assignments.append(LayerAssignment(
             layer_index=layer.index,
             config=c.config,
             mapping=row[j][0],
-            breakdown=tables[layer.index].breakdown(row[j][0], space.specs[j]),
+            breakdown=table.breakdown(row[j][0], space.specs[j]),
         ))
     plan = QuantPlan(
         model_name=model.name,
@@ -481,22 +484,22 @@ def search(rows: AccuracyRows, tables: dict, alpha: float = DEFAULT_ALPHA, mode:
         plan.candidates = [c.row() for c in groups[0]]
         if mode == "pareto":
             plan.pareto = [c.row() for c in pareto_frontier(feasible[0])]
-    _attach_energy(plan, model, tables, mc_bits, energy_params)
+    _attach_energy(plan, model, layer_tables, mc_bits, energy_params)
     return plan
 
 
-def _attach_energy(plan: QuantPlan, model, tables, mc_bits, energy_params):
+def _attach_energy(plan: QuantPlan, model, layer_tables, mc_bits, energy_params):
     """Energy for the plan plus the unquantized 32-bit baseline under the
-    same mapping optimizer; the baseline is dropped, and the layer that
-    drops it noted, when some layer has no feasible 32-bit mapping."""
+    same mapping optimizer, from the layers' tables; the baseline is dropped,
+    and the layer that drops it noted, when some layer has no 32-bit mapping."""
     plan.energy_report = energy(model, [a.breakdown for a in plan.assignments], energy_params)
     baseline_breakdowns = []
-    for layer in model.layers:
+    for layer, table in zip(model.layers, layer_tables):
         bits32 = (ORIGINAL_BITS, ORIGINAL_BITS, ORIGINAL_BITS)
-        hit = tables[layer.index].query(bits32, mc_bits)
+        hit = table.query(bits32, mc_bits)
         if hit is None:
             plan.baseline_infeasible_layer = layer.index
             return
-        baseline_breakdowns.append(tables[layer.index].breakdown(hit[0], bits32))
+        baseline_breakdowns.append(table.breakdown(hit[0], bits32))
     plan.baseline_energy_report = energy(model, baseline_breakdowns, energy_params)
     plan.energy_report.normalized = plan.energy_report.joules / plan.baseline_energy_report.joules

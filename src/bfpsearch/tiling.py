@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import replace
+import operator
 
 import numpy as np
 
@@ -170,9 +170,9 @@ def _candidate_dim_sums(layer: ConvLayer, ext: dict, drivers: tuple, lead_cands)
     }
 
 
-def shape_key(layer: ConvLayer) -> ConvLayer:
-    """The layer with everything its mapping table does not depend on normalized away."""
-    return replace(layer, index=0, source_index=0, input_sample=None, weight_sample=None)
+# Every ConvLayer field a mapping table depends on: all but the indices and sample paths.
+shape_key = operator.attrgetter("c_in", "c_out", "i_h", "i_w", "k_h", "k_w",
+                                "stride_h", "stride_w", "pad_h", "pad_w", "groups")
 
 
 def least_footprint_elems(layer: ConvLayer) -> dict:
@@ -289,7 +289,9 @@ class LayerMappingTable:
 
     def __init__(self, layer: ConvLayer, permutations=None, count_first_load: bool = True):
         self.layer = layer
-        self.permutations = tuple(tuple(p) for p in (permutations or default_permutations()))
+        self.permutations = tuple(tuple(p) for p in (default_permutations() if permutations is None else permutations))
+        if not self.permutations:
+            raise MappingError("a mapping table needs at least one loop order")
         for perm in self.permutations:
             if tuple(sorted(perm)) != tuple(sorted(MOVING_DIMS)):
                 raise MappingError(f"permutation {perm} must order {MOVING_DIMS}")

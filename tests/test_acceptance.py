@@ -32,7 +32,7 @@ from bfpsearch.search import (
     build_mapping_tables,
     select_candidate,
 )
-from bfpsearch.tiling import MOVING_DIMS, LayerMappingTable, tile_candidates
+from bfpsearch.tiling import MOVING_DIMS, LayerMappingTable, shape_key, tile_candidates
 
 from conftest import TINY4_TEXT, plan_for, spec_triple
 
@@ -373,7 +373,7 @@ def test_c09_eight_bit_strictly_below_sixteen():
     for layer in model.layers:
         specs16 = spec_triple(qb=16, se=3, bs=8)
         specs8 = spec_triple(qb=8, se=3, bs=8)
-        hit = tables[layer.index].query(specs16, 65536.0)
+        hit = tables[shape_key(layer)].query(specs16, 65536.0)
         assert hit is not None
         mapping = hit[0]  # identical mapping reused for both bitwidths
         b16 = dm_layer(layer, mapping, specs16)

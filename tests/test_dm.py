@@ -12,7 +12,9 @@ from bfpsearch.dm import (
     tile_footprint_elems,
 )
 from bfpsearch.model import ConvLayer, ModelDesc, layer_volumes
+from bfpsearch.oracle import simulate
 from bfpsearch.search import CandidateSpace, SearchError, build_mapping_tables
+from bfpsearch.tiling import LayerMappingTable
 
 from conftest import plan_for, small_layer, spec_triple
 
@@ -28,6 +30,20 @@ def test_mapping_validation():
     m = make_mapping(layer, {"oh": 2})
     assert m.tile("oh") == 2
     assert m.permutation[-2:] == ("kh", "kw")
+
+
+SPEC_CALLS = {
+    "query": lambda layer, specs: LayerMappingTable(layer).query(specs, 1e9),
+    "dm_layer": lambda layer, specs: dm_layer(layer, make_mapping(layer, {}), specs),
+    "simulate": lambda layer, specs: simulate(layer, make_mapping(layer, {}), specs),
+}
+
+
+@pytest.mark.parametrize("specs", [(8.0, 8.0), (8.0, 8.0, 8.0, 8.0)], ids=["two", "four"])
+@pytest.mark.parametrize("call", sorted(SPEC_CALLS))
+def test_a_spec_sequence_needs_one_entry_per_operand(call, specs):
+    with pytest.raises(MappingError, match="one spec per operand"):
+        SPEC_CALLS[call](small_layer(), specs)
 
 
 # -- reuse classification (the three scenarios) ------------------------------

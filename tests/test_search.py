@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import sys
@@ -28,7 +29,7 @@ from bfpsearch.search import (
     pareto_frontier,
     select_candidate,
 )
-from bfpsearch.tiling import InfeasibleError, LayerMappingTable
+from bfpsearch.tiling import InfeasibleError, LayerMappingTable, shape_key
 
 from conftest import plan_for, proxy_loss, small_convs, small_layer, spec_triple
 from reference_search import footprint_bits, reference_search
@@ -226,7 +227,7 @@ def joint_exhaustive(model, space, alpha, mc_bits, samples, tables):
     for layer in model.layers:
         rows = {}
         for cfg in configs:
-            hit = tables[layer.index].query(config_specs(cfg), mc_bits)
+            hit = tables[shape_key(layer)].query(config_specs(cfg), mc_bits)
             if hit is None:
                 continue
             acc = proxy_loss(layer, config_specs(cfg), samples[layer.index])
@@ -315,9 +316,56 @@ def test_identical_shapes_share_one_table():
         small_layer(index=6, c_in=2, c_out=4),
     ])
     tables = build_mapping_tables(model)
-    assert tables[1] is tables[2] is tables[4]
-    assert tables[3] is tables[6]
+    by_layer = [tables[shape_key(layer)] for layer in model.layers]
+    assert by_layer[0] is by_layer[1] is by_layer[3]
+    assert by_layer[2] is by_layer[5]
     assert len({id(t) for t in tables.values()}) == 3
+
+
+def test_shape_key_reads_every_layer_field_but_the_indices_and_sample_paths():
+    # A new ConvLayer field joins the key or this list, never neither.
+    _, read = shape_key.__reduce__()
+    left_out = ("index", "source_index", "input_sample", "weight_sample")
+    assert sorted(read + left_out) == sorted(f.name for f in dataclasses.fields(ConvLayer))
+
+
+def test_one_table_per_distinct_shape(tiny4):
+    repeats = ModelDesc(name="repeats", layers=[
+        small_layer(index=i, c_in=c, source_index=10 + i) for i, c in enumerate((1, 2, 1, 2, 2), start=1)
+    ])
+    for model, shapes in ((tiny4, 4), (repeats, 2)):
+        tables = build_mapping_tables(model)
+        assert len(tables) == shapes == len({shape_key(layer) for layer in model.layers})
+        assert all(shape_key(tables[shape_key(layer)].layer) == shape_key(layer) for layer in model.layers)
+
+
+# Three distinct shapes: a layer given another shape's table gets that
+# shape's mappings and traffic, which changes the plan.
+THREE_SHAPES = (
+    small_layer(c_in=2, c_out=2),
+    small_layer(c_in=2, c_out=4, i_h=8, i_w=8),
+    small_layer(c_in=4, c_out=2, k_h=1, k_w=1),
+)
+
+
+def model_of(shapes, name="three"):
+    return ModelDesc(name=name, layers=[replace(layer, index=i) for i, layer in enumerate(shapes, start=1)])
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_tables_of_the_same_shapes_in_another_order_give_the_same_plan(scope):
+    model = model_of(THREE_SHAPES)
+    rotated = build_mapping_tables(model_of(THREE_SHAPES[1:] + THREE_SHAPES[:1], name="rotated"))
+    own = plan_for(model, small_space(scope), alpha=0.2, mc_bits=MC)
+    theirs = plan_for(model, small_space(scope), alpha=0.2, mc_bits=MC, tables=rotated)
+    assert theirs.to_record() == own.to_record()
+
+
+def test_tables_missing_a_layers_shape_raise_naming_the_layer():
+    model = model_of(THREE_SHAPES)
+    tables = build_mapping_tables(model_of(THREE_SHAPES[::2], name="two"))
+    with pytest.raises(SearchError, match=r"^no mapping table for the shape of layer 2$"):
+        plan_for(model, small_space(), alpha=0.2, mc_bits=MC, tables=tables)
 
 
 def test_literal_first_load_tables_set_the_plans_traffic():
@@ -340,10 +388,11 @@ def test_shared_tables_parallel_build_matches_serial():
     ])
     serial = build_mapping_tables(model, jobs=1)
     parallel = build_mapping_tables(model, jobs=2)
-    assert parallel[1] is parallel[3] and parallel[2] is parallel[4] is parallel[5]
+    by_layer = [parallel[shape_key(layer)] for layer in model.layers]
+    assert by_layer[0] is by_layer[2] and by_layer[1] is by_layer[3] is by_layer[4]
     for specs in small_space().specs:
         for layer in model.layers:
-            assert parallel[layer.index].query(specs, MC) == serial[layer.index].query(specs, MC)
+            assert parallel[shape_key(layer)].query(specs, MC) == serial[shape_key(layer)].query(specs, MC)
     space = small_space()
     one = plan_for(model, space, alpha=0.2, mc_bits=MC, tables=serial)
     two = plan_for(model, space, alpha=0.2, mc_bits=MC, tables=parallel)
@@ -465,10 +514,11 @@ def test_proxy_scores_exactly_the_selectable_cells(monkeypatch):
     layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
     model = ModelDesc(name="edge", layers=layers)
     tables = build_mapping_tables(model)
+    *small, large = (tables[shape_key(layer)] for layer in layers)
     wide, narrow = config_specs((2, 8, 8)), config_specs((4, 8, 8))
-    mc = float(tables[4].footprint_bits(role_bits(layers[-1], narrow)).min())
-    assert tables[4].query(wide, mc) is None and tables[4].query(narrow, mc) is not None
-    assert all(tables[i].query(wide, mc) is not None for i in (1, 2, 3))
+    mc = float(large.footprint_bits(role_bits(layers[-1], narrow)).min())
+    assert large.query(wide, mc) is None and large.query(narrow, mc) is not None
+    assert all(table.query(wide, mc) is not None for table in small)
 
     calls = []
     qdq = accuracy.quantize_dequantize
@@ -509,9 +559,10 @@ def test_proxy_scans_each_sample_once_per_scorable_block_size(monkeypatch):
     layers.append(small_layer(index=4, c_in=2, c_out=2, i_h=10, i_w=10, k_h=7, k_w=7))
     model = ModelDesc(name="edge", layers=layers)
     tables = build_mapping_tables(model)
-    mc = float(tables[4].footprint_bits(role_bits(layers[-1], config_specs((4, 8, 8)))).min())
-    assert tables[4].query(config_specs((4, 1, 8)), mc) is None
-    assert all(tables[i].query(config_specs((4, 1, 8)), mc) is not None for i in (1, 2, 3))
+    *small, large = (tables[shape_key(layer)] for layer in layers)
+    mc = float(large.footprint_bits(role_bits(layers[-1], config_specs((4, 8, 8)))).min())
+    assert large.query(config_specs((4, 1, 8)), mc) is None
+    assert all(table.query(config_specs((4, 1, 8)), mc) is not None for table in small)
 
     module = sys.modules["bfpsearch.search"]
     samples, scans, alive = {}, [], []
@@ -559,7 +610,7 @@ def test_accuracy_rows_need_no_table_and_give_the_same_plans(tiny4, monkeypatch,
     monkeypatch.undo()
     tables = build_mapping_tables(tiny4)
     configs = list(space.configs())
-    fits = [[tables[layer.index].query(s, mc) is not None for s in space.specs] for layer in tiny4.layers]
+    fits = [[tables[shape_key(layer)].query(s, mc) is not None for s in space.specs] for layer in tiny4.layers]
     assert not all(map(all, fits)) and all(map(any, fits))
 
     def term(layer, j):

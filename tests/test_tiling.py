@@ -95,6 +95,10 @@ def test_unconstrained_returns_whole_layer_tile():
     layer = small_layer(c_in=2, c_out=2)
     specs = spec_triple()
     mapping, _, _, breakdown = best_mapping(layer, specs, 1e12, permutations=[ORDER])
+    assert len(LayerMappingTable(layer).permutations) == 24
+    for none in ([], ()):
+        with pytest.raises(MappingError):
+            LayerMappingTable(layer, permutations=none)
     ext = loop_extents(layer)
     assert all(mapping.tile(d) == ext[d] for d in MOVING_DIMS)
     vin, vout, vw = layer_volumes(layer)
