@@ -95,14 +95,18 @@ def test_unconstrained_returns_whole_layer_tile():
     layer = small_layer(c_in=2, c_out=2)
     specs = spec_triple()
     mapping, _, _, breakdown = best_mapping(layer, specs, 1e12, permutations=[ORDER])
-    assert len(LayerMappingTable(layer).permutations) == 24
-    for none in ([], ()):
-        with pytest.raises(MappingError):
-            LayerMappingTable(layer, permutations=none)
     ext = loop_extents(layer)
     assert all(mapping.tile(d) == ext[d] for d in MOVING_DIMS)
     vin, vout, vw = layer_volumes(layer)
     assert breakdown.total_elems == {"input": vin, "output": vout, "weight": vw}
+
+
+def test_table_rejects_an_empty_loop_order_list():
+    layer = small_layer(c_in=2, c_out=2)
+    assert len(LayerMappingTable(layer).permutations) == 24
+    for none in ([], ()):
+        with pytest.raises(MappingError):
+            LayerMappingTable(layer, permutations=none)
 
 
 def test_capacity_constrained_matches_exhaustive_minimum():
