@@ -53,11 +53,17 @@ class AccuracyTable:
     def unread_rows(self, source_indices, scope: str) -> list:
         """A (line, message) warning per row that no run over layers with the
         model-file indices ``source_indices`` in ``scope`` reads, in line
-        order: each ``layer:<n>`` row whose n is none of them and, in layer
-        scope, each model row.  A row for a config outside the run's grid is
-        not one: a table may cover a larger grid than one run searches."""
-        notes = [(self.row_lines.get(key, 0), f"layer:{key[0]} names no layer of the model; row ignored")
-                 for key in self.layer_entries if key[0] not in source_indices]
+        order: each ``layer:<n>`` row whose n is none of them, in model scope
+        each other ``layer:<n>`` row whose config has a model row, and in
+        layer scope each model row.  A row for a config outside the run's
+        grid is not one: a table may cover a larger grid than one run searches."""
+        notes = []
+        for key in self.layer_entries:
+            if key[0] not in source_indices:
+                notes.append((self.row_lines.get(key, 0), f"layer:{key[0]} names no layer of the model; row ignored"))
+            elif scope == "model" and key[1:] in self.model_entries:
+                notes.append((self.row_lines.get(key, 0),
+                              f"layer:{key[0]} row ignored: a model row gives this config's loss under --scope model"))
         if scope == "layer":
             notes += [(self.row_lines.get(key, 0), "model row ignored under --scope layer") for key in self.model_entries]
         return sorted(notes)

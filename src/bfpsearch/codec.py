@@ -23,11 +23,13 @@ clip (see :func:`_round_blocks`).  At small block sizes the per-block
 scaling runs as one long pass per block column, not as one short pass per
 block.
 
-The scan keeps one rule that :func:`encode_block` lacks: a block holding a
-zero (padding included) takes exponent ``max(e, 0)``, so an all-zero block
-gets 0, not ``exp_min``.  It comes from an ``int64``-min zero sentinel that
-NumPy 2's ``int32`` ``frexp`` exponents wrap to 0; the benchmark's recorded
-plans were made with it, and dropping it changes some of them.
+The scan keeps one rule that the exact rational codec of the tests,
+``tests/reference_codec.py``, does not: a block holding a zero (padding
+included) takes exponent ``max(e, 0)``, so an all-zero block gets 0, where
+that codec gives it ``exp_min``.  It comes from an ``int64``-min zero
+sentinel that NumPy 2's ``int32`` ``frexp`` exponents wrap to 0; the
+benchmark's recorded plans were made with it, and dropping it changes some
+of them.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ class BfpSpec:
 
     @property
     def exp_min(self) -> int:
-        """Smallest storable shared exponent (also the all-zero sentinel)."""
+        """Smallest storable shared exponent.  ``tests/reference_codec.py``
+        gives it to an all-zero block; the kernel gives such a block 0 (see
+        the module docstring)."""
         return self.exp_bias - (1 << (self.exp_bits - 1))
 
     @property
@@ -141,80 +145,6 @@ class BfpTensor:
 def _check_finite(values: np.ndarray):
     if not np.all(np.isfinite(values)):
         raise CodecError("values must be finite (no NaN/inf)")
-
-
-def _max_exponent(values: np.ndarray) -> int | None:
-    """Largest binary exponent e with |v| in [2^e, 2^(e+1)) over nonzero values."""
-    nz = values[values != 0.0]
-    if nz.size == 0:
-        return None
-    _, exps = np.frexp(nz)
-    return int(exps.max()) - 1
-
-
-def _round_mantissas(values: np.ndarray, spec: BfpSpec, shared_exp: int) -> np.ndarray:
-    # Power-of-two scaling is exact in float64; np.rint rounds half to even.
-    scaled = np.ldexp(values, spec.fraction_bits - shared_exp)
-    return np.rint(scaled)
-
-
-def encode_block(values, spec: BfpSpec) -> BfpBlock:
-    """Encode up to ``block_size`` real values into one shared-exponent block.
-
-    The shared exponent is the largest per-element binary exponent, bumped by
-    one when the top element rounds up across the power-of-two boundary (so
-    the round-trip error bound holds without mantissa saturation).  Exponents
-    outside the storable window saturate and set the block's flag.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size == 0:
-        raise CodecError("cannot encode an empty block")
-    if arr.size > spec.block_size:
-        raise CodecError(f"block of {arr.size} values exceeds block_size={spec.block_size}")
-    _check_finite(arr)
-
-    e_max = _max_exponent(arr)
-    if e_max is None:
-        return BfpBlock(shared_exponent=spec.exp_min, mantissas=(0,) * arr.size)
-
-    shared = e_max
-    mant = _round_mantissas(arr, spec, shared)
-    if mant.max(initial=0.0) > spec.mantissa_max:
-        # Rounding overflow at the positive boundary: raise the shared scale.
-        shared += 1
-        mant = _round_mantissas(arr, spec, shared)
-
-    saturated = False
-    if shared < spec.exp_min or shared > spec.exp_max:
-        saturated = True
-        shared = min(max(shared, spec.exp_min), spec.exp_max)
-        mant = np.clip(_round_mantissas(arr, spec, shared), spec.mantissa_min, spec.mantissa_max)
-
-    return BfpBlock(
-        shared_exponent=shared,
-        mantissas=tuple(int(m) for m in mant),
-        saturated=saturated,
-    )
-
-
-def decode_block(block: BfpBlock, spec: BfpSpec):
-    """Invert :func:`encode_block`.  Decoding itself is exact."""
-    mant = np.asarray(block.mantissas, dtype=np.float64)
-    if mant.size == 0:
-        raise CodecError("cannot decode an empty block")
-    ints = np.asarray(block.mantissas)
-    if np.any(ints < spec.mantissa_min) or np.any(ints > spec.mantissa_max):
-        raise CodecError(
-            f"mantissa out of range [{spec.mantissa_min}, {spec.mantissa_max}] for {spec.mantissa_bits}-bit format"
-        )
-    if not (spec.exp_min <= block.shared_exponent <= spec.exp_max):
-        raise CodecError(
-            f"shared exponent {block.shared_exponent} outside storable window "
-            f"[{spec.exp_min}, {spec.exp_max}]"
-        )
-    return [float(v) for v in np.ldexp(mant, block.shared_exponent - spec.fraction_bits)]
 
 
 def _fold(op, grid: np.ndarray) -> np.ndarray:

@@ -586,11 +586,15 @@ def test_table_rows_no_run_can_read_warn_with_file_and_line(tmp_path, capsys, sc
     argv = ["--model", str(model), "--loss-source", "table", "--acc-table", str(table),
             "--se", "3", "--bs", "8", "--scope", scope, "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_OK
-    unread = [f"warning: {table}:3: layer:2 names no layer of the model; row ignored"]
-    if scope == "layer":
-        unread.append(f"warning: {table}:6: model row ignored under --scope layer")
-    unread.append(f"warning: {table}:7: layer:7 names no layer of the model; row ignored")
-    assert capsys.readouterr().err.splitlines() == [f"warning: {model}:8: skipping non-conv layer 2", *unread]
+    # In model scope the model row (line 6) shadows the layer rows of its
+    # config (lines 2 and 4); line 7 keeps only its "names no layer" warning.
+    shadowed = "row ignored: a model row gives this config's loss under --scope model"
+    unread = {"model": [(2, f"layer:1 {shadowed}"), (4, f"layer:3 {shadowed}")],
+              "layer": [(6, "model row ignored under --scope layer")]}[scope]
+    unread += [(3, "layer:2 names no layer of the model; row ignored"),
+               (7, "layer:7 names no layer of the model; row ignored")]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {model}:8: skipping non-conv layer 2",
+                                                    *(f"warning: {table}:{n}: {text}" for n, text in sorted(unread))]
 
 
 def test_import_leaves_the_process_pool_unimported():

@@ -15,10 +15,8 @@ from bfpsearch.accuracy import normalized_mse, signal_power
 from bfpsearch.codec import (
     BfpSpec,
     CodecError,
-    decode_block,
     decode_tensor,
     effective_bitwidth,
-    encode_block,
     encode_tensor,
     quantization_error,
     quantize_dequantize,
@@ -73,17 +71,9 @@ def test_spec_pickled_in_another_process_hashes_equal():
 
 def test_encode_identical_values_exact():
     spec = BfpSpec(8, 3, 2, "weight")
-    block = encode_block([2.0, 2.0], spec)
-    assert block.shared_exponent == 1
-    assert decode_block(block, spec) == [2.0, 2.0]
-
-
-def test_encode_zero_block_sentinel():
-    spec = BfpSpec(8, 3, 2, "weight")
-    block = encode_block([0.0, 0.0], spec)
-    assert block.shared_exponent == spec.exp_min
-    assert block.mantissas == (0, 0)
-    assert decode_block(block, spec) == [0.0, 0.0]
+    enc = encode_tensor([2.0, 2.0], spec)
+    assert enc.blocks[0].shared_exponent == 1
+    assert decode_tensor(enc).tolist() == [2.0, 2.0]
 
 
 def test_encode_small_value_shifts_out():
@@ -92,44 +82,48 @@ def test_encode_small_value_shifts_out():
     spec = BfpSpec(8, 3, 2, "weight")
     ref_exp, ref_mants = ref_encode([1.0, 0.0078125], 8, 3)
     assert (ref_exp, ref_mants) == (0, [8, 0])
-    block = encode_block([1.0, 0.0078125], spec)
-    assert block.shared_exponent == ref_exp
-    assert list(block.mantissas) == ref_mants
-    assert decode_block(block, spec) == [1.0, 0.0]
+    enc = encode_tensor([1.0, 0.0078125], spec)
+    assert enc.blocks[0].shared_exponent == ref_exp
+    assert list(enc.blocks[0].mantissas) == ref_mants
+    assert decode_tensor(enc).tolist() == [1.0, 0.0]
 
 
-def test_encode_rejects_bad_input():
-    spec = BfpSpec(8, 3, 2, "weight")
-    with pytest.raises(CodecError):
-        encode_block([float("nan"), 1.0], spec)
-    with pytest.raises(CodecError):
-        encode_block([float("inf")], spec)
-    with pytest.raises(CodecError):
-        encode_block([], spec)
-    with pytest.raises(CodecError):
-        encode_block([1.0, 2.0, 3.0], spec)  # exceeds block size
-
-
-def test_decode_rejects_out_of_range_mantissa():
-    spec = BfpSpec(8, 3, 2, "weight")
-    block = encode_block([1.0, 1.0], spec)
-    bad = type(block)(shared_exponent=block.shared_exponent, mantissas=(99, 0))
-    with pytest.raises(CodecError):
-        decode_block(bad, spec)
-
-
-def test_encode_matches_rational_reference():
+def test_kernel_matches_rational_reference():
+    """Every block the zero rule does not decide (module docstring of the
+    codec) encodes as the exact rational codec encodes it: blocks scaled by
+    up to 2^+-12 saturate at both ends of the narrow windows, and some hold
+    a value exactly on the rounding-bump boundary, +-(1 - 2^-(fb + 2)) * 2^k."""
     rng = np.random.default_rng(11)
+    seen = set()
     for qb, se in [(8, 2), (8, 3), (8, 6), (16, 4), (16, 7)]:
-        spec = BfpSpec(qb, se, 4, "weight")
-        for _ in range(200):
-            vals = [float(v) for v in rng.uniform(-1.9, 1.9, size=4)]
-            if rng.random() < 0.3:
-                vals[rng.integers(0, 4)] = 0.0
-            got = encode_block(vals, spec)
-            ref_exp, ref_mants = ref_encode(vals, qb, se)
-            assert got.shared_exponent == ref_exp
-            assert list(got.mantissas) == ref_mants
+        for bs in (1, 3, 4, 8):
+            spec = BfpSpec(qb, se, bs, "weight")
+            tie = 1.0 - 2.0 ** -(spec.fraction_bits + 2)
+            rows = []
+            for _ in range(200):
+                k = int(rng.integers(-12, 13))
+                vals = rng.uniform(-1.9, 1.9, size=bs)
+                if rng.random() < 0.3:
+                    vals *= tie / 2
+                    vals[rng.integers(0, bs)] = rng.choice((-1.0, 1.0)) * tie
+                if rng.random() < 0.2:
+                    vals[rng.integers(0, bs)] = 0.0
+                rows.append(np.ldexp(vals, k))
+            data = np.concatenate(rows)[: 200 * bs - bs // 2]  # a partial last block, but at bs 1
+            enc = encode_tensor(data, spec)
+            for b, block in enumerate(enc.blocks):
+                vals = data[b * bs : (b + 1) * bs]
+                holds_zero = len(vals) < bs or 0.0 in vals  # padding is a zero
+                if holds_zero and np.abs(vals).max() < 1.0:
+                    seen.add("zero rule")
+                    continue
+                ref_exp, ref_mants = ref_encode(vals.tolist(), qb, se)
+                assert (block.shared_exponent, list(block.mantissas)) == (ref_exp, ref_mants), (spec, vals)
+                if vals.max() == math.ldexp(tie, math.frexp(np.abs(vals).max())[1]):
+                    seen.add("bump tie")
+                if block.saturated:
+                    seen.add("below" if ref_exp == spec.exp_min else "above")
+    assert seen >= {"zero rule", "bump tie", "below", "above"}
 
 
 def test_roundtrip_bound_randomized():
@@ -163,20 +157,23 @@ def test_encode_tensor_partial_final_block():
 
 def test_exponent_window_saturates_and_flags():
     spec = BfpSpec(8, 2, 2, "weight")  # window [-2, 1]
-    big = encode_block([1024.0, 0.0], spec)
-    assert big.saturated
-    assert big.shared_exponent == spec.exp_max
-    assert max(big.mantissas) == spec.mantissa_max
-    tiny = encode_block([2.0**-9, 0.0], spec)
-    assert tiny.saturated
-    assert tiny.shared_exponent == spec.exp_min
+    big = encode_tensor([1024.0, 0.0], spec)
+    assert big.saturated_blocks == 1
+    assert big.blocks[0].saturated
+    assert big.blocks[0].shared_exponent == spec.exp_max
+    assert max(big.blocks[0].mantissas) == spec.mantissa_max
+    # Zero-free: the zero rule would give a block holding a zero exponent 0.
+    tiny = encode_tensor([2.0**-9, 2.0**-10], spec)
+    assert tiny.saturated_blocks == 1
+    assert tiny.blocks[0].saturated
+    assert tiny.blocks[0].shared_exponent == spec.exp_min
 
 
 def test_encode_determinism():
     spec = BfpSpec(16, 5, 8, "input")
     vals = np.linspace(-1.5, 1.5, 8)
-    a = encode_block(vals, spec)
-    b = encode_block(vals, spec)
+    a = encode_tensor(vals, spec)
+    b = encode_tensor(vals, spec)
     assert a == b
 
 

@@ -83,6 +83,42 @@ REGISTRY = (
         "",
         ("tests/test_tiling.py::test_table_rejects_an_empty_loop_order_list",),
     ),
+    Mutant(
+        "kernel-bumps-only-above-the-tie", "src/bfpsearch/codec.py",
+        "blocks.hi >= 1.0 - 2.0 ** -(fb + 2)",
+        "blocks.hi > 1.0 - 2.0 ** -(fb + 2)",
+        ("tests/test_codec.py::test_kernel_matches_rational_reference",),
+    ),
+    Mutant(
+        "kernel-without-clamp-up-to-exp-min", "src/bfpsearch/codec.py",
+        "    if lo < exp_min:  # some block may fall below the window\n",
+        "    if False:\n",
+        ("tests/test_codec.py::test_kernel_matches_rational_reference",),
+    ),
+    Mutant(
+        "kernel-without-clamp-down-to-exp-max", "src/bfpsearch/codec.py",
+        "    if len(over):\n",
+        "    if False:\n",
+        ("tests/test_codec.py::test_exponent_window_saturates_and_flags",),
+    ),
+    Mutant(
+        "table-without-shadowed-layer-row-warning", "src/bfpsearch/accuracy.py",
+        "            elif scope == \"model\" and key[1:] in self.model_entries:\n",
+        "            elif False:\n",
+        ("tests/test_cli.py::test_table_rows_no_run_can_read_warn_with_file_and_line",),
+    ),
+    Mutant(
+        "pruning-drops-equal-counts", "src/bfpsearch/tiling.py",
+        "np.less_equal(counts[:, q], counts[:, p], out=le)",
+        "np.less(counts[:, q], counts[:, p], out=le)",
+        ("tests/test_tiling.py::test_table_arrays_match_loop_reference_build",),
+    ),
+    Mutant(
+        "tie-break-prefers-later-tilings", "src/bfpsearch/tiling.py",
+        "* n_tilings + (n_tilings - 1 - flat)",
+        "* n_tilings + flat",
+        ("tests/test_tiling.py::test_query_matches_lattice_brute_force",),
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", "*.egg-info")
